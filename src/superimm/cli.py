@@ -19,23 +19,19 @@ from superimm.immanants import (
 )
 from superimm.superring import poly_to_terms
 from superimm.supersym import schur_super, schur_super_jacobi_trudi_grid
-from superimm.verify import sweep
+from superimm.verify import CHECK_FAMILIES, sweep
 
-CHECK_NAMES = (
-    "vanishing",
-    "kostant",
-    "schur-weyl",
-    "littlewood1",
-    "littlewood2",
-    "lmw",
-    "macmahon",
-    "newton",
-    "goulden-jackson",
-    "littlewood3",
-    "berezinian",
-    "hessenberg",
-    "all",
-)
+CHECK_NAMES = (*CHECK_FAMILIES, "all")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -147,10 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("name", choices=CHECK_NAMES)
     p_check.add_argument("--m", type=int, required=True)
     p_check.add_argument("--n", type=int, required=True)
-    p_check.add_argument("--max-r", type=int, default=3)
+    p_check.add_argument("--max-r", type=_positive_int, default=3)
     p_check.add_argument("--order", type=int, default=3)
     p_check.add_argument("--seed", type=int, default=20240613)
-    p_check.add_argument("--trials", type=int, default=10)
+    p_check.add_argument("--trials", type=_positive_int, default=10)
     p_check.add_argument("--out", default=None, help="write all reports as JSON")
     p_check.set_defaults(func=_cmd_check)
     return parser

@@ -14,16 +14,6 @@ def identity(n: int) -> list[list[Fraction]]:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-            for i in range(n)]
-
-
-def mat_vec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(len(a))]
-
-
 def rref(mat):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     rows = [[Fraction(x) for x in row] for row in mat]
@@ -62,26 +52,6 @@ def inv(mat):
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def det(mat) -> Fraction:
-    n = len(mat)
-    rows = [[Fraction(x) for x in row] for row in mat]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        invp = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * invp
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
 
 
 def nullspace(mat):

@@ -87,7 +87,7 @@ class Algebra:
             key = (((name, 1),), ())
         else:
             key = ((), (name,))
-        return SuperPoly(self, {key: Fraction(1)})
+        return SuperPoly(self, {key: 1})
 
     def parity_of(self, name: str) -> Parity:
         return self._gens[name].parity
@@ -101,12 +101,6 @@ class Algebra:
     def compatible(self, other: "Algebra") -> bool:
         return self is other or self._gens == other._gens
 
-    def __eq__(self, other):
-        return isinstance(other, Algebra) and self._gens == other._gens
-
-    def __hash__(self):
-        return id(self)
-
     def __repr__(self):
         return f"Algebra({self.label or len(self._gens)} gens)"
 
@@ -117,11 +111,20 @@ class Algebra:
         return self.scalar(1)
 
     def scalar(self, c) -> "SuperPoly":
-        c = Fraction(c)
+        c = _normal(c)
         return SuperPoly(self, {((), ()): c} if c else {})
 
     def poly(self, text: str) -> "SuperPoly":
         return parse_poly(self, text)
+
+
+def _normal(c):
+    """A rational in stored form: int when its denominator is 1, else Fraction."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def merge_odd_parts(a: tuple, b: tuple):
@@ -167,9 +170,10 @@ def _merge_even(a: tuple, b: tuple) -> tuple:
 class SuperPoly:
     """Element of a free supercommutative Q-algebra, in normal form.
 
-    Terms map (even_part, odd_part) -> nonzero Fraction, where even_part is a
-    sorted tuple of (generator, exponent) and odd_part a sorted tuple of odd
-    generator names.  Instances are treated as immutable.
+    Terms map (even_part, odd_part) -> nonzero coefficient: an int, or a
+    Fraction when the denominator is not 1.  even_part is a sorted tuple of
+    (generator, exponent) and odd_part a sorted tuple of odd generator names.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("algebra", "_terms")
@@ -198,8 +202,12 @@ class SuperPoly:
         """Deterministically ordered (even, odd, coefficient) triples."""
         return sorted(((e, o, c) for (e, o), c in self._terms.items()))
 
+    def coefficient(self, key) -> Fraction:
+        """Coefficient of the monomial key (even_part, odd_part); 0 if absent."""
+        return Fraction(self._terms.get(key, 0))
+
     def constant_term(self) -> Fraction:
-        return self._terms.get(((), ()), Fraction(0))
+        return self.coefficient(((), ()))
 
     def term_parity(self, key) -> int:
         return len(key[1]) % 2
@@ -235,14 +243,14 @@ class SuperPoly:
             raise AlgebraMismatchError("operands come from different algebras")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not SuperPoly and isinstance(other, (int, Fraction)):
             other = self.algebra.scalar(other)
         self._check(other)
         terms = dict(self._terms)
         for key, c in other._terms.items():
-            s = terms.get(key, Fraction(0)) + c
+            s = terms.get(key, 0) + c
             if s:
-                terms[key] = s
+                terms[key] = _normal(s)
             elif key in terms:
                 del terms[key]
         return SuperPoly(self.algebra, terms)
@@ -253,7 +261,7 @@ class SuperPoly:
         return SuperPoly(self.algebra, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not SuperPoly and isinstance(other, (int, Fraction)):
             other = self.algebra.scalar(other)
         return self + (-other)
 
@@ -261,11 +269,11 @@ class SuperPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not SuperPoly and isinstance(other, (int, Fraction)):
             if other == 0:
                 return SuperPoly(self.algebra, {})
-            other = Fraction(other)
-            return SuperPoly(self.algebra, {k: c * other for k, c in self._terms.items()})
+            other = _normal(other)
+            return SuperPoly(self.algebra, {k: _normal(c * other) for k, c in self._terms.items()})
         self._check(other)
         terms: dict = {}
         for (ea, oa), ca in self._terms.items():
@@ -274,11 +282,14 @@ class SuperPoly:
                 if sign == 0:
                     continue
                 key = (_merge_even(ea, eb), odd)
-                s = terms.get(key, Fraction(0)) + sign * ca * cb
+                s = terms.get(key, 0) + sign * ca * cb
                 if s:
                     terms[key] = s
                 elif key in terms:
                     del terms[key]
+        for key, c in terms.items():  # _normal, inlined: it runs once per product term
+            if c.__class__ is not int and c.denominator == 1:
+                terms[key] = c.numerator
         return SuperPoly(self.algebra, terms)
 
     def __rmul__(self, other):
@@ -667,7 +678,7 @@ def poly_to_terms(p: SuperPoly) -> list[dict]:
 def poly_from_terms(algebra: Algebra, terms: Iterable[Mapping]) -> SuperPoly:
     out = algebra.zero()
     for t in terms:
-        c = Fraction(t["coefficient"])
+        c = _normal(t["coefficient"])
         key = (
             tuple(sorted((name, int(exp)) for name, exp in t.get("even", []))),
             tuple(t.get("odd", [])),

@@ -349,10 +349,6 @@ def inverse_kostka(lam, mu) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def cycle_type_of_sizes(sizes) -> tuple[int, ...]:
-    return tuple(sorted((int(s) for s in sizes), reverse=True))
-
-
 @lru_cache(maxsize=None)
 def character(lam, cycle_type) -> int:
     """Irreducible S_r character value at a conjugacy class."""

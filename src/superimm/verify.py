@@ -191,7 +191,7 @@ def _schur_polynomial(shape, nvars: int) -> SuperPoly:
 def _monomial_coefficient(p: SuperPoly, shape, nvars: int) -> Fraction:
     exps = {f"u{i}": shape[i - 1] if i <= len(shape) else 0 for i in range(1, nvars + 1)}
     key = (tuple(sorted((g, e) for g, e in exps.items() if e)), ())
-    return p._terms.get(key, Fraction(0))
+    return p.coefficient(key)
 
 
 def _lr_by_schur_multiplication(mu, nu, r: int) -> dict:
@@ -808,9 +808,26 @@ def _partition_pairs(total_min, total_max):
                     yield mu, nu
 
 
+CHECK_FAMILIES = (
+    "vanishing",
+    "kostant",
+    "schur-weyl",
+    "littlewood1",
+    "littlewood2",
+    "lmw",
+    "macmahon",
+    "newton",
+    "goulden-jackson",
+    "littlewood3",
+    "berezinian",
+    "hessenberg",
+)
+
+
 def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 20240613,
           trials: int = 10) -> list[CheckReport]:
-    """Run one named check family at desk scale; `all` runs the whole catalog."""
+    """Run one named check family at desk scale; `all` runs every family of
+    CHECK_FAMILIES, the whole catalog."""
     reports: list[CheckReport] = []
     if name == "vanishing":
         for r in range(1, max_r + 1):
@@ -852,19 +869,7 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
             for lam in partitions(r):
                 reports.append(check_hessenberg(lam, m, n))
     elif name == "all":
-        for sub in (
-            "vanishing",
-            "kostant",
-            "schur-weyl",
-            "littlewood1",
-            "littlewood2",
-            "lmw",
-            "macmahon",
-            "newton",
-            "goulden-jackson",
-            "littlewood3",
-            "hessenberg",
-        ):
+        for sub in CHECK_FAMILIES:
             reports.extend(sweep(sub, m, n, max_r, order=order, seed=seed, trials=trials))
     else:
         raise VerifyError(f"unknown check name {name!r}")

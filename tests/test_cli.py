@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from superimm.cli import main
 
 
@@ -70,3 +72,13 @@ def test_check_failure_exit_code(monkeypatch, capsys):
     code = main(["check", "kostant", "--m", "1", "--n", "1", "--max-r", "2"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", ["--max-r", "--trials"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_check_rejects_counts_below_one(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "littlewood3", "--m", "1", "--n", "1", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}:" in err and "Traceback" not in err

@@ -259,3 +259,164 @@ def test_serialization_round_trip(mixed):
     data = poly_to_terms(p)
     assert all(set(d) == {"coefficient", "even", "odd"} for d in data)
     assert poly_from_terms(alg, data) == p
+
+
+def test_algebra_equality_implies_equal_hashes():
+    a, b = Algebra("a"), Algebra("b")
+    for alg in (a, b):
+        alg.even("x")
+        alg.odd("t")
+    assert a.compatible(b)
+    assert a.gen("x") + b.gen("t") == b.gen("x") + a.gen("t")
+    assert a != b or hash(a) == hash(b)
+
+
+# -- integer-first coefficients against a plain-Fraction reference -------------
+#
+# A reference polynomial is a dict {(even_part, odd_part): Fraction} in the
+# normal form SuperPoly documents; its arithmetic below shares no code with
+# superring (the Koszul sign is an inversion count of the concatenated odd
+# factors).
+
+EVEN_GENS = ("x", "y")
+ODD_GENS = ("t1", "t2", "t3")
+ONE_KEY = ((), ())
+
+rationals = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+)
+monomials = st.tuples(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
+        lambda exps: tuple((g, e) for g, e in zip(EVEN_GENS, exps) if e)
+    ),
+    st.lists(st.sampled_from(ODD_GENS), unique=True, max_size=3).map(lambda o: tuple(sorted(o))),
+)
+
+
+def raw_polys(keys=monomials, max_size=3):
+    """{key: int or Fraction}, zero coefficients included, as a caller may pass them."""
+    return st.dictionaries(keys, rationals, max_size=max_size)
+
+
+def _kernel_algebra():
+    alg = Algebra("kernel")
+    alg.even(*EVEN_GENS)
+    alg.odd(*ODD_GENS)
+    return alg
+
+
+def _as_terms(raw):
+    return [{"coefficient": c, "even": [list(g) for g in e], "odd": list(o)} for (e, o), c in raw.items()]
+
+
+def _ref(raw):
+    return {key: Fraction(c) for key, c in raw.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_scale(a, s):
+    return {key: c * Fraction(s) for key, c in a.items() if c * s}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (ea, oa), ca in a.items():
+        for (eb, ob), cb in b.items():
+            odd = oa + ob
+            if len(set(odd)) < len(odd):
+                continue
+            inversions = sum(odd[i] > odd[j] for i in range(len(odd)) for j in range(i + 1, len(odd)))
+            exps = dict(ea)
+            for g, e in eb:
+                exps[g] = exps.get(g, 0) + e
+            key = (tuple(sorted(exps.items())), tuple(sorted(odd)))
+            out[key] = out.get(key, Fraction(0)) + (-1) ** inversions * ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_substitute(a, images):
+    out = {}
+    for (even, odd), c in a.items():
+        term = {ONE_KEY: c}
+        for g, e in even:
+            for _ in range(e):
+                term = _ref_mul(term, images[g])
+        for g in odd:
+            term = _ref_mul(term, images[g])
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_inverse(unit):
+    body = unit[ONE_KEY]
+    step = {key: -c / body for key, c in unit.items() if key != ONE_KEY}
+    out, power = {ONE_KEY: 1 / body}, {ONE_KEY: Fraction(1)}
+    for _ in ODD_GENS:
+        power = _ref_mul(power, step)
+        out = _ref_add(out, _ref_scale(power, 1 / body))
+    return out
+
+
+def _assert_matches(p, ref):
+    for _, _, c in p.terms():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    expected = [
+        {"coefficient": str(c), "even": [[g, e] for g, e in even], "odd": list(odd)}
+        for (even, odd), c in sorted(ref.items())
+    ]
+    assert poly_to_terms(p) == expected
+
+
+@given(raw_polys(), raw_polys(), raw_polys(max_size=2), rationals)
+@settings(max_examples=200, deadline=None)
+def test_kernel_coefficients_match_fraction_reference(raw_a, raw_b, raw_c, s):
+    alg = _kernel_algebra()
+    a, b, c = (poly_from_terms(alg, _as_terms(raw)) for raw in (raw_a, raw_b, raw_c))
+    ref_a, ref_b, ref_c = _ref(raw_a), _ref(raw_b), _ref(raw_c)
+    _assert_matches(a, ref_a)
+    _assert_matches(a + b, _ref_add(ref_a, ref_b))
+    _assert_matches(a - b, _ref_add(ref_a, _ref_scale(ref_b, -1)))
+    _assert_matches(a + s, _ref_add(ref_a, _ref({ONE_KEY: s})))
+    _assert_matches(a * b, _ref_mul(ref_a, ref_b))
+    _assert_matches((a * b) * c, _ref_mul(_ref_mul(ref_a, ref_b), ref_c))
+    _assert_matches(a * s, _ref_scale(ref_a, s))
+    _assert_matches(s * a, _ref_scale(ref_a, s))
+    images = {g: b for g in EVEN_GENS} | {g: c for g in ODD_GENS}
+    ref_images = {g: ref_b for g in EVEN_GENS} | {g: ref_c for g in ODD_GENS}
+    _assert_matches(a.substitute(images, alg), _ref_substitute(ref_a, ref_images))
+
+
+@given(
+    st.one_of(st.integers(1, 5), st.builds(Fraction, st.integers(1, 6), st.integers(1, 3))),
+    raw_polys(keys=monomials.filter(lambda key: key[1]), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_kernel_inverse_of_unit_matches_fraction_reference(body, raw_soul):
+    alg = _kernel_algebra()
+    raw = {**raw_soul, ONE_KEY: body}
+    unit = poly_from_terms(alg, _as_terms(raw))
+    inverse = unit.inverse_of_unit()
+    _assert_matches(inverse, _ref_inverse(_ref(raw)))
+    _assert_matches(unit * inverse, {ONE_KEY: Fraction(1)})
+
+
+def test_integer_and_fraction_inputs_build_equal_polys():
+    alg = _kernel_algebra()
+    x, t1 = alg.gen("x"), alg.gen("t1")
+    x_key = ((("x", 1),), ())
+    pairs = [
+        (alg.scalar(2), alg.scalar(Fraction(2))),
+        (x * 2, x * Fraction(4, 2)),
+        (2 * t1 + x, Fraction(2) * t1 + x),
+        (poly_from_terms(alg, _as_terms({x_key: 2})), poly_from_terms(alg, _as_terms({x_key: Fraction(2)}))),
+    ]
+    for p, q in pairs:
+        assert p == q and hash(p) == hash(q)
+        assert poly_to_terms(p) == poly_to_terms(q)

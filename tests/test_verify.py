@@ -221,3 +221,20 @@ def test_sweep_all_small():
     assert reports and all(r.passed for r in reports)
     with pytest.raises(VerifyError):
         sweep("nope", 1, 1, 2)
+
+
+def test_sweep_all_runs_every_cli_family(monkeypatch):
+    import superimm.verify as verify
+    from superimm.cli import CHECK_NAMES
+
+    ran = []
+
+    def spy(name, *args, **kwargs):
+        if name == "all":
+            return sweep(name, *args, **kwargs)
+        ran.append(name)
+        return []
+
+    monkeypatch.setattr(verify, "sweep", spy)
+    verify.sweep("all", 1, 1, 2)
+    assert sorted(ran) == sorted(set(CHECK_NAMES) - {"all"})

@@ -61,17 +61,20 @@ def main(argv=None) -> int:
             order=extra.get("order", 3), seed=args.seed, trials=args.trials,
         )
         passed = sum(r.passed for r in reports)
+        vacuous = sum(r.vacuous for r in reports)
         cases = sum(r.cases for r in reports)
-        flag = "ok " if passed == len(reports) else "FAIL"
-        print(f"[{flag}] {name:16s} (m={m}, n={n}, max_r={max_r}) "
-              f"{passed}/{len(reports)} checks, {cases} cases")
+        flag = "FAIL" if passed < len(reports) else "vacuous" if vacuous else "ok"
+        print(f"[{flag:<7}] {name:16s} (m={m}, n={n}, max_r={max_r}) "
+              f"{passed - vacuous}/{len(reports)} checks, {vacuous} vacuous, {cases} cases")
         all_reports.extend(reports)
     elapsed = time.perf_counter() - start
 
     failures = [r for r in all_reports if not r.passed]
+    vacuous = sum(r.vacuous for r in all_reports)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump([r.to_dict() for r in all_reports], fh, indent=2, sort_keys=True)
-    print(f"\n{len(all_reports) - len(failures)}/{len(all_reports)} checks passed "
+    print(f"\n{len(all_reports) - len(failures) - vacuous}/{len(all_reports)} checks passed, "
+          f"{vacuous} vacuous (0 cases), {len(failures)} failed "
           f"in {elapsed:.1f}s; report written to {args.out}")
     for rep in failures:
         print(f"  FAILED {rep.name} {rep.params}: {rep.witness}")

@@ -12,6 +12,7 @@ import json
 import sys
 
 from superimm.immanants import (
+    SuperMatrixError,
     characteristic_coefficients,
     generator_matrix,
     load_supermatrix,
@@ -24,14 +25,18 @@ from superimm.verify import CHECK_FAMILIES, sweep
 CHECK_NAMES = (*CHECK_FAMILIES, "all")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -46,7 +51,7 @@ def _matrix_from_args(args):
         with open(args.matrix, "r", encoding="utf-8") as fh:
             return load_supermatrix(fh.read())
     if args.m is None or args.n is None:
-        raise SystemExit("either --matrix FILE or both --m and --n are required")
+        raise SuperMatrixError("either --matrix FILE or both --m and --n are required")
     return generator_matrix(args.m, args.n)
 
 
@@ -93,15 +98,16 @@ def _cmd_check(args) -> int:
         trials=args.trials,
     )
     width = max(len(r.name) for r in reports)
-    failures = 0
+    failures = sum(not rep.passed for rep in reports)
+    vacuous = sum(rep.vacuous for rep in reports)
     for rep in reports:
-        status = "pass" if rep.passed else "FAIL"
-        failures += not rep.passed
+        status = "FAIL" if not rep.passed else "vacuous" if rep.vacuous else "pass"
         detail = {k: v for k, v in rep.params.items() if k != "identity"}
-        print(f"{rep.name:<{width}}  {status}  cases={rep.cases:<5d} {detail}")
+        print(f"{rep.name:<{width}}  {status:<7}  cases={rep.cases:<5d} {detail}")
         if not rep.passed:
             print(f"  witness: {rep.witness}")
-    print(f"{len(reports) - failures}/{len(reports)} checks passed")
+    summary = f"{len(reports) - failures - vacuous}/{len(reports)} checks passed"
+    print(summary + (f", {vacuous} vacuous (0 cases)" if vacuous else ""))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump([rep.to_dict() for rep in reports], fh, indent=2, sort_keys=True)
@@ -120,41 +126,48 @@ def build_parser() -> argparse.ArgumentParser:
     p_imm.add_argument("--rows", required=True, help="row multi-index, e.g. 1,2,2")
     p_imm.add_argument("--cols", default=None, help="column multi-index (default: rows)")
     p_imm.add_argument("--matrix", default=None, help="matrix document (JSON)")
-    p_imm.add_argument("--m", type=int, default=None)
-    p_imm.add_argument("--n", type=int, default=None)
+    p_imm.add_argument("--m", type=_int_at_least(0), default=None)
+    p_imm.add_argument("--n", type=_int_at_least(0), default=None)
     p_imm.add_argument("--json", action="store_true", help="also print serialized terms")
     p_imm.set_defaults(func=_cmd_imm)
 
     p_schur = sub.add_parser("schur", help="print a Schur supersymmetric polynomial")
     p_schur.add_argument("--lambda", dest="shape", required=True)
-    p_schur.add_argument("--m", type=int, required=True)
-    p_schur.add_argument("--n", type=int, required=True)
+    p_schur.add_argument("--m", type=_int_at_least(0), required=True)
+    p_schur.add_argument("--n", type=_int_at_least(0), required=True)
     p_schur.add_argument("--form", choices=("expanded", "jacobi-trudi"), default="expanded")
     p_schur.set_defaults(func=_cmd_schur)
 
     p_ber = sub.add_parser("berezinian", help="characteristic-series coefficients")
     p_ber.add_argument("--matrix", default=None, help="matrix document (JSON)")
-    p_ber.add_argument("--m", type=int, default=None)
-    p_ber.add_argument("--n", type=int, default=None)
-    p_ber.add_argument("--order", type=int, required=True)
+    p_ber.add_argument("--m", type=_int_at_least(0), default=None)
+    p_ber.add_argument("--n", type=_int_at_least(0), default=None)
+    p_ber.add_argument("--order", type=_int_at_least(0), required=True)
     p_ber.set_defaults(func=_cmd_berezinian)
 
     p_check = sub.add_parser("check", help="run an identity family")
     p_check.add_argument("name", choices=CHECK_NAMES)
-    p_check.add_argument("--m", type=int, required=True)
-    p_check.add_argument("--n", type=int, required=True)
-    p_check.add_argument("--max-r", type=_positive_int, default=3)
-    p_check.add_argument("--order", type=int, default=3)
+    p_check.add_argument("--m", type=_int_at_least(0), required=True)
+    p_check.add_argument("--n", type=_int_at_least(0), required=True)
+    p_check.add_argument("--max-r", type=_int_at_least(1), default=3)
+    p_check.add_argument("--order", type=_int_at_least(1), default=3)
     p_check.add_argument("--seed", type=int, default=20240613)
-    p_check.add_argument("--trials", type=_positive_int, default=10)
+    p_check.add_argument("--trials", type=_int_at_least(1), default=10)
     p_check.add_argument("--out", default=None, help="write all reports as JSON")
     p_check.set_defaults(func=_cmd_check)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.m == 0 and args.n == 0:
+        parser.error("block sizes need m + n >= 1")
+    try:
+        return args.func(args)
+    except ValueError as exc:  # every package error is a ValueError
+        print(f"superimm: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

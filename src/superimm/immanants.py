@@ -26,6 +26,7 @@ from superimm.superring import (
 from superimm.symgroup import (
     GroupAlgebraElement,
     Permutation,
+    commuting_determinant,
     primitive_idempotent,
     symmetric_group,
 )
@@ -77,6 +78,8 @@ class SuperMatrix:
     __slots__ = ("m", "n", "entries", "algebra")
 
     def __init__(self, m: int, n: int, entries, validate: bool = True):
+        if m < 0 or n < 0 or m + n == 0:
+            raise SuperMatrixError(f"block sizes ({m}|{n}) must be non-negative with m + n >= 1")
         self.m = m
         self.n = n
         self.entries = tuple(tuple(row) for row in entries)
@@ -299,6 +302,8 @@ def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> Super
     col_indices = row_indices if col_indices is None else tuple(col_indices)
     if len(row_indices) != len(col_indices):
         raise SuperMatrixError("row and column index tuples must have equal length")
+    if any(not 1 <= i <= x.size for i in row_indices + col_indices):
+        raise SuperMatrixError(f"indices must lie in [1, {x.size}]")
     r = len(row_indices)
     chi = _as_class_function(char, r)
     acc = x.algebra.zero()
@@ -402,28 +407,24 @@ def classical_immanant(entries, char, indices=None):
 
 
 def elementary_invariant(x: SuperMatrix, k: int) -> SuperPoly:
-    """Coefficient invariant from the antisymmetrizer (one-column shape)."""
-    return _invariant(x, k, tuple([1] * k) if k > 0 else ())
+    """The k-th elementary invariant (supertrace of the antisymmetrizer):
+    (-1)^k times the u^k coefficient of the characteristic series.  The
+    catalog checks it against the one-column normalized immanant sum and
+    the idempotent supertrace."""
+    if k < 0:
+        return x.algebra.zero()
+    c = characteristic_series(x, k).coefficient(k)
+    return -c if k % 2 else c
 
 
 def complete_invariant(x: SuperMatrix, k: int) -> SuperPoly:
-    """Coefficient invariant from the symmetrizer (one-row shape)."""
-    return _invariant(x, k, (k,) if k > 0 else ())
-
-
-def _invariant(x: SuperMatrix, k: int, shape) -> SuperPoly:
-    """Both computation routes (tensor supertrace; normalized immanant sum),
-    compared before returning."""
+    """The k-th complete invariant (supertrace of the symmetrizer): the u^k
+    coefficient of the inverted characteristic series, since that series is
+    lambda(-u) and MacMahon gives sigma(u) = 1/lambda(-u).  Checked like the
+    elementary invariant, against the one-row shape."""
     if k < 0:
         return x.algebra.zero()
-    if k == 0:
-        return x.algebra.one()
-    tab = row_reading_tableau(shape)
-    by_trace = idempotent_chain_supertrace(primitive_idempotent(tab), x, k)
-    by_immanants = normalized_immanant_sum(shape, x)
-    if by_trace != by_immanants:
-        raise SuperMatrixError(f"internal cross-check failed for invariant of shape {shape}")
-    return by_trace
+    return characteristic_series(x, k).invert().coefficient(k)
 
 
 def star_product(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
@@ -486,21 +487,6 @@ def power_trace(x: SuperMatrix, k: int) -> SuperPoly:
 # ---------------------------------------------------------------------------
 
 
-def _commuting_determinant(entries, algebra) -> SuperPoly:
-    size = len(entries)
-    if size == 0:
-        return algebra.one()
-    acc = algebra.zero()
-    for perm in symmetric_group(size):
-        term = algebra.one()
-        for i in range(size):
-            term = term * entries[i][perm.images[i] - 1]
-            if term.is_zero:
-                break
-        acc = acc + (term if perm.sign() > 0 else -term)
-    return acc
-
-
 def _grassmann_matrix_inverse(entries, algebra):
     """Inverse of a square matrix of even elements with invertible body, by
     body inversion plus a terminating Neumann tail in the nilpotent soul."""
@@ -541,7 +527,7 @@ def berezinian(x: SuperMatrix) -> SuperPoly:
     a, b, c, d = x.blocks()
     algebra = x.algebra
     if x.n == 0:
-        return _commuting_determinant(a, algebra)
+        return commuting_determinant(a, algebra)
     d_inv = _grassmann_matrix_inverse(d, algebra)
     for i in range(x.m):
         for j in range(x.m):
@@ -550,8 +536,8 @@ def berezinian(x: SuperMatrix) -> SuperPoly:
                 for t in range(x.n):
                     acc = acc + b[i][s] * d_inv[s][t] * c[t][j]
             a[i][j] = a[i][j] - acc
-    det_top = _commuting_determinant(a, algebra)
-    det_d = _commuting_determinant(d, algebra)
+    det_top = commuting_determinant(a, algebra)
+    det_d = commuting_determinant(d, algebra)
     return det_top * det_d.inverse_of_unit()
 
 
@@ -852,6 +838,8 @@ def load_supermatrix(text: str) -> SuperMatrix:
     """Parse the structured matrix document: block sizes, generator parities,
     and a grid of expressions in the polynomial grammar."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise SuperMatrixError("matrix document must be a JSON object")
     try:
         m, n = int(doc["m"]), int(doc["n"])
         gens = doc["generators"]

@@ -45,10 +45,6 @@ class Parity(enum.IntEnum):
     ODD = 1
 
 
-def parity_sum(*parities: int) -> Parity:
-    return Parity(sum(int(p) for p in parities) % 2)
-
-
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -209,9 +205,6 @@ class SuperPoly:
     def constant_term(self) -> Fraction:
         return self.coefficient(((), ()))
 
-    def term_parity(self, key) -> int:
-        return len(key[1]) % 2
-
     def parity(self):
         """Parity if homogeneous (0, 1, or 0 for the zero poly); None if mixed."""
         parities = {len(o) % 2 for (_, o) in self._terms}
@@ -228,13 +221,6 @@ class SuperPoly:
         for key, c in self._terms.items():
             (even if len(key[1]) % 2 == 0 else odd)[key] = c
         return SuperPoly(self.algebra, even), SuperPoly(self.algebra, odd)
-
-    def generator_names(self) -> set:
-        names = set()
-        for e, o in self._terms:
-            names.update(name for name, _ in e)
-            names.update(o)
-        return names
 
     # -- ring operations -------------------------------------------------------
 
@@ -440,11 +426,6 @@ class TruncatedSeries:
         if k > self.order:
             raise SuperRingError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise SuperRingError("cannot extend a truncated series")
-        return TruncatedSeries(self.algebra, self.coeffs[: order + 1], order)
 
     def __add__(self, other):
         order = min(self.order, other.order)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from superimm.superring import Algebra, SuperPoly, TruncatedSeries
-from superimm.symgroup import symmetric_group
+from superimm.symgroup import commuting_determinant
 from superimm.tableaux import normalize_partition
 
 
@@ -79,23 +79,12 @@ def schur_super(shape, m: int, n: int) -> SuperPoly:
     """Jacobi-Trudi determinant in the generating coefficients; vanishes
     exactly off the (m,n) hook."""
     shape = normalize_partition(shape)
-    alg = sym_algebra(m, n)
-    if not shape:
-        return alg.one()
     ell = len(shape)
     entries = [
         [complete_super(shape[i] - (i + 1) + (j + 1), m, n) for j in range(ell)]
         for i in range(ell)
     ]
-    acc = alg.zero()
-    for perm in symmetric_group(ell):
-        term = alg.one()
-        for i in range(ell):
-            term = term * entries[i][perm.images[i] - 1]
-            if term.is_zero:
-                break
-        acc = acc + (term if perm.sign() > 0 else -term)
-    return acc
+    return commuting_determinant(entries, sym_algebra(m, n))
 
 
 def _swap_generators(f: SuperPoly, a: str, b: str) -> SuperPoly:

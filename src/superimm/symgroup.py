@@ -90,6 +90,20 @@ def symmetric_group(r: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in iter_permutations(range(1, r + 1)))
 
 
+def commuting_determinant(entries, algebra):
+    """Permutation-sum determinant of a square grid of pairwise commuting
+    elements of `algebra`; 1 for the empty grid."""
+    acc = algebra.zero()
+    for perm in symmetric_group(len(entries)):
+        term = algebra.one()
+        for i, row in enumerate(entries):
+            term = term * row[perm.images[i] - 1]
+            if term.is_zero:
+                break
+        acc = acc + (term if perm.sign() > 0 else -term)
+    return acc
+
+
 class GroupAlgebraElement:
     """Q-linear combination of permutations of a fixed degree."""
 

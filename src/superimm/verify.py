@@ -40,7 +40,13 @@ from superimm.superring import (
     grassmann_algebra,
     poly_to_terms,
 )
-from superimm.symgroup import GroupAlgebraElement, Permutation, primitive_idempotent, symmetric_group
+from superimm.symgroup import (
+    GroupAlgebraElement,
+    Permutation,
+    commuting_determinant,
+    primitive_idempotent,
+    symmetric_group,
+)
 from superimm.tableaux import (
     character,
     conjugate,
@@ -85,6 +91,11 @@ class CheckReport:
     witness: dict | None = None
     seconds: float = 0.0
 
+    @property
+    def vacuous(self) -> bool:
+        """Passed without comparing anything."""
+        return self.passed and self.cases == 0
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -102,6 +113,13 @@ def _serialize(value) -> object:
     if isinstance(value, Fraction):
         return str(value)
     return repr(value)
+
+
+def _raised_at(exc: Exception) -> str:
+    """The innermost frame of a traceback as `module:line in function`."""
+    import traceback  # only failing checks pay for the import
+    frame, line = list(traceback.walk_tb(exc.__traceback__))[-1]
+    return f"{frame.f_globals['__name__']}:{line} in {frame.f_code.co_name}"
 
 
 def _run(name: str, params: dict, comparisons) -> CheckReport:
@@ -123,7 +141,11 @@ def _run(name: str, params: dict, comparisons) -> CheckReport:
                 break
     except Exception as exc:  # a broken convention may surface as an error
         passed = False
-        witness = {"case": "exception", "error": f"{type(exc).__name__}: {exc}"}
+        witness = {
+            "case": "exception",
+            "error": f"{type(exc).__name__}: {exc}",
+            "where": _raised_at(exc),
+        }
     return CheckReport(
         name=name,
         params=params,
@@ -381,10 +403,13 @@ def check_lmw(lam, m: int, n: int) -> CheckReport:
 
 
 def _invariant_series(x: SuperMatrix, order: int, kind: str) -> TruncatedSeries:
+    """lambda(-t) or sigma(t) by the immanant route (one-column or one-row
+    normalized immanant sums), never by the library's characteristic series."""
+    coeffs = [x.algebra.one()]
     if kind == "elementary@-t":
-        coeffs = [elementary_invariant(x, k) * ((-1) ** k) for k in range(order + 1)]
+        coeffs += [normalized_immanant_sum((1,) * k, x) * ((-1) ** k) for k in range(1, order + 1)]
     elif kind == "complete":
-        coeffs = [complete_invariant(x, k) for k in range(order + 1)]
+        coeffs += [normalized_immanant_sum((k,), x) for k in range(1, order + 1)]
     else:
         raise VerifyError(kind)
     return TruncatedSeries(x.algebra, coeffs, order)
@@ -441,21 +466,11 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
         betas = {k: complete_invariant(x, k) for k in range(-1, needed + 1)}
 
         def grid_det(table, width, shape_row):
-            if width == 0:
-                return x.algebra.one()
             grid = [
                 [table.get(shape_row[i] - (i + 1) + (j + 1), x.algebra.zero()) for j in range(width)]
                 for i in range(width)
             ]
-            acc = x.algebra.zero()
-            for perm in symmetric_group(width):
-                term = x.algebra.one()
-                for i in range(width):
-                    term = term * grid[i][perm.images[i] - 1]
-                    if term.is_zero:
-                        break
-                acc = acc + (term if perm.sign() > 0 else -term)
-            return acc
+            return commuting_determinant(grid, x.algebra)
 
         def padded(shape, width):
             return tuple(shape[i] if i < len(shape) else 0 for i in range(width))
@@ -478,12 +493,12 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
             if ka:
                 term = x.algebra.one()
                 for part in padded(mu, max(width_a, len(mu))):
-                    term = term * alphas.get(part, elementary_invariant(x, part))
+                    term = term * (alphas[part] if part in alphas else elementary_invariant(x, part))
                 expan_a = expan_a + term * ka
             if kb:
                 term = x.algebra.one()
                 for part in padded(mu, max(width_b, len(mu))):
-                    term = term * betas.get(part, complete_invariant(x, part))
+                    term = term * (betas[part] if part in betas else complete_invariant(x, part))
                 expan_b = expan_b + term * kb
         yield ("inverse-Kostka alpha expansion", expan_a, det_a)
         yield ("inverse-Kostka beta expansion", expan_b, det_b)
@@ -667,8 +682,8 @@ def random_grassmann_point(m: int, n: int, seed: int, n_units: int = 4) -> Grass
 
 
 def check_berezinian_series(m: int, n: int, order: int, seed: int, trials: int) -> CheckReport:
-    """The characteristic series coefficients equal the signed elementary
-    invariants, symbolically and at seeded Grassmann points."""
+    """The characteristic series coefficients equal the one-column normalized
+    immanant sums, symbolically and at seeded Grassmann points."""
     params = {
         "identity": "berezinian-series",
         "m": m,
@@ -681,7 +696,8 @@ def check_berezinian_series(m: int, n: int, order: int, seed: int, trials: int) 
 
     def comparisons():
         coeffs = characteristic_coefficients(x, order)
-        alphas = [elementary_invariant(x, k) for k in range(order + 1)]
+        alphas = [x.algebra.one()]
+        alphas += [normalized_immanant_sum((1,) * k, x) for k in range(1, order + 1)]
         for k in range(order + 1):
             yield (f"symbolic coefficient k={k}", coeffs[k], alphas[k])
         for t in range(trials):

@@ -82,3 +82,73 @@ def test_check_rejects_counts_below_one(option, value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: argument {option}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "vanishing", "--m", "-1", "--n", "1", "--max-r", "1"],
+         "superimm check: error: argument --m: must be at least 0, got -1"),
+        (["check", "littlewood3", "--m", "0", "--n", "0", "--max-r", "1"],
+         "superimm: error: block sizes need m + n >= 1"),
+        (["berezinian", "--m", "1", "--n", "1", "--order", "-2"],
+         "superimm berezinian: error: argument --order: must be at least 0, got -2"),
+    ],
+)
+def test_bad_sizes_and_orders_are_parser_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["imm", "--lambda", "2", "--rows", "1,5", "--m", "1", "--n", "1"],
+         "indices must lie in [1, 2]"),
+        (["imm", "--lambda", "1", "--rows", "1"],
+         "either --matrix FILE or both --m and --n are required"),
+    ],
+)
+def test_bad_matrix_input_is_a_package_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"superimm: error: {message}\n"
+
+
+def test_non_object_matrix_document_is_a_package_error(tmp_path, capsys):
+    path = tmp_path / "mat.json"
+    path.write_text("[1, 2]")
+    assert main(["berezinian", "--matrix", str(path), "--order", "1"]) == 2
+    assert capsys.readouterr().err == "superimm: error: matrix document must be a JSON object\n"
+
+
+def test_check_labels_vacuous_reports(capsys):
+    # at (1|1) the first shape off the hook has size 4
+    assert main(["check", "vanishing", "--m", "1", "--n", "1", "--max-r", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:4]] == ["vacuous"] * 3 + ["pass"]
+    assert lines[-1] == "1/4 checks passed, 3 vacuous (0 cases)"
+
+
+def test_identity_suite_script_counts_vacuous_reports(monkeypatch, tmp_path, capsys):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_identity_suite.py"
+    spec = importlib.util.spec_from_file_location("run_identity_suite", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "GRID", [("vanishing", 1, 1, 4, {}), ("kostant", 1, 1, 2, {})])
+    out_path = tmp_path / "report.json"
+    assert script.main(["--out", str(out_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[vacuous] vanishing ")
+    assert lines[0].endswith(" 1/4 checks, 3 vacuous, 5 cases")
+    assert lines[1].startswith("[ok     ] kostant ")
+    assert lines[3].startswith("3/6 checks passed, 3 vacuous (0 cases), 0 failed in ")
+    data = json.loads(out_path.read_text())
+    assert [entry["passed"] for entry in data] == [True] * 6

@@ -32,7 +32,7 @@ from superimm.immanants import (
 )
 from superimm.superring import GrassmannPoint, TruncatedSeries, grassmann_algebra
 from superimm.symgroup import primitive_idempotent
-from superimm.tableaux import hook_product, partitions, standard_tableaux
+from superimm.tableaux import hook_product, partitions, row_reading_tableau, standard_tableaux
 from superimm.tensorspace import MultiIndex, composition_to_multiset, sorted_multisets, weak_compositions
 
 
@@ -171,11 +171,18 @@ def test_berezinian_singular_lower_block():
 
 
 def test_characteristic_series_matches_invariants():
-    for m, n, order in [(1, 1, 4), (2, 1, 3), (1, 2, 3), (2, 0, 3), (0, 2, 3)]:
+    # the invariants come from the characteristic series; both other routes
+    # (normalized immanant sum, idempotent supertrace) must agree with them
+    blocks = [(1, 1, 4), (2, 1, 3), (1, 2, 3), (2, 0, 3), (0, 2, 3), (1, 0, 3), (0, 1, 3)]
+    for m, n, order in blocks:
         x = generator_matrix(m, n)
-        coeffs = characteristic_coefficients(x, order)
-        for k in range(order + 1):
-            assert coeffs[k] == elementary_invariant(x, k)
+        assert elementary_invariant(x, 0) == complete_invariant(x, 0) == x.algebra.one()
+        for k in range(1, order + 1):
+            for invariant, shape in [(elementary_invariant, (1,) * k), (complete_invariant, (k,))]:
+                value = invariant(x, k)
+                assert value == normalized_immanant_sum(shape, x), (m, n, shape)
+                e = primitive_idempotent(row_reading_tableau(shape))
+                assert value == idempotent_chain_supertrace(e, x, k), (m, n, shape)
 
 
 def test_diagonalize_lambda2_example():

@@ -1,10 +1,12 @@
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from superimm.immanants import generator_matrix, super_immanant
+from superimm.superring import TruncatedSeries
 from superimm.tableaux import partitions
 from superimm.verify import (
     CheckReport,
@@ -238,3 +240,73 @@ def test_sweep_all_runs_every_cli_family(monkeypatch):
     monkeypatch.setattr(verify, "sweep", spy)
     verify.sweep("all", 1, 1, 2)
     assert sorted(ran) == sorted(set(CHECK_NAMES) - {"all"})
+
+
+# -- the oracles still bite: each check fails when one of its routes is broken
+
+
+def _double_linear_coefficient(original):
+    def broken(x, order):
+        series = original(x, order)
+        coeffs = list(series.coeffs)
+        if order >= 1:
+            coeffs[1] = coeffs[1] * 2
+        return TruncatedSeries(series.algebra, coeffs, series.order)
+
+    return broken
+
+
+def _failed_case(report: CheckReport) -> str:
+    assert not report.passed
+    return report.witness["case"]
+
+
+def test_broken_characteristic_series_is_caught(monkeypatch):
+    import superimm.immanants as immanants
+
+    broken = _double_linear_coefficient(immanants.characteristic_series)
+    monkeypatch.setattr(immanants, "characteristic_series", broken)
+    assert _failed_case(check_berezinian_series(1, 1, 2, 99, 1)) == "symbolic coefficient k=1"
+    assert _failed_case(check_goulden_jackson((2, 1), 1, 1)).startswith("det(alpha-JT)")
+
+
+def test_broken_column_immanant_sums_are_caught(monkeypatch):
+    import superimm.verify as verify
+
+    original = verify.normalized_immanant_sum
+
+    def broken(shape, x):
+        value = original(shape, x)
+        return value * 2 if set(shape) == {1} else value
+
+    monkeypatch.setattr(verify, "normalized_immanant_sum", broken)
+    assert _failed_case(check_macmahon(1, 1, 2)) == "lambda(-t) sigma(t) = 1"
+    assert _failed_case(check_berezinian_series(1, 1, 2, 99, 1)) == "symbolic coefficient k=1"
+
+
+def test_broken_idempotent_supertrace_is_caught(monkeypatch):
+    import superimm.verify as verify
+
+    original = verify.idempotent_chain_supertrace
+    monkeypatch.setattr(
+        verify, "idempotent_chain_supertrace", lambda e, x, r: original(e, x, r) * 2
+    )
+    for lam in [(1,), (2,), (1, 1), (2, 1)]:
+        assert _failed_case(check_goulden_jackson(lam, 1, 1)) == (
+            "idempotent supertrace = normalized immanant sum"
+        )
+
+
+def test_exception_witness_names_the_raising_frame():
+    # order 0 leaves no room for the power-sum series, whose order is order - 1
+    witnesses = [check_newton(1, 1, 0).witness for _ in range(2)]
+    assert witnesses[0] == witnesses[1]
+    assert witnesses[0]["error"] == "SuperRingError: truncation order must be >= 0"
+    assert re.fullmatch(r"superimm\.superring:\d+ in __init__", witnesses[0]["where"])
+
+
+def test_vacuous_reports_keep_their_json():
+    vacuous = check_vanishing(1, 1, 2)
+    assert vacuous.passed and vacuous.cases == 0 and vacuous.vacuous
+    assert "vacuous" not in vacuous.to_dict()
+    assert not check_vanishing(1, 1, 4).vacuous

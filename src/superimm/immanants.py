@@ -487,6 +487,15 @@ def power_trace(x: SuperMatrix, k: int) -> SuperPoly:
 # ---------------------------------------------------------------------------
 
 
+def _mat_mul(p, q, algebra):
+    """Product of two square matrices of elements of `algebra`."""
+    size = len(p)
+    return [
+        [sum((p[i][k] * q[k][j] for k in range(size)), algebra.zero()) for j in range(size)]
+        for i in range(size)
+    ]
+
+
 def _grassmann_matrix_inverse(entries, algebra):
     """Inverse of a square matrix of even elements with invertible body, by
     body inversion plus a terminating Neumann tail in the nilpotent soul."""
@@ -498,23 +507,11 @@ def _grassmann_matrix_inverse(entries, algebra):
         raise SingularMatrixError("matrix body is singular") from exc
     body_inv_p = [[algebra.scalar(c) for c in row] for row in body_inv]
     soul = [[e - e.constant_term() for e in row] for row in entries]
-    neg = [
-        [
-            -sum((body_inv_p[i][k] * soul[k][j] for k in range(size)), algebra.zero())
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
+    neg = [[-e for e in row] for row in _mat_mul(body_inv_p, soul, algebra)]
     out = [row[:] for row in body_inv_p]
     power = [row[:] for row in body_inv_p]
     while True:
-        power = [
-            [
-                sum((neg[i][k] * power[k][j] for k in range(size)), algebra.zero())
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
+        power = _mat_mul(neg, power, algebra)
         if all(e.is_zero for row in power for e in row):
             break
         out = [[out[i][j] + power[i][j] for j in range(size)] for i in range(size)]
@@ -527,7 +524,7 @@ def berezinian(x: SuperMatrix) -> SuperPoly:
     a, b, c, d = x.blocks()
     algebra = x.algebra
     if x.n == 0:
-        return commuting_determinant(a, algebra)
+        return commuting_determinant(a, algebra.one())
     d_inv = _grassmann_matrix_inverse(d, algebra)
     for i in range(x.m):
         for j in range(x.m):
@@ -536,8 +533,8 @@ def berezinian(x: SuperMatrix) -> SuperPoly:
                 for t in range(x.n):
                     acc = acc + b[i][s] * d_inv[s][t] * c[t][j]
             a[i][j] = a[i][j] - acc
-    det_top = commuting_determinant(a, algebra)
-    det_d = commuting_determinant(d, algebra)
+    det_top = commuting_determinant(a, algebra.one())
+    det_d = commuting_determinant(d, algebra.one())
     return det_top * det_d.inverse_of_unit()
 
 
@@ -560,27 +557,6 @@ def characteristic_series(x: SuperMatrix, order: int) -> TruncatedSeries:
     algebra = x.algebra
     a, b, c, d = x.transpose().blocks()
 
-    def poly_mat_mul(p, q, size):
-        return [
-            [
-                sum((p[i][k] * q[k][j] for k in range(size)), algebra.zero())
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-
-    def det_of_series_matrix(mat):
-        size = len(mat)
-        if size == 0:
-            return TruncatedSeries.one(algebra, order)
-        acc = TruncatedSeries.from_scalars(algebra, [0], order)
-        for perm in symmetric_group(size):
-            term = TruncatedSeries.one(algebra, order)
-            for i in range(size):
-                term = term * mat[i][perm.images[i] - 1]
-            acc = acc + term * perm.sign()
-        return acc
-
     def linear_series(scalar_one, poly):
         coeffs = [algebra.scalar(scalar_one)] + [algebra.zero()] * order
         if order >= 1:
@@ -594,7 +570,7 @@ def characteristic_series(x: SuperMatrix, order: int) -> TruncatedSeries:
     ]
     d_power = [[algebra.scalar(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(1, order + 1):
-        d_power = poly_mat_mul(d_power, d, n)
+        d_power = _mat_mul(d_power, d, algebra)
         for i in range(n):
             for j in range(n):
                 if not d_power[i][j].is_zero:
@@ -616,9 +592,10 @@ def characteristic_series(x: SuperMatrix, order: int) -> TruncatedSeries:
                     # side agrees; keep b...c ordering via the product above
                     correction = correction + _shift_series(geo[s][t] * bc, 2, order)
             top[i][j] = top[i][j] - correction
-    det_top = det_of_series_matrix(top)
+    series_one = TruncatedSeries.one(algebra, order)
+    det_top = commuting_determinant(top, series_one)
     bottom = [[linear_series(int(i == j), -d[i][j]) for j in range(n)] for i in range(n)]
-    det_bottom = det_of_series_matrix(bottom)
+    det_bottom = commuting_determinant(bottom, series_one)
     return det_top * det_bottom.invert()
 
 
@@ -837,22 +814,31 @@ def schur_weyl_norm_report(shape, tab, weight, m: int, n: int) -> dict:
 def load_supermatrix(text: str) -> SuperMatrix:
     """Parse the structured matrix document: block sizes, generator parities,
     and a grid of expressions in the polynomial grammar."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise SuperMatrixError("matrix document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise SuperMatrixError("matrix document must be a JSON object")
     try:
-        m, n = int(doc["m"]), int(doc["n"])
-        gens = doc["generators"]
-        grid = doc["entries"]
+        m, n, gens, grid = doc["m"], doc["n"], doc["generators"], doc["entries"]
     except KeyError as exc:
         raise SuperMatrixError(f"matrix document is missing {exc.args[0]!r}") from exc
+    if type(m) is not int or type(n) is not int or min(m, n) < 0:
+        raise SuperMatrixError("block sizes m and n must be non-negative JSON integers")
+    if not isinstance(gens, dict):
+        raise SuperMatrixError("generators must be a JSON object of parities")
     alg = Algebra("loaded")
     for name, parity in gens.items():
         if parity not in ("even", "odd"):
             raise SuperMatrixError(f"parity of {name!r} must be 'even' or 'odd'")
         alg.declare(name, Parity.EVEN if parity == "even" else Parity.ODD)
     d = m + n
-    if len(grid) != d or any(len(row) != d for row in grid):
+    if not isinstance(grid, list) or len(grid) != d or any(
+        not isinstance(row, list) or len(row) != d for row in grid
+    ):
         raise SuperMatrixError(f"entries must form a {d}x{d} grid")
+    if not all(isinstance(cell, str) for row in grid for cell in row):
+        raise SuperMatrixError("each entry must be an expression string")
     rows = [[parse_poly(alg, cell) for cell in row] for row in grid]
     return SuperMatrix(m, n, rows)

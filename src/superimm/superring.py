@@ -422,6 +422,10 @@ class TruncatedSeries:
     def one(algebra: Algebra, order: int) -> "TruncatedSeries":
         return TruncatedSeries.from_scalars(algebra, [1], order)
 
+    @property
+    def is_zero(self) -> bool:
+        return all(c.is_zero for c in self.coeffs)
+
     def coefficient(self, k: int) -> SuperPoly:
         if k > self.order:
             raise SuperRingError(f"coefficient {k} beyond truncation order {self.order}")
@@ -601,6 +605,8 @@ def parse_poly(algebra: Algebra, text: str) -> SuperPoly:
         while peek() == "*":
             advance()
             node = node * factor()
+        if peek() == "/":
+            raise ParseError("'/' only forms p/q rationals of two integers")
         return node
 
     def factor():
@@ -633,7 +639,10 @@ def parse_poly(algebra: Algebra, text: str) -> SuperPoly:
             return node
         raise ParseError(f"unexpected token {kind!r}")
 
-    node = expr()
+    try:
+        node = expr()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
     if peek() != "end":
         raise ParseError(f"trailing input from token {idx}")
     return node

@@ -84,7 +84,7 @@ def schur_super(shape, m: int, n: int) -> SuperPoly:
         [complete_super(shape[i] - (i + 1) + (j + 1), m, n) for j in range(ell)]
         for i in range(ell)
     ]
-    return commuting_determinant(entries, sym_algebra(m, n))
+    return commuting_determinant(entries, sym_algebra(m, n).one())
 
 
 def _swap_generators(f: SuperPoly, a: str, b: str) -> SuperPoly:

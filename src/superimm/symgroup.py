@@ -90,12 +90,13 @@ def symmetric_group(r: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in iter_permutations(range(1, r + 1)))
 
 
-def commuting_determinant(entries, algebra):
+def commuting_determinant(entries, one):
     """Permutation-sum determinant of a square grid of pairwise commuting
-    elements of `algebra`; 1 for the empty grid."""
-    acc = algebra.zero()
+    elements of a commutative ring whose unit is `one`; `one` for the empty
+    grid."""
+    acc = one * 0
     for perm in symmetric_group(len(entries)):
-        term = algebra.one()
+        term = one
         for i, row in enumerate(entries):
             term = term * row[perm.images[i] - 1]
             if term.is_zero:
@@ -240,50 +241,48 @@ def primitive_idempotent(tab: StandardTableau) -> GroupAlgebraElement:
     return out
 
 
+def _times_linear(poly: list, k: int) -> list:
+    """poly(w) * (k - w), lowest degree first; poly's top coefficient is 0."""
+    return [k * c - prev for c, prev in zip(poly, [0] + poly)]
+
+
 def fusion_idempotent(tab: StandardTableau) -> GroupAlgebraElement:
-    """Cross-check construction by consecutive evaluation of the ordered
-    product of factors 1 - (a,b)/(z_a - z_b) at the content points.
+    """Cross-check construction by the fusion procedure (Molev, Rep. Math.
+    Phys. 61 (2008), arXiv:math/0612207): E_T is 1/h(shape) times the product
+    of the factors 1 - (a,b)/(z_a - z_b) taken by b, then by a (Yang-Baxter
+    makes it the lexicographic product), evaluated consecutively at z_b = c_b,
+    the contents of T.
 
-    Coefficients are carried as exact multivariate rational functions and each
-    substitution happens after cancellation to lowest terms, where the product
-    is regular.
+    Once z_1..z_{b-1} are fixed, z_b = c_b + w is the only variable, and later
+    columns are regular at w = 0.  With prod_a (c_a - c_b - w) cleared, the
+    coefficients are polynomials in w; at w = 0 each is the numerator's
+    coefficient at the denominator's lowest non-zero degree over the latter's,
+    and a non-zero numerator coefficient below it is an unremovable pole.
     """
-    import sympy
-
     r = tab.size
-    zs = sympy.symbols(f"z1:{r + 1}")
-    coeffs: dict[Permutation, object] = {Permutation.identity(r): sympy.Integer(1)}
-    for a in range(1, r):
-        for b in range(a + 1, r + 1):
-            factor = {
-                Permutation.identity(r): sympy.Integer(1),
-                Permutation.transposition(a, b, r): -1 / (zs[a - 1] - zs[b - 1]),
-            }
-            new: dict[Permutation, object] = {}
-            for p, cp in coeffs.items():
-                for q, cq in factor.items():
-                    pq = p * q
-                    new[pq] = new.get(pq, sympy.Integer(0)) + cp * cq
-            coeffs = new
-    for k in range(1, r + 1):
-        ck = sympy.Integer(tab.content(k))
-        subbed = {}
-        for p, c in coeffs.items():
-            c = sympy.cancel(sympy.together(c))
-            num, den = sympy.fraction(c)
-            den_val = den.subs(zs[k - 1], ck)
-            if den_val == 0:
-                raise SymGroupError(f"unremovable pole at z_{k} for tableau {tab!r}")
-            subbed[p] = num.subs(zs[k - 1], ck) / den_val
-        coeffs = subbed
-    h = hook_product(tab.shape)
-    terms = {}
-    for p, c in coeffs.items():
-        val = sympy.nsimplify(sympy.cancel(c))
-        q = sympy.Rational(val)
-        if q != 0:
-            terms[p] = Fraction(q.p, q.q)
-    return GroupAlgebraElement(tab.size, terms) * Fraction(1, h)
+    coeffs = {Permutation.identity(r): Fraction(1)}
+    for b in range(2, r + 1):
+        cb = tab.content(b)
+        num = {p: [c] + [0] * (b - 1) for p, c in coeffs.items()}
+        den = [1] + [0] * (b - 1)
+        for a in range(1, b):
+            k = tab.content(a) - cb
+            s = Permutation.transposition(a, b, r)
+            new: dict[Permutation, list] = {}
+            for p, poly in num.items():
+                for q, part in ((p, _times_linear(poly, k)), (p * s, [-c for c in poly])):
+                    old = new.get(q)
+                    new[q] = part if old is None else [x + y for x, y in zip(old, part)]
+            num = new
+            den = _times_linear(den, k)
+        d = next(i for i, c in enumerate(den) if c)
+        coeffs = {}
+        for p, poly in num.items():
+            if any(poly[:d]):
+                raise SymGroupError(f"unremovable pole at z_{b} for tableau {tab!r}")
+            if poly[d]:
+                coeffs[p] = Fraction(poly[d], den[d])
+    return GroupAlgebraElement(r, coeffs) * Fraction(1, hook_product(tab.shape))
 
 
 def character_element(shape) -> GroupAlgebraElement:

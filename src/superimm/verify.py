@@ -417,6 +417,8 @@ def _invariant_series(x: SuperMatrix, order: int, kind: str) -> TruncatedSeries:
 
 def check_macmahon(m: int, n: int, order: int) -> CheckReport:
     """The elementary series at -t times the complete series is one."""
+    if order < 0:
+        raise VerifyError(f"macmahon needs order >= 0, got {order}")
     params = {"identity": "macmahon", "m": m, "n": n, "order": order}
     x = generator_matrix(m, n)
 
@@ -431,6 +433,8 @@ def check_macmahon(m: int, n: int, order: int) -> CheckReport:
 def check_newton(m: int, n: int, order: int) -> CheckReport:
     """Logarithmic-derivative identities tying both invariant series to the
     power-sum traces of star powers."""
+    if order < 1:
+        raise VerifyError(f"newton needs order >= 1, got {order}")
     params = {"identity": "newton", "m": m, "n": n, "order": order}
     x = generator_matrix(m, n)
 
@@ -470,7 +474,7 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
                 [table.get(shape_row[i] - (i + 1) + (j + 1), x.algebra.zero()) for j in range(width)]
                 for i in range(width)
             ]
-            return commuting_determinant(grid, x.algebra)
+            return commuting_determinant(grid, x.algebra.one())
 
         def padded(shape, width):
             return tuple(shape[i] if i < len(shape) else 0 for i in range(width))
@@ -684,6 +688,8 @@ def random_grassmann_point(m: int, n: int, seed: int, n_units: int = 4) -> Grass
 def check_berezinian_series(m: int, n: int, order: int, seed: int, trials: int) -> CheckReport:
     """The characteristic series coefficients equal the one-column normalized
     immanant sums, symbolically and at seeded Grassmann points."""
+    if order < 0:
+        raise VerifyError(f"berezinian-series needs order >= 0, got {order}")
     params = {
         "identity": "berezinian-series",
         "m": m,

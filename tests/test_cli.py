@@ -126,6 +126,39 @@ def test_non_object_matrix_document_is_a_package_error(tmp_path, capsys):
     assert capsys.readouterr().err == "superimm: error: matrix document must be a JSON object\n"
 
 
+_GOOD_DOC = {
+    "m": 1,
+    "n": 1,
+    "generators": {"a": "even", "d": "even", "b": "odd", "c": "odd"},
+    "entries": [["a", "b"], ["c", "d"]],
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps(dict(_GOOD_DOC, generators=["a"])),
+         "generators must be a JSON object of parities"),
+        (json.dumps(dict(_GOOD_DOC, entries=[[1, 0], [0, 1]])),
+         "each entry must be an expression string"),
+        (json.dumps(dict(_GOOD_DOC, entries=[None, ["c", "d"]])), "entries must form a 2x2 grid"),
+        (json.dumps(dict(_GOOD_DOC, entries=None)), "entries must form a 2x2 grid"),
+        (json.dumps(dict(_GOOD_DOC, m=1.7)), "block sizes m and n must be non-negative JSON integers"),
+        (json.dumps(dict(_GOOD_DOC, n="1")), "block sizes m and n must be non-negative JSON integers"),
+        ("[" * 5000 + "]" * 5000, "matrix document is nested too deeply"),
+    ],
+    ids=["generators-list", "numeric-cells", "null-row", "null-entries", "float-m", "string-n",
+         "deep-nesting"],
+)
+def test_malformed_matrix_documents_exit_2(text, message, tmp_path, capsys):
+    path = tmp_path / "mat.json"
+    path.write_text(text)
+    assert main(["imm", "--lambda", "1", "--rows", "1", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"superimm: error: {message}\n"
+
+
 def test_check_labels_vacuous_reports(capsys):
     # at (1|1) the first shape off the hook has size 4
     assert main(["check", "vanishing", "--m", "1", "--n", "1", "--max-r", "4"]) == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superimm.immanants import (
     DegenerateSpectrumError,
@@ -296,3 +297,47 @@ def test_load_supermatrix_round_trip(tmp_path):
     bad = dict(doc, entries=[["beta", "a"], ["d", "gamma"]])
     with pytest.raises(SuperMatrixError):
         load_supermatrix(json.dumps(bad))
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _matrix_documents(draw):
+    """A well-shaped document, then some of its fields replaced or dropped."""
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    cells = st.sampled_from(["a", "b", "c", "0", "1/2", "a*b", "b*c", "a/2", "(a"]) | _json_values
+    doc = {
+        "m": m,
+        "n": n,
+        "generators": draw(
+            st.dictionaries(st.sampled_from(["a", "b", "c", "1x"]), st.sampled_from(["even", "odd"]))
+        ),
+        "entries": draw(
+            st.lists(st.lists(cells, min_size=m + n, max_size=m + n), min_size=m + n, max_size=m + n)
+        ),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        if draw(st.booleans()):
+            doc[key] = draw(_json_values)
+        else:
+            del doc[key]
+    return json.dumps(doc)
+
+
+@given(st.one_of(_matrix_documents(), _json_values.map(json.dumps), st.text(max_size=20)))
+@example("[" * 5000 + "]" * 5000)
+@settings(max_examples=200, deadline=None)
+def test_load_supermatrix_raises_only_value_errors(text):
+    try:
+        load_supermatrix(text)
+    except ValueError:
+        pass

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superimm.superring import (
     Algebra,
@@ -251,6 +251,27 @@ def test_parse_errors(mixed):
     for bad in ["x +", "2 ** x", "q", "3/0", "(x", "x x"]:
         with pytest.raises(ParseError):
             parse_poly(alg, bad)
+
+
+def test_parse_slash_only_forms_integer_rationals(mixed):
+    alg, x, *_ = mixed
+    assert parse_poly(alg, "2*3/4") == Fraction(3, 2)
+    for bad in ["x/2", "(x)/2", "3/4/5", "x/"]:
+        with pytest.raises(ParseError, match="^'/' only forms p/q rationals of two integers$"):
+            parse_poly(alg, bad)
+
+
+@given(st.text(st.sampled_from("0123456789xyt()+-*/ ") | st.characters(), max_size=40))
+@example("(" * 5000 + "x" + ")" * 5000)
+@settings(max_examples=300, deadline=None)
+def test_parse_poly_raises_only_value_errors(text):
+    alg = Algebra("fuzz")
+    alg.even("x", "y")
+    alg.odd("t1", "t2")
+    try:
+        parse_poly(alg, text)
+    except ValueError:
+        pass
 
 
 def test_serialization_round_trip(mixed):

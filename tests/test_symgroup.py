@@ -98,7 +98,7 @@ def test_idempotent_orthogonality_sampled_degree_five():
 
 
 def test_fusion_matches_spectral_construction():
-    for r in range(1, 5):
+    for r in range(1, 6):
         for tab in all_tableaux(r):
             assert fusion_idempotent(tab) == primitive_idempotent(tab)
 

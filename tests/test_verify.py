@@ -297,12 +297,36 @@ def test_broken_idempotent_supertrace_is_caught(monkeypatch):
         )
 
 
-def test_exception_witness_names_the_raising_frame():
-    # order 0 leaves no room for the power-sum series, whose order is order - 1
-    witnesses = [check_newton(1, 1, 0).witness for _ in range(2)]
+def test_exception_witness_names_the_raising_frame(monkeypatch):
+    import superimm.verify as verify
+
+    # a power trace that fails inside the library, as a broken convention might
+    monkeypatch.setattr(verify, "power_trace", lambda x, k: TruncatedSeries(x.algebra, [], -1))
+    witnesses = [check_newton(1, 1, 2).witness for _ in range(2)]
     assert witnesses[0] == witnesses[1]
     assert witnesses[0]["error"] == "SuperRingError: truncation order must be >= 0"
     assert re.fullmatch(r"superimm\.superring:\d+ in __init__", witnesses[0]["where"])
+
+
+@pytest.mark.parametrize(
+    "check, low",
+    [
+        (lambda order: check_newton(1, 1, order), 1),
+        (lambda order: check_macmahon(1, 1, order), 0),
+        (lambda order: check_berezinian_series(1, 1, order, seed=7, trials=1), 0),
+    ],
+    ids=["newton", "macmahon", "berezinian-series"],
+)
+def test_orders_below_the_minimum_are_rejected_up_front(check, low, monkeypatch):
+    import superimm.verify as verify
+
+    def no_work(*args):
+        raise AssertionError("work started before the order was checked")
+
+    monkeypatch.setattr(verify, "generator_matrix", no_work)
+    for order in (low - 1, low - 3):
+        with pytest.raises(VerifyError, match=f"order >= {low}, got {order}"):
+            check(order)
 
 
 def test_vacuous_reports_keep_their_json():

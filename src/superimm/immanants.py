@@ -39,7 +39,6 @@ from superimm.tableaux import (
     row_reading_tableau,
 )
 from superimm.tensorspace import (
-    MultiIndex,
     TensorOperator,
     action_sign,
     apply_group_algebra_to_state,
@@ -50,6 +49,7 @@ from superimm.tensorspace import (
     immanant_prefactor,
     index_parity,
     parity_weight,
+    repetition_factor,
     sorted_multisets,
 )
 
@@ -69,6 +69,22 @@ class DegenerateSpectrumError(SuperMatrixError):
 # ---------------------------------------------------------------------------
 # Supermatrices
 # ---------------------------------------------------------------------------
+
+
+def _mat_mul(p, q, algebra):
+    """Product of two matrices of elements of `algebra`, skipping zero factors."""
+    cols = list(zip(*q))
+    rows = []
+    for row in p:
+        out = []
+        for col in cols:
+            acc = algebra.zero()
+            for a, b in zip(row, col):
+                if not a.is_zero and not b.is_zero:
+                    acc = acc + a * b
+            out.append(acc)
+        rows.append(out)
+    return rows
 
 
 class SuperMatrix:
@@ -131,19 +147,7 @@ class SuperMatrix:
         )
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
-        d = self.size
-        zero = self.algebra.zero()
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = zero
-                for k in range(d):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if not a.is_zero and not b.is_zero:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
+        rows = _mat_mul(self.entries, other.entries, self.algebra)
         return SuperMatrix(self.m, self.n, rows, validate=False)
 
     def scale(self, c) -> "SuperMatrix":
@@ -377,7 +381,7 @@ def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
     for indices in sorted_multisets(x.m, x.n, sum(shape)):
         value = super_immanant(shape, x, indices)
         if not value.is_zero:
-            acc = acc + value * Fraction(1, MultiIndex(indices, x.m, x.n).repetition_factor())
+            acc = acc + value * Fraction(1, repetition_factor(indices))
     return acc
 
 
@@ -487,15 +491,6 @@ def power_trace(x: SuperMatrix, k: int) -> SuperPoly:
 # ---------------------------------------------------------------------------
 
 
-def _mat_mul(p, q, algebra):
-    """Product of two square matrices of elements of `algebra`."""
-    size = len(p)
-    return [
-        [sum((p[i][k] * q[k][j] for k in range(size)), algebra.zero()) for j in range(size)]
-        for i in range(size)
-    ]
-
-
 def _grassmann_matrix_inverse(entries, algebra):
     """Inverse of a square matrix of even elements with invertible body, by
     body inversion plus a terminating Neumann tail in the nilpotent soul."""
@@ -526,14 +521,9 @@ def berezinian(x: SuperMatrix) -> SuperPoly:
     if x.n == 0:
         return commuting_determinant(a, algebra.one())
     d_inv = _grassmann_matrix_inverse(d, algebra)
-    for i in range(x.m):
-        for j in range(x.m):
-            acc = algebra.zero()
-            for s in range(x.n):
-                for t in range(x.n):
-                    acc = acc + b[i][s] * d_inv[s][t] * c[t][j]
-            a[i][j] = a[i][j] - acc
-    det_top = commuting_determinant(a, algebra.one())
+    bdc = _mat_mul(_mat_mul(b, d_inv, algebra), c, algebra)
+    top = [[e - f for e, f in zip(a_row, bdc_row)] for a_row, bdc_row in zip(a, bdc)]
+    det_top = commuting_determinant(top, algebra.one())
     det_d = commuting_determinant(d, algebra.one())
     return det_top * det_d.inverse_of_unit()
 
@@ -801,7 +791,7 @@ def schur_weyl_norm_report(shape, tab, weight, m: int, n: int) -> dict:
         "semistandard": is_semistandard_super(filling, m, n),
         "vector_zero": not vec,
         "norm": norm,
-        "expected_norm": Fraction(MultiIndex(multiset, m, n).repetition_factor(), hook_product(shape)),
+        "expected_norm": Fraction(repetition_factor(multiset), hook_product(shape)),
         "vector": vec,
     }
 

@@ -1,13 +1,16 @@
 """Small exact linear algebra helpers over Fraction matrices.
 
 Matrices are lists of lists of Fractions (or ints).  Sizes here are tiny
-(at most 5 or so), so everything is plain Gaussian elimination.
+(at most 5 or so), so everything is plain Gaussian elimination, except the
+characteristic polynomial, which takes the library's determinant kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+
+from superimm.superring import Algebra, TruncatedSeries
+from superimm.symgroup import commuting_determinant
 
 
 def identity(n: int) -> list[list[Fraction]]:
@@ -72,43 +75,20 @@ def nullspace(mat):
 
 
 def char_poly(mat):
-    """Coefficients of det(t*I - M), highest degree first (monic)."""
+    """Coefficients of det(t*I - M), highest degree first (monic).
+
+    These are the constant terms of the u^k coefficients of det(I - uM),
+    taken by the library's one determinant kernel over truncated series in
+    a generator-free algebra.
+    """
     n = len(mat)
-    # Expand the permutation sum of det(tI - M) with univariate coefficients.
-    coeffs = [Fraction(0)] * (n + 1)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        # product over i of (t*delta - M[i][perm[i]]) as a poly in t
-        poly = [Fraction(1)]
-        for i in range(n):
-            entry = Fraction(mat[i][perm[i]])
-            if perm[i] == i:
-                poly = _poly_mul(poly, [Fraction(1), -entry])
-            else:
-                poly = _poly_mul(poly, [-entry])
-        if sign < 0:
-            poly = [-c for c in poly]
-        deg = len(poly) - 1
-        for k, c in enumerate(poly):
-            coeffs[n - deg + k] += c
-    return coeffs
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    ring = Algebra("Q")
+    grid = [
+        [TruncatedSeries.from_scalars(ring, [int(i == j), -mat[i][j]], n) for j in range(n)]
+        for i in range(n)
+    ]
+    det = commuting_determinant(grid, TruncatedSeries.one(ring, n))
+    return [c.constant_term() for c in det.coeffs]
 
 
 def rational_roots(coeffs):

@@ -178,16 +178,6 @@ class SuperPoly:
         self.algebra = algebra
         self._terms = terms
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zero(algebra: Algebra) -> "SuperPoly":
-        return SuperPoly(algebra, {})
-
-    @staticmethod
-    def scalar(algebra: Algebra, c) -> "SuperPoly":
-        return algebra.scalar(c)
-
     # -- structure queries -----------------------------------------------------
 
     @property
@@ -309,7 +299,7 @@ class SuperPoly:
         Odd factors are substituted in the monomial's canonical order, so the
         normal-form sign stored in the coefficient stays correct.
         """
-        out = SuperPoly.zero(target)
+        out = target.zero()
         for (even, odd), c in self._terms.items():
             term = target.scalar(c)
             try:
@@ -327,9 +317,6 @@ class SuperPoly:
                 raise EvaluationError(f"no value assigned to generator {exc.args[0]!r}") from exc
             out = out + term
         return out
-
-    def evaluate(self, point: "GrassmannPoint") -> "SuperPoly":
-        return point.evaluate(self)
 
     # -- inverses ----------------------------------------------------------------
 

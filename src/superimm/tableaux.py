@@ -56,17 +56,6 @@ def part(shape, i: int) -> int:
     return shape[i - 1] if 1 <= i <= len(shape) else 0
 
 
-def dominates(lam, mu) -> bool:
-    """Whether lam >= mu in dominance order (equal sizes assumed)."""
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += part(lam, i + 1)
-        b += part(mu, i + 1)
-        if a < b:
-            return False
-    return True
-
-
 def in_hook(shape, m: int, n: int, r: int | None = None) -> bool:
     """Whether the shape lies in the (m,n) fat hook (and has size r if given)."""
     shape = tuple(shape)

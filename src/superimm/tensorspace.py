@@ -9,7 +9,7 @@ perturb one convention at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
@@ -70,20 +70,6 @@ def comodule_sign(out_indices, in_indices, m: int) -> int:
     return -1 if total % 2 else 1
 
 
-def extraction_sign(out_indices, in_indices, m: int) -> int:
-    """Sign relating displayed matrix coefficients to bra-ket coefficients:
-    (-1)^(sum_a p_out[a](p_in[a]+1) + sum_{a<b} p_in[b](p_out[a]+p_in[a]))."""
-    po = tuple_parities(out_indices, m)
-    pi = tuple_parities(in_indices, m)
-    total = sum(po[a] * (pi[a] + 1) for a in range(len(po)))
-    prefix = 0
-    for b in range(len(po)):
-        if b:
-            total += pi[b] * prefix
-        prefix += po[b] + pi[b]
-    return -1 if total % 2 else 1
-
-
 def immanant_prefactor(row_indices, col_indices, m: int) -> int:
     """(-1)^(sum_k p_row[k] * p_col[k]) in front of the character sum."""
     pr = tuple_parities(row_indices, m)
@@ -110,49 +96,12 @@ def _act_conversion_sign(out_indices, in_indices, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Index tuple with its parity bookkeeping."""
-
-    entries: tuple[int, ...]
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if any(not 1 <= i <= self.m + self.n for i in self.entries):
-            raise TensorSpaceError(f"indices out of range in {self.entries}")
-
-    @property
-    def r(self) -> int:
-        return len(self.entries)
-
-    @property
-    def parities(self) -> tuple[int, ...]:
-        return tuple_parities(self.entries, self.m)
-
-    @property
-    def total_parity(self) -> int:
-        return sum(self.parities) % 2
-
-    @property
-    def is_sorted(self) -> bool:
-        return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
-
-    def multiplicities(self) -> tuple[int, ...]:
-        counts = [0] * (self.m + self.n)
-        for i in self.entries:
-            counts[i - 1] += 1
-        return tuple(counts)
-
-    def repetition_factor(self) -> int:
-        """Product of factorials of the multiplicities; divides r!."""
-        out = 1
-        for a in self.multiplicities():
-            out *= factorial(a)
-        return out
-
-    def sorted(self) -> "MultiIndex":
-        return MultiIndex(tuple(sorted(self.entries)), self.m, self.n)
+def repetition_factor(indices) -> int:
+    """Product of the factorials of the index multiplicities; divides r!."""
+    out = 1
+    for a in Counter(indices).values():
+        out *= factorial(a)
+    return out
 
 
 def sorted_multisets(m: int, n: int, r: int):
@@ -225,15 +174,6 @@ def state_add(state: dict, key, value):
         state[key] = s
 
 
-def apply_permutation_to_state(perm: Permutation, state: dict, m: int) -> dict:
-    """P_sigma on a state; scalar legs pass coefficients with no extra sign."""
-    out: dict = {}
-    for key, c in state.items():
-        sign = action_sign(key, m, perm)
-        state_add(out, permuted_tuple(key, perm), -c if sign < 0 else c)
-    return out
-
-
 def apply_group_algebra_to_state(elem: GroupAlgebraElement, state: dict, m: int) -> dict:
     out: dict = {}
     for perm, coeff in elem.terms.items():
@@ -274,24 +214,12 @@ class TensorOperator:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def identity(m: int, n: int, r: int) -> "TensorOperator":
-        coeffs = {(key, key): Fraction(1) for key in product(range(1, m + n + 1), repeat=r)}
-        return TensorOperator(m, n, r, coeffs)
-
-    @staticmethod
     def from_permutation(perm: Permutation, m: int, n: int) -> "TensorOperator":
         r = perm.degree
         coeffs = {}
         for key in product(range(1, m + n + 1), repeat=r):
             coeffs[(permuted_tuple(key, perm), key)] = Fraction(action_sign(key, m, perm))
         return TensorOperator(m, n, r, coeffs)
-
-    @staticmethod
-    def from_group_algebra(elem: GroupAlgebraElement, m: int, n: int) -> "TensorOperator":
-        acc = TensorOperator(m, n, elem.degree, {})
-        for perm, c in elem.terms.items():
-            acc = acc + TensorOperator.from_permutation(perm, m, n) * c
-        return acc
 
     @staticmethod
     def matrix_at_slot(entries, slot: int, m: int, n: int, r: int) -> "TensorOperator":
@@ -315,33 +243,7 @@ class TensorOperator:
                 coeffs[(out_key, key)] = -entry if negate else entry
         return TensorOperator(m, n, r, coeffs)
 
-    @staticmethod
-    def weight_projector(weight, m: int, n: int) -> "TensorOperator":
-        """Projection onto basis tensors whose index multiset has the given
-        multiplicities."""
-        weight = tuple(weight)
-        r = sum(weight)
-        coeffs = {}
-        for key in product(range(1, m + n + 1), repeat=r):
-            counts = [0] * (m + n)
-            for i in key:
-                counts[i - 1] += 1
-            if tuple(counts) == weight:
-                coeffs[(key, key)] = Fraction(1)
-        return TensorOperator(m, n, r, coeffs)
-
     # -- algebra ----------------------------------------------------------------
-
-    def __add__(self, other: "TensorOperator") -> "TensorOperator":
-        coeffs = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            state_add(coeffs, key, c)
-        return TensorOperator(self.m, self.n, self.r, coeffs)
-
-    def __mul__(self, scalar) -> "TensorOperator":
-        return TensorOperator(
-            self.m, self.n, self.r, {k: v * scalar for k, v in self.coeffs.items()}
-        )
 
     def compose(self, other: "TensorOperator") -> "TensorOperator":
         """Operator product: self acts after other.  Moving self's legs past an

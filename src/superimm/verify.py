@@ -21,6 +21,7 @@ from superimm.immanants import (
     classical_immanant,
     complete_invariant,
     characteristic_coefficients,
+    characteristic_series,
     chain_coefficient,
     chain_coefficient_slotwise,
     diagonalize,
@@ -65,8 +66,8 @@ from superimm.tableaux import (
     tableau_weight,
 )
 from superimm.tensorspace import (
-    MultiIndex,
     composition_to_multiset,
+    repetition_factor,
     sorted_multisets,
     weak_compositions,
 )
@@ -256,22 +257,6 @@ def lr_coefficient(mu, nu, lam) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sub_multisets(counts, size: int):
-    """All multiplicity vectors bounded by `counts` with the given total."""
-    out = []
-
-    def grow(prefix, pos, remaining):
-        if pos == len(counts):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for a in range(min(counts[pos], remaining) + 1):
-            grow(prefix + [a], pos + 1, remaining - a)
-
-    grow([], 0, size)
-    return out
-
-
 def _counts_of(indices, d: int):
     counts = [0] * d
     for i in indices:
@@ -289,16 +274,14 @@ def _multiset_splittings(indices, sizes, d: int):
             if not any(counts):
                 yield ()
             return
-        for sub in _sub_multisets(counts, sizes[pos]):
+        for sub in weak_compositions(sizes[pos], d):
             rest = tuple(c - s for c, s in zip(counts, sub))
+            if min(rest) < 0:
+                continue
             for tail in grow(rest, pos + 1):
                 yield (composition_to_multiset(sub),) + tail
 
     yield from grow(total, 0)
-
-
-def _rep_factor(indices, m: int, n: int) -> int:
-    return MultiIndex(tuple(indices), m, n).repetition_factor()
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +329,13 @@ def check_littlewood_2(mu, nu, m: int, n: int) -> CheckReport:
                 value = super_immanant(mu, x, part1) * super_immanant(nu, x, part2)
                 if not value.is_zero:
                     lhs = lhs + value * Fraction(
-                        1, _rep_factor(part1, m, n) * _rep_factor(part2, m, n)
+                        1, repetition_factor(part1) * repetition_factor(part2)
                     )
             rhs = x.algebra.zero()
             for lam, c in table.items():
                 value = super_immanant(lam, x, indices)
                 if not value.is_zero:
-                    rhs = rhs + value * Fraction(c, _rep_factor(indices, m, n))
+                    rhs = rhs + value * Fraction(c, repetition_factor(indices))
             yield (f"I={list(indices)}", lhs, rhs)
 
     return _run("littlewood2", params, comparisons())
@@ -371,7 +354,7 @@ def check_lmw(lam, m: int, n: int) -> CheckReport:
 
     def split_sum(indices, shapes):
         acc = x.algebra.zero()
-        alpha_full = _rep_factor(indices, m, n)
+        alpha_full = repetition_factor(indices)
         for parts in _multiset_splittings(indices, sizes, m + n):
             value = x.algebra.one()
             denom = 1
@@ -379,7 +362,7 @@ def check_lmw(lam, m: int, n: int) -> CheckReport:
                 value = value * super_immanant(shape, x, part)
                 if value.is_zero:
                     break
-                denom *= _rep_factor(part, m, n)
+                denom *= repetition_factor(part)
             if not value.is_zero:
                 acc = acc + value * Fraction(alpha_full, denom)
         return acc
@@ -466,8 +449,11 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
             + [lam[i] - (i + 1) + (j + 1) for i in range(width_b) for j in range(width_b)]
             + [0]
         )
-        alphas = {k: elementary_invariant(x, k) for k in range(-1, needed + 1)}
-        betas = {k: complete_invariant(x, k) for k in range(-1, needed + 1)}
+        # alpha_k is (-1)^k times the u^k coefficient of the characteristic
+        # series, beta_k the u^k coefficient of its inverse (MacMahon)
+        series = characteristic_series(x, max(needed, r))
+        alphas = {k: -c if k % 2 else c for k, c in enumerate(series.coeffs)}
+        betas = dict(enumerate(series.invert().coeffs))
 
         def grid_det(table, width, shape_row):
             grid = [
@@ -497,12 +483,12 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
             if ka:
                 term = x.algebra.one()
                 for part in padded(mu, max(width_a, len(mu))):
-                    term = term * (alphas[part] if part in alphas else elementary_invariant(x, part))
+                    term = term * alphas[part]
                 expan_a = expan_a + term * ka
             if kb:
                 term = x.algebra.one()
                 for part in padded(mu, max(width_b, len(mu))):
-                    term = term * (betas[part] if part in betas else complete_invariant(x, part))
+                    term = term * betas[part]
                 expan_b = expan_b + term * kb
         yield ("inverse-Kostka alpha expansion", expan_a, det_a)
         yield ("inverse-Kostka beta expansion", expan_b, det_b)
@@ -554,7 +540,7 @@ def check_kostant(m: int, n: int, r: int) -> CheckReport:
         for lam in partitions(r):
             for weight in weak_compositions(r, m + n):
                 indices = composition_to_multiset(weight)
-                lhs = super_immanant(lam, x, indices) * Fraction(1, _rep_factor(indices, m, n))
+                lhs = super_immanant(lam, x, indices) * Fraction(1, repetition_factor(indices))
                 rhs = weight_space_supertrace(lam, weight, x)
                 yield (f"lambda={list(lam)}, weight={list(weight)}", lhs, rhs)
 
@@ -595,7 +581,7 @@ def check_schur_weyl(m: int, n: int, r: int) -> CheckReport:
             tabs = standard_tableaux(lam)
             for weight in weak_compositions(r, m + n):
                 indices = composition_to_multiset(weight)
-                alpha = _rep_factor(indices, m, n)
+                alpha = repetition_factor(indices)
                 reports = {tab: schur_weyl_norm_report(lam, tab, weight, m, n) for tab in tabs}
                 groups: dict = {}
                 for tab, rep in reports.items():
@@ -843,6 +829,8 @@ CHECK_FAMILIES = (
     "littlewood3",
     "berezinian",
     "hessenberg",
+    "phi-isomorphism",
+    "chain-oracle",
 )
 
 
@@ -890,6 +878,10 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
         for r in range(1, max_r + 1):
             for lam in partitions(r):
                 reports.append(check_hessenberg(lam, m, n))
+    elif name == "phi-isomorphism":
+        reports.append(check_phi_isomorphism(m, n, max_r))
+    elif name == "chain-oracle":
+        reports.append(check_chain_oracle(m, n, max_r))
     elif name == "all":
         for sub in CHECK_FAMILIES:
             reports.extend(sweep(sub, m, n, max_r, order=order, seed=seed, trials=trials))

@@ -63,6 +63,15 @@ def test_check_all_exits_zero(capsys):
                  "--trials", "1"]) == 0
 
 
+def test_check_phi_isomorphism(capsys):
+    assert main(["check", "phi-isomorphism", "--m", "2", "--n", "1", "--max-r", "3"]) == 0
+    line, summary = capsys.readouterr().out.splitlines()
+    name, status, cases = line.split()[:3]
+    assert (name, status) == ("phi-isomorphism", "pass")
+    assert int(cases.removeprefix("cases=")) > 0
+    assert summary == "1/1 checks passed"
+
+
 def test_check_failure_exit_code(monkeypatch, capsys):
     import superimm.tensorspace as ts
     import superimm.immanants as imm

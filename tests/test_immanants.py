@@ -34,7 +34,12 @@ from superimm.immanants import (
 from superimm.superring import GrassmannPoint, TruncatedSeries, grassmann_algebra
 from superimm.symgroup import primitive_idempotent
 from superimm.tableaux import hook_product, partitions, row_reading_tableau, standard_tableaux
-from superimm.tensorspace import MultiIndex, composition_to_multiset, sorted_multisets, weak_compositions
+from superimm.tensorspace import (
+    composition_to_multiset,
+    repetition_factor,
+    sorted_multisets,
+    weak_compositions,
+)
 
 
 def gens(m, n):
@@ -230,7 +235,7 @@ def test_weight_space_supertrace_matches_immanants():
         for lam in partitions(r):
             for weight in weak_compositions(r, m + n):
                 indices = composition_to_multiset(weight)
-                alpha = MultiIndex(indices, m, n).repetition_factor()
+                alpha = repetition_factor(indices)
                 lhs = super_immanant(lam, x, indices) * Fraction(1, alpha)
                 assert weight_space_supertrace(lam, weight, x) == lhs
 

@@ -11,7 +11,6 @@ from superimm.tableaux import (
     class_size,
     conjugate,
     dimension,
-    dominates,
     hook_partitions,
     hook_product,
     in_hook,
@@ -196,8 +195,3 @@ def test_pattern_tableau_bijection():
 def test_pattern_count_single_box():
     assert len(triangular_patterns((1,), 1, 1)) == 2
     assert patterns_for_weight((1, 0), 1, 1) == triangular_patterns((1,), 1, 1)
-
-
-def test_dominance():
-    assert dominates((3, 1), (2, 2))
-    assert not dominates((2, 2), (3, 1))

@@ -1,24 +1,22 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
-import pytest
-
-from superimm.symgroup import Permutation, symmetric_group
+from superimm.symgroup import GroupAlgebraElement, Permutation, symmetric_group
 from superimm.tensorspace import (
-    MultiIndex,
     TensorOperator,
     action_sign,
     apply_group_algebra_to_state,
-    apply_permutation_to_state,
     bilinear_form,
     composed_tuple,
     composition_to_multiset,
     comodule_sign,
-    extraction_sign,
     immanant_prefactor,
     permuted_tuple,
+    repetition_factor,
     sorted_multisets,
+    state_add,
     tuple_parities,
     weak_compositions,
 )
@@ -49,9 +47,21 @@ def test_action_on_states_matches_operator():
         perm = rng.choice(symmetric_group(r))
         key = tuple(rng.choice((1, 2)) for _ in range(r))
         state = {key: Fraction(3)}
-        direct = apply_permutation_to_state(perm, state, 1)
+        direct = apply_group_algebra_to_state(GroupAlgebraElement.of(perm), state, 1)
         via_op = TensorOperator.from_permutation(perm, 1, 1).apply(state)
         assert direct == via_op
+    # a two-term element with fractional coefficients, on every basis tensor
+    r, m, n = 3, 1, 1
+    s = Permutation.transposition(1, 2, 3)
+    t = Permutation((2, 3, 1))
+    elem = GroupAlgebraElement(r, {s: Fraction(1, 2), t: Fraction(-2)})
+    for key in product(range(1, m + n + 1), repeat=r):
+        state = {key: Fraction(1)}
+        expected: dict = {}
+        for perm, c in elem.terms.items():
+            for out_key, value in TensorOperator.from_permutation(perm, m, n).apply(state).items():
+                state_add(expected, out_key, c * value)
+        assert apply_group_algebra_to_state(elem, state, m) == expected
 
 
 def test_contravariance_of_the_pairing():
@@ -63,22 +73,18 @@ def test_contravariance_of_the_pairing():
                 for u in product(range(1, m + n + 1), repeat=r):
                     for w in product(range(1, m + n + 1), repeat=r):
                         lhs = bilinear_form(
-                            apply_permutation_to_state(s, {u: Fraction(1)}, m), {w: Fraction(1)}
+                            apply_group_algebra_to_state(
+                                GroupAlgebraElement.of(s), {u: Fraction(1)}, m
+                            ),
+                            {w: Fraction(1)},
                         )
                         rhs = bilinear_form(
-                            {u: Fraction(1)}, apply_permutation_to_state(s_inv, {w: Fraction(1)}, m)
+                            {u: Fraction(1)},
+                            apply_group_algebra_to_state(
+                                GroupAlgebraElement.of(s_inv), {w: Fraction(1)}, m
+                            ),
                         )
                         assert lhs == rhs
-
-
-def test_extraction_sign_properties():
-    # no sign on diagonal coefficients, none on all-even tuples
-    for m, n in [(1, 1), (2, 1), (1, 2)]:
-        for r in (1, 2, 3):
-            for key in product(range(1, m + n + 1), repeat=r):
-                assert extraction_sign(key, key, m) == 1
-    assert extraction_sign((1,), (1,), 1) == 1
-    assert extraction_sign((2,), (1,), 1) == -1  # odd out, even in at r=1
 
 
 def test_comodule_sign_values():
@@ -102,37 +108,14 @@ def test_supertrace_of_flip_counts_dimension():
         assert twice.coeffs.get(((), ()), Fraction(0)) == m - n
 
 
-def test_weight_projector():
-    proj = TensorOperator.weight_projector((1, 1), 1, 1)
-    assert proj.apply({(1, 2): Fraction(1)}) == {(1, 2): Fraction(1)}
-    assert proj.apply({(1, 1): Fraction(1)}) == {}
-
-
-def test_group_algebra_operator_matches_state_action():
-    from superimm.symgroup import GroupAlgebraElement
-
-    r, m, n = 3, 1, 1
-    s = Permutation.transposition(1, 2, 3)
-    t = Permutation((2, 3, 1))
-    elem = GroupAlgebraElement(r, {s: Fraction(1, 2), t: Fraction(-2)})
-    op = TensorOperator.from_group_algebra(elem, m, n)
-    ident = TensorOperator.identity(m, n, r)
-    for key in product(range(1, m + n + 1), repeat=r):
-        state = {key: Fraction(1)}
-        assert op.apply(state) == apply_group_algebra_to_state(elem, state, m)
-        assert ident.apply(state) == state
-
-
 def test_multi_index():
-    idx = MultiIndex((1, 2, 2), 1, 1)
-    assert idx.parities == (0, 1, 1)
-    assert idx.total_parity == 0
-    assert idx.multiplicities() == (1, 2)
-    assert idx.repetition_factor() == 2
-    assert idx.is_sorted
-    assert not MultiIndex((2, 1), 1, 1).is_sorted
-    with pytest.raises(ValueError):
-        MultiIndex((0, 1), 1, 1)
+    assert repetition_factor(()) == 1
+    assert repetition_factor((1, 2, 2)) == 2
+    assert repetition_factor((2, 1, 2)) == 2  # order does not matter
+    assert repetition_factor((1, 1, 1, 3, 3)) == 6 * 2
+    for r in range(1, 5):
+        for indices in sorted_multisets(2, 1, r):
+            assert factorial(r) % repetition_factor(indices) == 0
 
 
 def test_index_helpers():

@@ -240,6 +240,7 @@ def test_sweep_all_runs_every_cli_family(monkeypatch):
     monkeypatch.setattr(verify, "sweep", spy)
     verify.sweep("all", 1, 1, 2)
     assert sorted(ran) == sorted(set(CHECK_NAMES) - {"all"})
+    assert {"phi-isomorphism", "chain-oracle"} <= set(ran)
 
 
 # -- the oracles still bite: each check fails when one of its routes is broken
@@ -263,9 +264,11 @@ def _failed_case(report: CheckReport) -> str:
 
 def test_broken_characteristic_series_is_caught(monkeypatch):
     import superimm.immanants as immanants
+    import superimm.verify as verify
 
     broken = _double_linear_coefficient(immanants.characteristic_series)
-    monkeypatch.setattr(immanants, "characteristic_series", broken)
+    for module in (immanants, verify):  # goulden-jackson reads the series directly
+        monkeypatch.setattr(module, "characteristic_series", broken)
     assert _failed_case(check_berezinian_series(1, 1, 2, 99, 1)) == "symbolic coefficient k=1"
     assert _failed_case(check_goulden_jackson((2, 1), 1, 1)).startswith("det(alpha-JT)")
 

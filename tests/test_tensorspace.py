@@ -50,6 +50,9 @@ def test_action_on_states_matches_operator():
         direct = apply_group_algebra_to_state(GroupAlgebraElement.of(perm), state, 1)
         via_op = TensorOperator.from_permutation(perm, 1, 1).apply(state)
         assert direct == via_op
+
+
+def test_group_algebra_operator_matches_state_action():
     # a two-term element with fractional coefficients, on every basis tensor
     r, m, n = 3, 1, 1
     s = Permutation.transposition(1, 2, 3)
@@ -62,6 +65,8 @@ def test_action_on_states_matches_operator():
             for out_key, value in TensorOperator.from_permutation(perm, m, n).apply(state).items():
                 state_add(expected, out_key, c * value)
         assert apply_group_algebra_to_state(elem, state, m) == expected
+        ident = TensorOperator.from_permutation(Permutation.identity(r), m, n)
+        assert ident.apply(state) == state
 
 
 def test_contravariance_of_the_pairing():

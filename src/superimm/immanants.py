@@ -71,20 +71,30 @@ class DegenerateSpectrumError(SuperMatrixError):
 # ---------------------------------------------------------------------------
 
 
-def _mat_mul(p, q, algebra):
-    """Product of two matrices of elements of `algebra`, skipping zero factors."""
+def _mat_mul(p, q, zero):
+    """Product of two matrices over the ring whose zero is `zero`, skipping
+    zero factors."""
     cols = list(zip(*q))
     rows = []
     for row in p:
         out = []
         for col in cols:
-            acc = algebra.zero()
+            acc = None
             for a, b in zip(row, col):
                 if not a.is_zero and not b.is_zero:
-                    acc = acc + a * b
-            out.append(acc)
+                    acc = a * b if acc is None else acc + a * b
+            out.append(zero if acc is None else acc)
         rows.append(out)
     return rows
+
+
+def _blocks(grid, m: int):
+    return (
+        [list(row[:m]) for row in grid[:m]],
+        [list(row[m:]) for row in grid[:m]],
+        [list(row[:m]) for row in grid[m:]],
+        [list(row[m:]) for row in grid[m:]],
+    )
 
 
 class SuperMatrix:
@@ -123,12 +133,7 @@ class SuperMatrix:
 
     def blocks(self):
         """The four blocks: even-even, even-odd, odd-even, odd-odd."""
-        m = self.m
-        a = [list(row[:m]) for row in self.entries[:m]]
-        b = [list(row[m:]) for row in self.entries[:m]]
-        c = [list(row[:m]) for row in self.entries[m:]]
-        d = [list(row[m:]) for row in self.entries[m:]]
-        return a, b, c, d
+        return _blocks(self.entries, self.m)
 
     def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
         return SuperMatrix(
@@ -147,7 +152,7 @@ class SuperMatrix:
         )
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
-        rows = _mat_mul(self.entries, other.entries, self.algebra)
+        rows = _mat_mul(self.entries, other.entries, self.algebra.zero())
         return SuperMatrix(self.m, self.n, rows, validate=False)
 
     def scale(self, c) -> "SuperMatrix":
@@ -411,14 +416,12 @@ def classical_immanant(entries, char, indices=None):
 
 
 def elementary_invariant(x: SuperMatrix, k: int) -> SuperPoly:
-    """The k-th elementary invariant (supertrace of the antisymmetrizer):
-    (-1)^k times the u^k coefficient of the characteristic series.  The
-    catalog checks it against the one-column normalized immanant sum and
-    the idempotent supertrace."""
+    """The k-th elementary invariant (supertrace of the antisymmetrizer),
+    read off the characteristic series.  The catalog checks it against the
+    one-column normalized immanant sum and the idempotent supertrace."""
     if k < 0:
         return x.algebra.zero()
-    c = characteristic_series(x, k).coefficient(k)
-    return -c if k % 2 else c
+    return characteristic_coefficients(x, k)[k]
 
 
 def complete_invariant(x: SuperMatrix, k: int) -> SuperPoly:
@@ -491,108 +494,89 @@ def power_trace(x: SuperMatrix, k: int) -> SuperPoly:
 # ---------------------------------------------------------------------------
 
 
+def _neumann_inverse(entries, body_inv, one, terms: int):
+    """Inverse of E = B + S over the ring whose unit is `one`, given the
+    rational inverse `body_inv` of its body B: sum_k (-B^{-1} S)^k B^{-1}, whose
+    step -B^{-1} S = I - B^{-1} E must vanish at its `terms`-th power."""
+    zero = one * 0
+    inv = [[one * c for c in row] for row in body_inv]
+    step = [[one * int(i == j) - e for j, e in enumerate(row)]
+            for i, row in enumerate(_mat_mul(inv, entries, zero))]
+    out = power = inv
+    for _ in range(terms):
+        power = _mat_mul(step, power, zero)
+        if all(e.is_zero for row in power for e in row):
+            return out
+        out = [[p + q for p, q in zip(o_row, p_row)] for o_row, p_row in zip(out, power)]
+    raise SingularMatrixError(f"matrix soul is not nilpotent within {terms} terms")
+
+
+def _grassmann_units(algebra) -> int:
+    return sum(1 for g in algebra.generators() if g.parity == Parity.ODD)
+
+
 def _grassmann_matrix_inverse(entries, algebra):
-    """Inverse of a square matrix of even elements with invertible body, by
-    body inversion plus a terminating Neumann tail in the nilpotent soul."""
-    size = len(entries)
-    body = [[e.constant_term() for e in row] for row in entries]
+    """Inverse of a square matrix of even elements with invertible body.
+    Mod the g odd generators a nilpotent Neumann step is nilpotent over a
+    polynomial domain, so its size-th power lies in the odd ideal, and any
+    g + 1 factors from that ideal multiply to zero."""
     try:
-        body_inv = ratlinalg.inv(body)
+        body_inv = ratlinalg.inv([[e.constant_term() for e in row] for row in entries])
     except ZeroDivisionError as exc:
         raise SingularMatrixError("matrix body is singular") from exc
-    body_inv_p = [[algebra.scalar(c) for c in row] for row in body_inv]
-    soul = [[e - e.constant_term() for e in row] for row in entries]
-    neg = [[-e for e in row] for row in _mat_mul(body_inv_p, soul, algebra)]
-    out = [row[:] for row in body_inv_p]
-    power = [row[:] for row in body_inv_p]
-    while True:
-        power = _mat_mul(neg, power, algebra)
-        if all(e.is_zero for row in power for e in row):
-            break
-        out = [[out[i][j] + power[i][j] for j in range(size)] for i in range(size)]
-    return out
+    terms = len(entries) * (_grassmann_units(algebra) + 1)
+    return _neumann_inverse(entries, body_inv, algebra.one(), terms)
+
+
+def _berezinian(a, b, c, d, one, invert, invert_unit):
+    """det(A - B D^{-1} C) / det(D) over the supercommutative ring whose unit
+    is `one`; `invert` inverts the matrix D and `invert_unit` its determinant."""
+    if not d:
+        return commuting_determinant(a, one)
+    zero = one * 0
+    bdc = _mat_mul(_mat_mul(b, invert(d), zero), c, zero)
+    top = [[e - f for e, f in zip(a_row, bdc_row)] for a_row, bdc_row in zip(a, bdc)]
+    return commuting_determinant(top, one) * invert_unit(commuting_determinant(d, one))
 
 
 def berezinian(x: SuperMatrix) -> SuperPoly:
-    """det(A - B D^{-1} C) / det(D) when the even blocks have invertible
-    bodies and nilpotent souls."""
-    a, b, c, d = x.blocks()
+    """Ber(X) when the even blocks have invertible bodies and nilpotent souls;
+    SingularMatrixError otherwise."""
     algebra = x.algebra
-    if x.n == 0:
-        return commuting_determinant(a, algebra.one())
-    d_inv = _grassmann_matrix_inverse(d, algebra)
-    bdc = _mat_mul(_mat_mul(b, d_inv, algebra), c, algebra)
-    top = [[e - f for e, f in zip(a_row, bdc_row)] for a_row, bdc_row in zip(a, bdc)]
-    det_top = commuting_determinant(top, algebra.one())
-    det_d = commuting_determinant(d, algebra.one())
-    return det_top * det_d.inverse_of_unit()
-
-
-def _shift_series(s: TruncatedSeries, k: int, order: int) -> TruncatedSeries:
-    coeffs = [s.algebra.zero()] * k + list(s.coeffs)
-    return TruncatedSeries(s.algebra, coeffs[: order + 1], order)
+    return _berezinian(
+        *x.blocks(), algebra.one(),
+        lambda d: _grassmann_matrix_inverse(d, algebra), SuperPoly.inverse_of_unit,
+    )
 
 
 def characteristic_series(x: SuperMatrix, order: int) -> TruncatedSeries:
-    """Expansion of Ber(tI - X^T) * t^(n-m) as a series in u = 1/t.
-
-    Computed as det[(I - Au) - u^2 B (I - Du)^{-1} C] / det(I - Du) on the
-    transposed entries; the u^k coefficient then equals (-1)^k times the k-th
-    elementary invariant of x.  The transpose bridges the two orientations in
-    play: chain coefficients read the matrix rows-out/columns-in, while the
-    Berezinian block algebra composes entries the other way around; on the
-    odd-odd cross terms the orientations differ by a sign.
+    """Expansion of Ber(tI - X^T) * t^(n-m) as a series in u = 1/t, that is
+    Ber(I - uX^T) over truncated series, by the same block formula as
+    `berezinian`.  Its u^k coefficient is (-1)^k times the k-th elementary
+    invariant of x.  The transpose bridges the two orientations in play: chain
+    coefficients read the matrix rows-out/columns-in, while the Berezinian
+    block algebra composes entries the other way around; on the odd-odd
+    cross terms the orientations differ by a sign.
     """
-    m, n = x.m, x.n
     algebra = x.algebra
-    a, b, c, d = x.transpose().blocks()
-
-    def linear_series(scalar_one, poly):
-        coeffs = [algebra.scalar(scalar_one)] + [algebra.zero()] * order
-        if order >= 1:
-            coeffs[1] = poly
-        return TruncatedSeries(algebra, coeffs, order)
-
-    # (I - Du)^{-1} = sum_k D^k u^k, truncated
-    geo = [
-        [TruncatedSeries.from_scalars(algebra, [int(i == j)], order) for j in range(n)]
-        for i in range(n)
+    grid = [
+        [TruncatedSeries.from_polys(algebra, [algebra.scalar(int(i == j)), -e], order)
+         for j, e in enumerate(row)]
+        for i, row in enumerate(x.transpose().entries)
     ]
-    d_power = [[algebra.scalar(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(1, order + 1):
-        d_power = _mat_mul(d_power, d, algebra)
-        for i in range(n):
-            for j in range(n):
-                if not d_power[i][j].is_zero:
-                    bump = TruncatedSeries.from_polys(
-                        algebra, [algebra.zero()] * k + [d_power[i][j]], order
-                    )
-                    geo[i][j] = geo[i][j] + bump
-
-    top = [[linear_series(int(i == j), -a[i][j]) for j in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            correction = TruncatedSeries.from_scalars(algebra, [0], order)
-            for s in range(n):
-                for t in range(n):
-                    bc = b[i][s] * c[t][j]
-                    if bc.is_zero:
-                        continue
-                    # geo coefficients are even, so scaling by bc on either
-                    # side agrees; keep b...c ordering via the product above
-                    correction = correction + _shift_series(geo[s][t] * bc, 2, order)
-            top[i][j] = top[i][j] - correction
-    series_one = TruncatedSeries.one(algebra, order)
-    det_top = commuting_determinant(top, series_one)
-    bottom = [[linear_series(int(i == j), -d[i][j]) for j in range(n)] for i in range(n)]
-    det_bottom = commuting_determinant(bottom, series_one)
-    return det_top * det_bottom.invert()
+    # I - uD has body I and a soul divisible by u, whose (order + 1)-th power vanishes
+    eye = [[int(i == j) for j in range(x.n)] for i in range(x.n)]
+    one = TruncatedSeries.one(algebra, order)
+    return _berezinian(
+        *_blocks(grid, x.m), one,
+        lambda d: _neumann_inverse(d, eye, one, order + 1), TruncatedSeries.invert,
+    )
 
 
 def characteristic_coefficients(x: SuperMatrix, order: int) -> list[SuperPoly]:
     """The elementary invariants read off the characteristic series."""
     series = characteristic_series(x, order)
-    return [series.coefficient(k) * ((-1) ** k) for k in range(order + 1)]
+    return [-c if k % 2 else c for k, c in enumerate(series.coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +606,6 @@ def _rational_eigenbasis(block):
             raise DegenerateSpectrumError("eigenspace is not one-dimensional")
         columns.append(kernel[0])
     return roots, [[columns[j][i] for j in range(size)] for i in range(size)]
-
-
-def _grassmann_units(algebra) -> int:
-    return sum(1 for g in algebra.generators() if g.parity == Parity.ODD)
 
 
 def diagonalize(x: SuperMatrix) -> dict:

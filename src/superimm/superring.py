@@ -422,7 +422,8 @@ class TruncatedSeries:
         order = min(self.order, other.order)
         return TruncatedSeries(
             self.algebra,
-            [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)],
+            [a if b.is_zero else b if a.is_zero else a + b
+             for a, b in zip(self.coeffs[: order + 1], other.coeffs)],
             order,
         )
 
@@ -436,15 +437,18 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction, SuperPoly)):
             return TruncatedSeries(self.algebra, [c * other for c in self.coeffs], self.order)
         order = min(self.order, other.order)
-        coeffs = []
-        for k in range(order + 1):
-            acc = self.algebra.zero()
-            for j in range(k + 1):
-                a, b = self.coeffs[j], other.coeffs[k - j]
-                if not a.is_zero and not b.is_zero:
-                    acc = acc + a * b
-            coeffs.append(acc)
-        return TruncatedSeries(self.algebra, coeffs, order)
+        coeffs = [None] * (order + 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs[: order + 1]) if not b.is_zero]
+        for i, a in enumerate(self.coeffs[: order + 1]):
+            if a.is_zero:
+                continue
+            for j, b in right:
+                if i + j > order:
+                    break
+                acc = coeffs[i + j]
+                coeffs[i + j] = a * b if acc is None else acc + a * b
+        zero = self.algebra.zero()
+        return TruncatedSeries(self.algebra, [zero if c is None else c for c in coeffs], order)
 
     __rmul__ = __mul__
 

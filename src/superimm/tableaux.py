@@ -245,7 +245,7 @@ def semistandard_super_tableaux(shape, m: int, n: int) -> tuple[tuple[tuple[int,
         lo = 1
         if j > 0:
             left = rows[i][j - 1]
-            lo = max(lo, left if left > m else left)  # weak along row
+            lo = max(lo, left)  # weak along row
         if i > 0:
             up = rows[i - 1][j]
             lo = max(lo, up)

@@ -23,3 +23,17 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "superimm", (path.name, name)
+
+
+def test_only_superring_reads_polynomial_terms():
+    """`SuperPoly._terms` is private to superring: other modules go through
+    its public methods (`terms`, `coefficient`, `poly_to_terms`, ...)."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        if path.name == "superring.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        readers = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "_terms"]
+        assert not readers, (path.name, readers)

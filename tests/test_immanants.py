@@ -176,6 +176,27 @@ def test_berezinian_singular_lower_block():
         berezinian(x)
 
 
+def _loaded(m, n, generators, entries):
+    doc = {"m": m, "n": n, "generators": generators, "entries": entries}
+    return load_supermatrix(json.dumps(doc))
+
+
+def test_berezinian_rejects_a_soul_that_is_not_nilpotent():
+    from superimm.immanants import SingularMatrixError
+
+    # D = 1 + a with a even: the Neumann series of its inverse never ends
+    x = _loaded(1, 1, {"a": "even", "t": "odd"}, [["1", "t"], ["t", "1+a"]])
+    with pytest.raises(SingularMatrixError, match="not nilpotent"):
+        berezinian(x)
+
+
+def test_berezinian_accepts_a_matrix_nilpotent_soul():
+    # every entry of the soul of D = [[1, a], [0, 1]] is even, but the soul
+    # matrix squares to zero, so D is invertible
+    x = _loaded(1, 2, {"a": "even"}, [["1", "0", "0"], ["0", "1", "a"], ["0", "0", "1"]])
+    assert berezinian(x) == 1
+
+
 def test_characteristic_series_matches_invariants():
     # the invariants come from the characteristic series; both other routes
     # (normalized immanant sum, idempotent supertrace) must agree with them

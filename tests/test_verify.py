@@ -300,6 +300,26 @@ def test_broken_idempotent_supertrace_is_caught(monkeypatch):
         )
 
 
+def test_broken_neumann_inverse_is_caught(monkeypatch):
+    import superimm.immanants as immanants
+    from superimm import ratlinalg
+
+    original = immanants._neumann_inverse
+
+    def flipped(entries, body_inv, one, terms):
+        # invert B - S instead of B + S: the Neumann step changes sign
+        body = ratlinalg.inv(body_inv)
+        mirrored = [
+            [one * (2 * c) - e for e, c in zip(row, b_row)] for row, b_row in zip(entries, body)
+        ]
+        return original(mirrored, body_inv, one, terms)
+
+    monkeypatch.setattr(immanants, "_neumann_inverse", flipped)
+    assert _failed_case(check_berezinian_series(1, 1, 3, 99, 1)) == "symbolic coefficient k=3"
+    point = random_grassmann_point(2, 1, 99)
+    assert _failed_case(check_littlewood_3((2, 1), 2, 1, point)) == "diagonalization residual"
+
+
 def test_exception_witness_names_the_raising_frame(monkeypatch):
     import superimm.verify as verify
 

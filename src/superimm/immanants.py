@@ -155,11 +155,6 @@ class SuperMatrix:
         rows = _mat_mul(self.entries, other.entries, self.algebra.zero())
         return SuperMatrix(self.m, self.n, rows, validate=False)
 
-    def scale(self, c) -> "SuperMatrix":
-        return SuperMatrix(
-            self.m, self.n, [[e * c for e in row] for row in self.entries], validate=False
-        )
-
     def evaluate(self, point: GrassmannPoint) -> "SuperMatrix":
         return SuperMatrix(
             self.m, self.n, [[point.evaluate(e) for e in row] for row in self.entries]
@@ -268,19 +263,18 @@ def chain_coefficient_slotwise(x: SuperMatrix, out_indices, in_indices) -> Super
     return x.algebra.zero() if value is None else value
 
 
-def chain_state(x: SuperMatrix, in_indices, weight=None) -> dict:
-    """The full column of chain coefficients out of one basis tensor,
-    optionally filtered to outputs with given index multiplicities."""
+def chain_state(x: SuperMatrix, in_indices, weight) -> dict:
+    """The column of chain coefficients out of one basis tensor, restricted
+    to outputs with the given index multiplicities."""
     r = len(in_indices)
     out = {}
-    want = None if weight is None else tuple(weight)
+    want = tuple(weight)
     for key in product(range(1, x.size + 1), repeat=r):
-        if want is not None:
-            counts = [0] * x.size
-            for i in key:
-                counts[i - 1] += 1
-            if tuple(counts) != want:
-                continue
+        counts = [0] * x.size
+        for i in key:
+            counts[i - 1] += 1
+        if tuple(counts) != want:
+            continue
         c = chain_coefficient(x, key, in_indices)
         if not c.is_zero:
             out[key] = c
@@ -691,9 +685,10 @@ def diagonalize(x: SuperMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def weight_space_supertrace(shape, weight, x: SuperMatrix, tab=None) -> SuperPoly:
+def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
     """Supertrace of (P_w x 1) . Delta . P_w on the copy of the irreducible
-    carved out of the tensor space by one primitive idempotent.
+    carved out of the tensor space by the primitive idempotent of the
+    row-reading tableau.
 
     The subspace is the idempotent's image of the weight slice; the trace is
     taken against the Gram matrix of the product-delta form on an explicit
@@ -705,14 +700,12 @@ def weight_space_supertrace(shape, weight, x: SuperMatrix, tab=None) -> SuperPol
     if sum(shape) != r:
         raise SuperMatrixError("shape size and weight size differ")
     m = x.m
-    if tab is None:
-        tab = row_reading_tableau(shape)
     multiset = composition_to_multiset(weight)
     sign = 1
     for i in multiset:
         sign *= parity_weight(i, m)
 
-    e = primitive_idempotent(tab)
+    e = primitive_idempotent(row_reading_tableau(shape))
     keys = [
         key
         for key in product(range(1, x.size + 1), repeat=r)
@@ -739,7 +732,7 @@ def weight_space_supertrace(shape, weight, x: SuperMatrix, tab=None) -> SuperPol
     for v in basis:
         image: dict = {}
         for key, coeff in v.items():
-            for out_key, value in chain_state(x, key, weight=weight).items():
+            for out_key, value in chain_state(x, key, weight).items():
                 poly = value * coeff
                 prev = image.get(out_key)
                 image[out_key] = poly if prev is None else prev + poly

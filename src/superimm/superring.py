@@ -110,9 +110,6 @@ class Algebra:
         c = _normal(c)
         return SuperPoly(self, {((), ()): c} if c else {})
 
-    def poly(self, text: str) -> "SuperPoly":
-        return parse_poly(self, text)
-
 
 def _normal(c):
     """A rational in stored form: int when its denominator is 1, else Fraction."""

@@ -1,16 +1,14 @@
 """Partitions, tableaux, hook/super-hook combinatorics, and S_r characters.
 
-Covers standard and semistandard super tableaux, the triangular-pattern
-basis labels in bijection with semistandard super tableaux, Kostka numbers
-with their inverse, and irreducible symmetric-group characters via the
-border-strip (Murnaghan-Nakayama) recursion.
+Covers standard and semistandard super tableaux, Kostka numbers with their
+inverse, and irreducible symmetric-group characters via the border-strip
+(Murnaghan-Nakayama) recursion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial
 
 
@@ -398,173 +396,3 @@ def induced_trivial_character(mu):
         for rho in partitions(r)
     }
     return table
-
-
-# ---------------------------------------------------------------------------
-# Highest-weight dictionary and triangular patterns
-# ---------------------------------------------------------------------------
-
-
-def partition_to_weight(shape, m: int, n: int) -> tuple[int, ...]:
-    """Covariant highest weight (a_1..a_m | a_{m+1}..a_{m+n}) of a hook shape."""
-    shape = normalize_partition(shape)
-    if not in_hook(shape, m, n):
-        raise TableauxError(f"{shape} is not inside the ({m},{n}) hook")
-    conj = conjugate(shape)
-    head = tuple(part(shape, i) for i in range(1, m + 1))
-    tail = tuple(max(0, part(conj, i) - m) for i in range(1, n + 1))
-    return head + tail
-
-
-def weight_to_partition(weight, m: int, n: int) -> tuple[int, ...]:
-    """Inverse dictionary: rows past m are the conjugate of the odd weight tail."""
-    weight = tuple(int(x) for x in weight)
-    if len(weight) != m + n:
-        raise TableauxError("weight must have m+n components")
-    head = list(weight[:m])
-    tail = weight[m:]
-    below = conjugate(tuple(sorted((x for x in tail if x > 0), reverse=True)))
-    shape = tuple(head) + below
-    return normalize_partition(shape)
-
-
-class TriangularPattern:
-    """Triangular array of row lengths/column counts labelling a basis vector.
-
-    Row i (1-based) has entries lam[i][0..i-1].  The 0/1 increments across the
-    even/odd divide are recorded for inspection.
-    """
-
-    __slots__ = ("rows", "m", "n")
-
-    def __init__(self, rows, m: int, n: int):
-        self.rows = tuple(tuple(row) for row in rows)
-        self.m = m
-        self.n = n
-        if len(self.rows) != m + n or any(len(self.rows[i]) != i + 1 for i in range(m + n)):
-            raise TableauxError("pattern must be triangular of height m+n")
-
-    def entry(self, i: int, j: int) -> int:
-        """1-based access lam_{ij}."""
-        return self.rows[i - 1][j - 1]
-
-    def increments(self) -> dict:
-        """The {0,1} jumps th_{p-1,i} on the first m columns."""
-        out = {}
-        for p in range(self.m + 1, self.m + self.n + 1):
-            for i in range(1, self.m + 1):
-                out[(p - 1, i)] = self.entry(p, i) - self.entry(p - 1, i)
-        return out
-
-    def weight(self) -> tuple[int, ...]:
-        sums = [sum(row) for row in self.rows]
-        return tuple(sums[i] - (sums[i - 1] if i else 0) for i in range(len(sums)))
-
-    def __eq__(self, other):
-        return isinstance(other, TriangularPattern) and (self.rows, self.m, self.n) == (
-            other.rows,
-            other.m,
-            other.n,
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.m, self.n))
-
-    def __repr__(self):
-        return " / ".join(",".join(map(str, row)) for row in self.rows)
-
-
-def _pattern_row_ok(pattern_rows, i, m, n):
-    """Local conditions linking row i (1-based) to row i+1, plus per-row rules."""
-    row = pattern_rows[i - 1]
-    if any(x < 0 for x in row):
-        return False
-    if i < m + n:
-        above = pattern_rows[i]
-    else:
-        above = None
-    if i <= m:
-        # even block: standard interlacing with the row above (when it is even-block too)
-        if above is not None and i + 1 <= m:
-            for j in range(1, i + 1):
-                if not (above[j - 1] >= row[j - 1] >= (above[j] if j < len(above) else 0)):
-                    return False
-        # weakly decreasing inside the row
-        if any(row[j] < row[j + 1] for j in range(len(row) - 1)):
-            return False
-    else:
-        # odd zone rows carry row counts (first m) and column counts (rest)
-        if above is not None:
-            for j in range(1, m + 1):
-                if above[j - 1] - row[j - 1] not in (0, 1):
-                    return False
-            for j in range(m + 1, i + 1):
-                if not (above[j - 1] >= row[j - 1] >= (above[j] if j < len(above) else 0)):
-                    return False
-        # first m entries weakly decreasing (rows strictly under the top)
-        if any(row[j] < row[j + 1] for j in range(m - 1)):
-            return False
-        # the m-th entry bounds how many odd columns are active
-        active = sum(1 for j in range(m + 1, i + 1) if row[j - 1] > 0)
-        if m >= 1 and row[m - 1] < active:
-            return False
-    if i == m and m + n > m:
-        # increments into the first odd row, with the degenerate-corner rule
-        above = pattern_rows[i]
-        for j in range(1, m + 1):
-            if above[j - 1] - row[j - 1] not in (0, 1):
-                return False
-        if m >= 1 and above[m - 1] == 0 and row[m - 1] != above[m - 1]:
-            return False
-    return True
-
-
-def triangular_patterns(shape, m: int, n: int) -> tuple[TriangularPattern, ...]:
-    """All patterns with top row the covariant weight of the shape."""
-    top = partition_to_weight(shape, m, n)
-    height = m + n
-    bound = max(top, default=0)
-    out = []
-    rows: list[tuple[int, ...] | None] = [None] * height
-    rows[height - 1] = top
-
-    def grow(i):
-        if i == 0:
-            out.append(TriangularPattern(tuple(rows), m, n))
-            return
-        for cand in product(range(bound + 1), repeat=i):
-            rows[i - 1] = cand
-            if _pattern_row_ok(rows, i, m, n):
-                grow(i - 1)
-        rows[i - 1] = None
-
-    if _pattern_row_ok(rows, height, m, n):
-        grow(height - 1)
-    return tuple(out)
-
-
-def patterns_for_weight(weight, m: int, n: int) -> tuple[TriangularPattern, ...]:
-    """Pattern enumeration keyed by the covariant highest weight."""
-    return triangular_patterns(weight_to_partition(weight, m, n), m, n)
-
-
-def pattern_to_tableau(p: TriangularPattern) -> tuple[tuple[int, ...], ...]:
-    """Rebuild the semistandard super tableau counted by a pattern.
-
-    Column j <= m of row i counts entries <= i in tableau row j; column m+k
-    counts entries <= i in tableau column k below row m.
-    """
-    m, n = p.m, p.n
-    shape = weight_to_partition(p.rows[-1], m, n)
-    rows = [[0] * ln for ln in shape]
-    for j in range(1, min(m, len(shape)) + 1):
-        for c in range(1, shape[j - 1] + 1):
-            entry = next(i for i in range(j, m + n + 1) if p.entry(i, j) >= c)
-            rows[j - 1][c - 1] = entry
-    conj = conjugate(shape)
-    for k in range(1, (shape[m] if len(shape) > m else 0) + 1):
-        depth = part(conj, k) - m
-        for d in range(1, depth + 1):
-            entry = next(i for i in range(m + k, m + n + 1) if p.entry(i, m + k) >= d)
-            rows[m + d - 1][k - 1] = entry
-    return tuple(tuple(row) for row in rows)

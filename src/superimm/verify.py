@@ -626,8 +626,8 @@ def check_schur_weyl(m: int, n: int, r: int) -> CheckReport:
 def random_grassmann_point(m: int, n: int, seed: int, n_units: int = 4) -> GrassmannPoint:
     """Seeded evaluation point for the generator matrix: distinct rational
     bodies on the diagonal, small soul coefficients, odd blocks pure soul.
-    Even off-diagonal entries get souls only, so the block bodies stay
-    diagonal with distinct eigenvalues (an integer shear below re-mixes them).
+    Even off-diagonal entries get souls only, so the block bodies are
+    diagonal, with distinct eigenvalues.
     """
     rng = random.Random(seed)
     d = m + n

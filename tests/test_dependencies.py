@@ -5,6 +5,7 @@ from pathlib import Path
 import superimm
 
 PACKAGE = Path(superimm.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_package_imports_only_the_standard_library():
@@ -37,3 +38,65 @@ def test_only_superring_reads_polynomial_terms():
         readers = [node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr == "_terms"]
         assert not readers, (path.name, readers)
+
+
+# Top-level names that no check, script or CLI path calls, kept on purpose.
+UNREACHED_BY_DESIGN = {
+    "immanant_via_idempotent": "test oracle: the immanant as a supertrace through an idempotent",
+    "star_product_slotwise": "test oracle: star products slot by slot",
+    "berezinian": "public API: the Berezinian of a supermatrix",
+    "poly_from_terms": "public API: inverse of poly_to_terms",
+    "is_supersymmetric": "public API: the supersymmetry test as a predicate",
+    "fusion_idempotent": "test oracle: the fusion procedure for primitive idempotents",
+    "central_idempotent": "public API: central idempotents of the group algebra",
+    "transposition_relation": "test oracle: the Jucys-Murphy transposition relation",
+    "class_size": "test oracle: class sizes for the character orthogonality relations",
+    "lr_coefficient": "public API: one Littlewood-Richardson coefficient, both oracles agreeing",
+    "check_classical_degeneration": "test oracle: classical immanants at n = 0, no odd block",
+}
+
+
+def _definition_name(node):
+    """The name a top-level def or class binds; None for other statements."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    return None
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _references(tree: ast.Module):
+    """(name, enclosing top-level definition) for every Name and Attribute."""
+    for top in tree.body:
+        owner = _definition_name(top)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_library_code_has_a_caller():
+    """Every top-level def or class of the package is referenced somewhere
+    in the package (outside its own definition), in `scripts` or in
+    `perfbench`; tests alone do not keep library code alive."""
+    trees = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    reached: dict[str, set] = {}
+    for module, tree in trees.items():
+        for name, owner in _references(tree):
+            reached.setdefault(name, set()).add((module, owner))
+    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for name, _ in _references(_parse(path)):
+            reached.setdefault(name, set()).add((path.name, None))
+    unreached = {
+        top.name: f"{module}:{top.name}"
+        for module, tree in trees.items()
+        for top in tree.body
+        if _definition_name(top) and not reached.get(top.name, set()) - {(module, top.name)}
+    }
+    uncalled = sorted(unreached[name] for name in unreached.keys() - UNREACHED_BY_DESIGN.keys())
+    assert not uncalled, uncalled
+    stale = sorted(UNREACHED_BY_DESIGN.keys() - unreached.keys())
+    assert not stale, f"allowed as unreached, but reached or gone: {stale}"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from superimm.immanants import elementary_invariant, generator_matrix, normalized_immanant_sum
@@ -13,7 +15,13 @@ from superimm.supersym import (
     sym_algebra,
 )
 from superimm.superring import grassmann_algebra
-from superimm.tableaux import hook_partitions, in_hook, partitions
+from superimm.tableaux import (
+    hook_partitions,
+    in_hook,
+    partitions,
+    semistandard_super_tableaux,
+    tableau_weight,
+)
 
 
 def xy(m, n):
@@ -97,10 +105,22 @@ def test_schur_super_values():
 
 
 def test_schur_super_vanishes_exactly_off_hook():
-    for m, n in [(1, 1), (2, 1), (1, 2)]:
+    # the coefficient of u^a v^b is the super Kostka number: the count of
+    # semistandard super tableaux of weight (a|b), zero off the hook
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
+        names = [f"u{i}" for i in range(1, m + 1)] + [f"v{j}" for j in range(1, n + 1)]
         for r in range(1, 6):
             for lam in partitions(r):
-                assert schur_super(lam, m, n).is_zero == (not in_hook(lam, m, n))
+                poly = schur_super(lam, m, n)
+                assert poly.is_zero == (not in_hook(lam, m, n))
+                counts = Counter(
+                    tableau_weight(t, m, n) for t in semistandard_super_tableaux(lam, m, n)
+                )
+                want = {
+                    (tuple((name, a) for name, a in zip(names, w) if a), ()): c
+                    for w, c in counts.items()
+                }
+                assert {(e, o): c for e, o, c in poly.terms()} == want
 
 
 def test_schur_super_supersymmetric():

@@ -251,13 +251,19 @@ def chain_coefficient(x: SuperMatrix, out_indices, in_indices) -> SuperPoly:
     return -term if sign < 0 else term
 
 
-def chain_coefficient_slotwise(x: SuperMatrix, out_indices, in_indices) -> SuperPoly:
+def slot_operators(x: SuperMatrix, r: int) -> list[TensorOperator]:
+    """The operators acting by x on one of r slots, slot 1 first."""
+    return [TensorOperator.matrix_at_slot(x.entries, slot, x.m, x.n, r) for slot in range(1, r + 1)]
+
+
+def chain_coefficient_slotwise(x: SuperMatrix, out_indices, in_indices, slot_ops=None) -> SuperPoly:
     """Oracle: apply the slot factors one at a time, tracking every move of an
-    odd matrix leg past coefficients and basis factors."""
-    r = len(out_indices)
+    odd matrix leg past coefficients and basis factors.  A caller with many
+    index pairs passes `slot_operators(x, r)` once as `slot_ops`."""
+    if slot_ops is None:
+        slot_ops = slot_operators(x, len(out_indices))
     state = {tuple(in_indices): x.algebra.one()}
-    for slot in range(r, 0, -1):
-        op = TensorOperator.matrix_at_slot(x.entries, slot, x.m, x.n, r)
+    for op in reversed(slot_ops):
         state = op.apply(state)
     value = state.get(tuple(out_indices))
     return x.algebra.zero() if value is None else value

@@ -31,6 +31,7 @@ from superimm.immanants import (
     normalized_immanant_sum,
     power_trace,
     schur_weyl_norm_report,
+    slot_operators,
     super_immanant,
     weight_space_supertrace,
 )
@@ -257,17 +258,10 @@ def lr_coefficient(mu, nu, lam) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _counts_of(indices, d: int):
-    counts = [0] * d
-    for i in indices:
-        counts[i - 1] += 1
-    return tuple(counts)
-
-
 def _multiset_splittings(indices, sizes, d: int):
     """Ordered tuples of sorted multisets with the given sizes whose disjoint
     union is the given multiset."""
-    total = _counts_of(indices, d)
+    total = tuple(indices.count(i) for i in range(1, d + 1))
 
     def grow(counts, pos):
         if pos == len(sizes):
@@ -704,41 +698,52 @@ def check_berezinian_series(m: int, n: int, order: int, seed: int, trials: int) 
     return _run("berezinian-series", params, comparisons())
 
 
-def check_littlewood_3(lam, m: int, n: int, point: GrassmannPoint) -> CheckReport:
+def _once(memo: dict, key, compute):
+    """memo[key], computed on first use.  Nothing is stored when compute
+    raises, so every report that needs the value raises it again."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def check_littlewood_3(lam, m: int, n: int, point: GrassmannPoint,
+                       symbolic: dict | None = None, at_point: dict | None = None) -> CheckReport:
     """Evaluate the normalized immanant sum at a Grassmann point and compare
     with the Schur supersymmetric polynomial at the eigenvalues of the
-    transposed point matrix; the diagonalization must be exact."""
+    transposed point matrix; the diagonalization must be exact.  A sweep
+    shares work between its reports through two dicts that fill on first use:
+    `symbolic` across the points of one (m, n), `at_point` across the shapes
+    at one point."""
     lam = normalize_partition(lam)
+    if not lam:
+        raise VerifyError("littlewood3 needs a nonempty shape")
     params = {"identity": "littlewood3", "m": m, "n": n, "lambda": list(lam)}
     r = sum(lam)
     x = generator_matrix(m, n)
+    symbolic = {} if symbolic is None else symbolic
+    at_point = {} if at_point is None else at_point
+    # case label -> (key, left side in x), (key, right side in the two alphabets)
+    sides = {
+        f"lambda={list(lam)}": ((("immanant sum", lam), lambda: normalized_immanant_sum(lam, x)),
+                                (("schur", lam), lambda: schur_super(lam, m, n))),
+        "power-sum specialization": ((("power trace", r), lambda: power_trace(x, r)),
+                                     (("power sum", r), lambda: power_sum(r, m, n))),
+        "elementary specialization": ((("elementary", r), lambda: elementary_invariant(x, r)),
+                                      (("schur", (1,) * r), lambda: schur_super((1,) * r, m, n))),
+        "complete specialization": ((("complete", r), lambda: complete_invariant(x, r)),
+                                    (("schur", (r,)), lambda: schur_super((r,), m, n))),
+    }
 
     def comparisons():
-        x_point = x.evaluate(point).transpose()
-        eigen = diagonalize(x_point)
-        target = grassmann_algebra(point.n_units)
+        eigen = _once(at_point, "eigen", lambda: diagonalize(x.evaluate(point).transpose()))
         yield ("diagonalization residual", eigen["residual_zero"], True)
-        omegas = eigen["even_eigenvalues"]
-        varpis = eigen["odd_eigenvalues"]
-        args = (omegas, [-w for w in varpis])
-        lhs = point.evaluate(normalized_immanant_sum(lam, x))
-        rhs = evaluate_two_alphabets(schur_super(lam, m, n), args[0], args[1], target)
-        yield (f"lambda={list(lam)}", lhs, rhs)
-        yield (
-            "power-sum specialization",
-            point.evaluate(power_trace(x, r)),
-            evaluate_two_alphabets(power_sum(r, m, n), args[0], args[1], target),
-        )
-        yield (
-            "elementary specialization",
-            point.evaluate(elementary_invariant(x, r)),
-            evaluate_two_alphabets(schur_super((1,) * r, m, n), args[0], args[1], target),
-        )
-        yield (
-            "complete specialization",
-            point.evaluate(complete_invariant(x, r)),
-            evaluate_two_alphabets(schur_super((r,), m, n), args[0], args[1], target),
-        )
+        alphabets = (eigen["even_eigenvalues"], [-w for w in eigen["odd_eigenvalues"]],
+                     grassmann_algebra(point.n_units))
+        for label, (left, right) in sides.items():
+            def evaluate():
+                return (point.evaluate(_once(symbolic, *left)),
+                        evaluate_two_alphabets(_once(symbolic, *right), *alphabets))
+            yield (label,) + _once(at_point, (label, r), evaluate)
 
     return _run("littlewood3", params, comparisons())
 
@@ -792,12 +797,13 @@ def check_chain_oracle(m: int, n: int, max_r: int) -> CheckReport:
 
     def comparisons():
         for r in range(1, max_r + 1):
+            slot_ops = slot_operators(x, r)
             for out_indices in iproduct(range(1, m + n + 1), repeat=r):
                 for in_indices in iproduct(range(1, m + n + 1), repeat=r):
                     yield (
                         f"I={list(out_indices)}, J={list(in_indices)}",
                         chain_coefficient(x, out_indices, in_indices),
-                        chain_coefficient_slotwise(x, out_indices, in_indices),
+                        chain_coefficient_slotwise(x, out_indices, in_indices, slot_ops),
                     )
 
     return _run("chain-oracle", params, comparisons())
@@ -838,53 +844,40 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
           trials: int = 10) -> list[CheckReport]:
     """Run one named check family at desk scale; `all` runs every family of
     CHECK_FAMILIES, the whole catalog."""
-    reports: list[CheckReport] = []
-    if name == "vanishing":
-        for r in range(1, max_r + 1):
-            reports.append(check_vanishing(m, n, r))
-    elif name == "kostant":
-        for r in range(1, max_r + 1):
-            reports.append(check_kostant(m, n, r))
-    elif name == "schur-weyl":
-        for r in range(1, max_r + 1):
-            reports.append(check_schur_weyl(m, n, r))
-    elif name == "littlewood1":
-        for mu, nu in _partition_pairs(m + n, m + n):
-            reports.append(check_littlewood_1(mu, nu, m, n))
-    elif name == "littlewood2":
-        for mu, nu in _partition_pairs(1, max_r):
-            reports.append(check_littlewood_2(mu, nu, m, n))
-    elif name == "lmw":
-        for r in range(1, max_r + 1):
-            for lam in partitions(r):
-                reports.append(check_lmw(lam, m, n))
-    elif name == "macmahon":
-        reports.append(check_macmahon(m, n, order))
-    elif name == "newton":
-        reports.append(check_newton(m, n, order))
-    elif name == "goulden-jackson":
-        for r in range(1, max_r + 1):
-            for lam in partitions(r):
-                reports.append(check_goulden_jackson(lam, m, n))
-    elif name == "littlewood3":
+    if trials < 1:
+        raise VerifyError(f"sweep needs trials >= 1, got {trials}")
+    degrees = range(1, max_r + 1)
+    shapes = [lam for r in degrees for lam in partitions(r)]
+    per_degree = {"vanishing": check_vanishing, "kostant": check_kostant,
+                  "schur-weyl": check_schur_weyl}
+    per_shape = {"lmw": check_lmw, "goulden-jackson": check_goulden_jackson,
+                 "hessenberg": check_hessenberg}
+    single = {
+        "macmahon": lambda: check_macmahon(m, n, order),
+        "newton": lambda: check_newton(m, n, order),
+        "berezinian": lambda: check_berezinian_series(m, n, order, seed, trials),
+        "phi-isomorphism": lambda: check_phi_isomorphism(m, n, max_r),
+        "chain-oracle": lambda: check_chain_oracle(m, n, max_r),
+    }
+    if name in per_degree:
+        return [per_degree[name](m, n, r) for r in degrees]
+    if name in per_shape:
+        return [per_shape[name](lam, m, n) for lam in shapes]
+    if name in single:
+        return [single[name]()]
+    if name == "littlewood1":
+        return [check_littlewood_1(mu, nu, m, n) for mu, nu in _partition_pairs(m + n, m + n)]
+    if name == "littlewood2":
+        return [check_littlewood_2(mu, nu, m, n) for mu, nu in _partition_pairs(1, max_r)]
+    if name == "littlewood3":
+        symbolic: dict = {}
+        reports = []
         for t in range(trials):
             point = random_grassmann_point(m, n, seed + t)
-            for r in range(1, max_r + 1):
-                for lam in partitions(r):
-                    reports.append(check_littlewood_3(lam, m, n, point))
-    elif name == "berezinian":
-        reports.append(check_berezinian_series(m, n, order, seed, trials))
-    elif name == "hessenberg":
-        for r in range(1, max_r + 1):
-            for lam in partitions(r):
-                reports.append(check_hessenberg(lam, m, n))
-    elif name == "phi-isomorphism":
-        reports.append(check_phi_isomorphism(m, n, max_r))
-    elif name == "chain-oracle":
-        reports.append(check_chain_oracle(m, n, max_r))
-    elif name == "all":
-        for sub in CHECK_FAMILIES:
-            reports.extend(sweep(sub, m, n, max_r, order=order, seed=seed, trials=trials))
-    else:
-        raise VerifyError(f"unknown check name {name!r}")
-    return reports
+            at_point: dict = {}
+            reports += [check_littlewood_3(lam, m, n, point, symbolic, at_point) for lam in shapes]
+        return reports
+    if name == "all":
+        return [report for sub in CHECK_FAMILIES
+                for report in sweep(sub, m, n, max_r, order=order, seed=seed, trials=trials)]
+    raise VerifyError(f"unknown check name {name!r}")

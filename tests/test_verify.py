@@ -352,6 +352,101 @@ def test_orders_below_the_minimum_are_rejected_up_front(check, low, monkeypatch)
             check(order)
 
 
+def test_littlewood_3_rejects_the_empty_shape_up_front(monkeypatch):
+    import superimm.verify as verify
+
+    point = random_grassmann_point(1, 1, 99)
+
+    def no_work(*args):
+        raise AssertionError("work started before the shape was checked")
+
+    monkeypatch.setattr(verify, "generator_matrix", no_work)
+    with pytest.raises(VerifyError, match="nonempty shape"):
+        check_littlewood_3((), 1, 1, point)
+
+
+def test_sweep_rejects_trials_below_one():
+    for trials in (0, -2):
+        with pytest.raises(VerifyError, match=f"trials >= 1, got {trials}"):
+            sweep("littlewood3", 1, 1, 2, trials=trials)
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Count the calls of module.name in calls[name]."""
+    original = getattr(module, name)
+
+    def spy(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_littlewood_3_sweep_shares_its_work(monkeypatch):
+    import superimm.verify as verify
+
+    calls = {}
+    for name in ("diagonalize", "normalized_immanant_sum", "power_trace",
+                 "elementary_invariant", "complete_invariant"):
+        _spy(monkeypatch, verify, name, calls)
+    reports = sweep("littlewood3", 2, 1, 3, trials=3)
+    assert len(reports) == 3 * 6 and all(r.passed for r in reports)
+    # one diagonalization per point, the symbolic sides once per shape or degree
+    assert calls == {"diagonalize": 3, "normalized_immanant_sum": 6, "power_trace": 3,
+                     "elementary_invariant": 3, "complete_invariant": 3}
+
+
+def test_chain_oracle_builds_each_slot_operator_once(monkeypatch):
+    from superimm.tensorspace import TensorOperator
+
+    calls = {}
+    _spy(monkeypatch, TensorOperator, "matrix_at_slot", calls)
+    _assert_pass(check_chain_oracle(1, 1, 3))
+    assert calls == {"matrix_at_slot": 1 + 2 + 3}
+
+
+def test_littlewood_3_failure_at_one_point_stays_with_its_reports(monkeypatch):
+    import superimm.verify as verify
+    from superimm.immanants import DegenerateSpectrumError
+
+    bad = generator_matrix(2, 1).evaluate(random_grassmann_point(2, 1, 20240613 + 1)).transpose()
+    original = verify.diagonalize
+
+    def diagonalize(x):
+        if x == bad:
+            raise DegenerateSpectrumError("eigenvalue bodies collide across the blocks")
+        return original(x)
+
+    monkeypatch.setattr(verify, "diagonalize", diagonalize)
+    reports = sweep("littlewood3", 2, 1, 2, trials=3)
+    at_bad = reports[3:6]
+    assert all(r.passed for r in reports[:3] + reports[6:])
+    witness = at_bad[0].witness
+    assert witness["case"] == "exception"
+    assert witness["error"] == "DegenerateSpectrumError: eigenvalue bodies collide across the blocks"
+    assert re.fullmatch(r"test_verify:\d+ in diagonalize", witness["where"])
+    assert all(not r.passed and r.cases == 0 and r.witness == witness for r in at_bad)
+
+
+def test_littlewood_3_wrong_immanant_sum_fails_only_its_shape(monkeypatch):
+    import superimm.verify as verify
+
+    original = verify.normalized_immanant_sum
+
+    def off_by_one(lam, x):
+        value = original(lam, x)
+        return value + x.algebra.one() if tuple(lam) == (2, 1) else value
+
+    monkeypatch.setattr(verify, "normalized_immanant_sum", off_by_one)
+    reports = sweep("littlewood3", 2, 1, 3, trials=2)
+    for report in reports:
+        if report.params["lambda"] == [2, 1]:
+            assert not report.passed and report.witness["case"] == "lambda=[2, 1]"
+        else:
+            assert report.passed, report.witness
+    assert sum(not r.passed for r in reports) == 2
+
+
 def test_vacuous_reports_keep_their_json():
     vacuous = check_vanishing(1, 1, 2)
     assert vacuous.passed and vacuous.cases == 0 and vacuous.vacuous

@@ -613,7 +613,8 @@ def diagonalize(x: SuperMatrix) -> dict:
 
     First conjugates by the rational eigenbasis of the block bodies, then
     solves for each eigenvector column by a fixed-point iteration that raises
-    the theta degree of the error every pass, so it terminates exactly.
+    the theta degree of the error every pass, so it terminates exactly.  A
+    pass divides only by the rational gaps b_pos - b_k between distinct bodies.
     """
     m, n = x.m, x.n
     algebra = x.algebra
@@ -644,25 +645,25 @@ def diagonalize(x: SuperMatrix) -> dict:
     eigenvalues = []
     for pos in range(size):
         z = [algebra.scalar(int(k == pos)) for k in range(size)]
-        omega = algebra.scalar(bodies[pos])
+        shift = algebra.zero()  # omega - b_pos; row k: (b_pos - b_k) z_k = rows[k] - shift z_k
+        inverse_gaps = [Fraction(1) / (bodies[pos] - b) if b != bodies[pos] else 0 for b in bodies]
         for _ in range(passes):
-            omega_new = algebra.scalar(bodies[pos])
-            for t in range(size):
-                if not soul[pos][t].is_zero and not z[t].is_zero:
-                    omega_new = omega_new + soul[pos][t] * z[t]
-            z_new = [None] * size
-            z_new[pos] = algebra.one()
+            rows = []
             for k in range(size):
-                if k == pos:
-                    continue
-                rhs = algebra.zero()
+                row = algebra.zero()
                 for t in range(size):
                     if not soul[k][t].is_zero and not z[t].is_zero:
-                        rhs = rhs + soul[k][t] * z[t]
-                z_new[k] = (omega_new - bodies[k]).inverse_of_unit() * rhs
-            if z_new == z and omega_new == omega:
+                        row = row + soul[k][t] * z[t]
+                rows.append(row)
+            z_new = []
+            for k, row in enumerate(rows):
+                if k != pos and not rows[pos].is_zero and not z[k].is_zero:
+                    row = row - rows[pos] * z[k]
+                z_new.append(algebra.one() if k == pos else row * inverse_gaps[k])
+            if z_new == z and rows[pos] == shift:
                 break
-            z, omega = z_new, omega_new
+            z, shift = z_new, rows[pos]
+        omega = shift + bodies[pos]
         for k in range(size):
             lhs = algebra.zero()
             for t in range(size):

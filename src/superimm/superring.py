@@ -160,6 +160,9 @@ def _merge_even(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(exps.items()))
 
 
+_ONE = ((), ())  # the key of the constant monomial
+
+
 class SuperPoly:
     """Element of a free supercommutative Q-algebra, in normal form.
 
@@ -242,23 +245,34 @@ class SuperPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if other.__class__ is not SuperPoly and isinstance(other, (int, Fraction)):
+        left = self._terms
+        if other.__class__ is SuperPoly or not isinstance(other, (int, Fraction)):
+            self._check(other)
+            right = other._terms
+            if len(right) == 1 and _ONE in right:  # a constant operand only scales the other
+                other = right[_ONE]
+            elif len(left) == 1 and _ONE in left:
+                left, other = right, left[_ONE]
+        if other.__class__ is not SuperPoly:
             if other == 0:
                 return SuperPoly(self.algebra, {})
+            if other == 1:
+                return SuperPoly(self.algebra, dict(left))
             other = _normal(other)
-            return SuperPoly(self.algebra, {k: _normal(c * other) for k, c in self._terms.items()})
-        self._check(other)
+            return SuperPoly(self.algebra, {k: _normal(c * other) for k, c in left.items()})
         terms: dict = {}
-        for (ea, oa), ca in self._terms.items():
-            for (eb, ob), cb in other._terms.items():
+        for (ea, oa), ca in left.items():
+            for (eb, ob), cb in right.items():
                 sign, odd = merge_odd_parts(oa, ob)
                 if sign == 0:
                     continue
                 key = (_merge_even(ea, eb), odd)
-                s = terms.get(key, 0) + sign * ca * cb
+                p = ca * cb if sign > 0 else -(ca * cb)
+                s = terms.get(key)
+                s = p if s is None else s + p
                 if s:
                     terms[key] = s
-                elif key in terms:
+                else:
                     del terms[key]
         for key, c in terms.items():  # _normal, inlined: it runs once per product term
             if c.__class__ is not int and c.denominator == 1:
@@ -285,8 +299,9 @@ class SuperPoly:
             return NotImplemented
         return self.algebra.compatible(other.algebra) and self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+    def __hash__(self):  # a constant hashes like the rational it equals
+        terms = self._terms
+        return hash(terms.get(_ONE, 0) if terms.keys() <= {_ONE} else frozenset(terms.items()))
 
     # -- substitution ----------------------------------------------------------
 
@@ -296,24 +311,30 @@ class SuperPoly:
         Odd factors are substituted in the monomial's canonical order, so the
         normal-form sign stored in the coefficient stays correct.
         """
-        out = target.zero()
+        powers: dict = {}
+
+        def power(name, exp):  # images[name] ** exp, built once per call
+            if (name, exp) not in powers:
+                if name not in images:
+                    raise EvaluationError(f"no value assigned to generator {name!r}")
+                value = images[name]
+                if exp > 1:
+                    value = power(name, exp - 1) * value
+                elif not target.compatible(value.algebra):
+                    raise AlgebraMismatchError(f"the image of {name!r} is not in the target algebra")
+                powers[name, exp] = value
+            return powers[name, exp]
+
+        acc: dict = {}
         for (even, odd), c in self._terms.items():
-            term = target.scalar(c)
-            try:
-                for name, exp in even:
-                    img = images[name]
-                    for _ in range(exp):
-                        term = term * img
-                    if term.is_zero:
-                        break
-                for name in odd:
-                    term = term * images[name]
-                    if term.is_zero:
-                        break
-            except KeyError as exc:
-                raise EvaluationError(f"no value assigned to generator {exc.args[0]!r}") from exc
-            out = out + term
-        return out
+            term = None
+            for name, exp in (*even, *((name, 1) for name in odd)):
+                term = power(name, exp) if term is None else term * power(name, exp)
+                if term.is_zero:
+                    break
+            for key, v in (((_ONE, 1),) if term is None else term._terms.items()):
+                acc[key] = acc.get(key, 0) + c * v
+        return SuperPoly(target, {k: _normal(v) for k, v in acc.items() if v})
 
     # -- inverses ----------------------------------------------------------------
 

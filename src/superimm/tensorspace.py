@@ -203,13 +203,14 @@ def bilinear_form(state1: dict, state2: dict):
 class TensorOperator:
     """Sparse even operator on r slots, stored by action coefficients."""
 
-    __slots__ = ("m", "n", "r", "coeffs")
+    __slots__ = ("m", "n", "r", "coeffs", "_by_input")
 
     def __init__(self, m: int, n: int, r: int, coeffs: dict | None = None):
         self.m = m
         self.n = n
         self.r = r
         self.coeffs = {k: v for k, v in (coeffs or {}).items() if not _is_zero(v)}
+        self._by_input = None  # input key -> [(output key, coefficient, leg parity)]
 
     # -- constructors ---------------------------------------------------------
 
@@ -266,17 +267,19 @@ class TensorOperator:
         return TensorOperator(self.m, self.n, self.r, coeffs)
 
     def apply(self, state: dict) -> dict:
+        if self._by_input is None:
+            self._by_input = {}
+            for (l, k), a in self.coeffs.items():
+                self._by_input.setdefault(k, []).append((l, a, sum(tuple_parities(l + k, self.m)) % 2))
         out: dict = {}
-        for (l, k), a in self.coeffs.items():
-            c = state.get(k)
-            if c is None:
-                continue
-            legs = (sum(tuple_parities(l, self.m)) + sum(tuple_parities(k, self.m))) % 2
-            for par, part in _hom_parts(c):
-                term = a * part
-                if legs and par:
-                    term = -term
-                state_add(out, l, term)
+        for k, c in state.items():
+            parts = _hom_parts(c)
+            for l, a, legs in self._by_input.get(k, ()):
+                for par, part in parts:
+                    term = a * part
+                    if legs and par:
+                        term = -term
+                    state_add(out, l, term)
         return out
 
     # -- traces -------------------------------------------------------------------

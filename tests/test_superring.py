@@ -292,6 +292,16 @@ def test_algebra_equality_implies_equal_hashes():
     assert a != b or hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("value", [5, -3, Fraction(2, 3), Fraction(4, 2), 0, Fraction(0)])
+def test_constant_poly_hashes_like_its_rational_value(value):
+    alg = Algebra("c")
+    alg.even("x")
+    for p in (alg.scalar(value), alg.gen("x") * 0 + value):
+        assert p == value and hash(p) == hash(value)
+        assert {value: "found"}[p] == "found"
+    assert alg.zero() == 0 and hash(alg.zero()) == hash(0)
+
+
 # -- integer-first coefficients against a plain-Fraction reference -------------
 #
 # A reference polynomial is a dict {(even_part, odd_part): Fraction} in the
@@ -412,6 +422,66 @@ def test_kernel_coefficients_match_fraction_reference(raw_a, raw_b, raw_c, s):
     images = {g: b for g in EVEN_GENS} | {g: c for g in ODD_GENS}
     ref_images = {g: ref_b for g in EVEN_GENS} | {g: ref_c for g in ODD_GENS}
     _assert_matches(a.substitute(images, alg), _ref_substitute(ref_a, ref_images))
+
+
+cubic_monomials = st.tuples(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+        lambda exps: tuple((g, e) for g, e in zip(EVEN_GENS, exps) if e)
+    ),
+    monomials.map(lambda key: key[1]),
+)
+even_images = raw_polys(keys=monomials.filter(lambda key: len(key[1]) % 2 == 0))
+odd_images = raw_polys(keys=monomials.filter(lambda key: len(key[1]) % 2 == 1))
+
+
+@given(
+    raw_polys(keys=cubic_monomials, max_size=4),
+    st.tuples(even_images, even_images),
+    st.tuples(odd_images, odd_images, odd_images),
+)
+@example(
+    raw={((("x", 3), ("y", 1)), ("t1",)): 2, ((("x", 2),), ()): -1, ONE_KEY: Fraction(1, 2)},
+    evens=({ONE_KEY: Fraction(1, 3), ((), ("t1", "t2")): 1}, {}),
+    odds=({((), ("t2",)): 1}, {((("x", 1),), ("t3",)): -2}, {}),
+)
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_factor_by_factor_reference(raw, evens, odds):
+    """Even and odd images, exponents up to 3 and zero images, against the
+    reference that multiplies in one generator factor at a time."""
+    alg = _kernel_algebra()
+    raw_images = dict(zip(EVEN_GENS, evens)) | dict(zip(ODD_GENS, odds))
+    images = {g: poly_from_terms(alg, _as_terms(r)) for g, r in raw_images.items()}
+    ref_images = {g: _ref(r) for g, r in raw_images.items()}
+    p = poly_from_terms(alg, _as_terms(raw))
+    _assert_matches(p.substitute(images, alg), _ref_substitute(_ref(raw), ref_images))
+
+
+def test_substitute_missing_generator_raises(mixed):
+    alg, x, y, t1, t2, t3 = mixed
+    two = alg.scalar(2)
+    for p, images in [
+        (x * x * t1 + 1, {"x": two, "t2": t2}),
+        (x * x * y, {"x": two, "t1": t1}),
+        (t1 * t2, {"t1": t3}),
+    ]:
+        with pytest.raises(EvaluationError, match="no value assigned"):
+            p.substitute(images, alg)
+
+
+@given(raw_polys(max_size=4), rationals)
+@example(raw={((("x", 1),), ("t1",)): Fraction(3, 2), ONE_KEY: 3}, s=Fraction(2, 3))
+@settings(max_examples=200, deadline=None)
+def test_product_with_constant_operand_is_scaling(raw, s):
+    """A constant operand on either side gives the product by the plain
+    number, in normal form: int coefficients when the denominator is 1 and
+    no stored zeros."""
+    alg = _kernel_algebra()
+    a = poly_from_terms(alg, _as_terms(raw))
+    constant = alg.scalar(s)
+    for product in (a * constant, constant * a):
+        assert product == a * s
+        _assert_matches(product, _ref_scale(_ref(raw), s))
+        assert all(c != 0 for c in product._terms.values())
 
 
 @given(

@@ -27,6 +27,7 @@ from superimm.symgroup import (
     GroupAlgebraElement,
     Permutation,
     commuting_determinant,
+    permutation_sum,
     primitive_idempotent,
     symmetric_group,
 )
@@ -134,14 +135,6 @@ class SuperMatrix:
     def blocks(self):
         """The four blocks: even-even, even-odd, odd-even, odd-odd."""
         return _blocks(self.entries, self.m)
-
-    def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return SuperMatrix(
-            self.m,
-            self.n,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            validate=False,
-        )
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
         return SuperMatrix(
@@ -293,8 +286,6 @@ def chain_state(x: SuperMatrix, in_indices, weight) -> dict:
 
 
 def _as_class_function(char, r: int):
-    if callable(char):
-        return char
     if isinstance(char, dict):
         return lambda ct: char[ct]
     shape = normalize_partition(char)
@@ -303,10 +294,23 @@ def _as_class_function(char, r: int):
     return lambda ct: character(shape, ct)
 
 
+def _koszul_sum(x: SuperMatrix, weighted, row_indices, col_indices) -> SuperPoly:
+    """Sum of c * action sign * chain coefficient over the (permutation, c)
+    pairs of `weighted`, the rows permuted by each permutation."""
+    acc = x.algebra.zero()
+    for perm, c in weighted:
+        if c == 0:
+            continue
+        k = composed_tuple(row_indices, perm)
+        term = chain_coefficient(x, k, col_indices)
+        if not term.is_zero:
+            acc = acc + term * (c * action_sign(k, x.m, perm))
+    return acc
+
+
 def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> SuperPoly:
     """Character-weighted, Koszul-signed permutation sum over a generalized
-    submatrix.  `char` is a partition, a {cycle_type: value} dict, or a
-    class function."""
+    submatrix.  `char` is a partition or a {cycle_type: value} dict."""
     row_indices = tuple(row_indices)
     col_indices = row_indices if col_indices is None else tuple(col_indices)
     if len(row_indices) != len(col_indices):
@@ -315,31 +319,14 @@ def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> Super
         raise SuperMatrixError(f"indices must lie in [1, {x.size}]")
     r = len(row_indices)
     chi = _as_class_function(char, r)
-    acc = x.algebra.zero()
-    for perm in symmetric_group(r):
-        c = chi(perm.cycle_type())
-        if c == 0:
-            continue
-        k = composed_tuple(row_indices, perm)
-        term = chain_coefficient(x, k, col_indices)
-        if term.is_zero:
-            continue
-        acc = acc + term * (Fraction(c) * action_sign(k, x.m, perm))
-    if immanant_prefactor(row_indices, col_indices, x.m) < 0:
-        acc = -acc
-    return acc
+    weighted = ((perm, chi(perm.cycle_type())) for perm in symmetric_group(r))
+    acc = _koszul_sum(x, weighted, row_indices, col_indices)
+    return -acc if immanant_prefactor(row_indices, col_indices, x.m) < 0 else acc
 
 
 def _idempotent_diagonal_coefficient(e: GroupAlgebraElement, x: SuperMatrix, j) -> SuperPoly:
     """Bra-ket coefficient <J| E X_1...X_r |J> for a group-algebra element E."""
-    acc = x.algebra.zero()
-    for tau, coeff in e.terms.items():
-        k = composed_tuple(j, tau)
-        term = chain_coefficient(x, k, j)
-        if term.is_zero:
-            continue
-        acc = acc + term * (coeff * action_sign(k, x.m, tau))
-    return acc
+    return _koszul_sum(x, e.terms.items(), j, j)
 
 
 def immanant_via_idempotent(shape, x: SuperMatrix, indices, tab=None) -> SuperPoly:
@@ -391,23 +378,12 @@ def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
 
 
 def classical_immanant(entries, char, indices=None):
-    """Plain permutation-sum immanant of a square grid (no parity signs)."""
-    size = len(entries)
-    indices = tuple(indices) if indices is not None else tuple(range(1, size + 1))
-    r = len(indices)
-    chi = _as_class_function(char, r)
-    acc = None
-    for perm in symmetric_group(r):
-        c = chi(perm.cycle_type())
-        if c == 0:
-            continue
-        term = None
-        for k in range(r):
-            e = entries[indices[perm.images[k] - 1] - 1][indices[k] - 1]
-            term = e if term is None else term * e
-        term = term * Fraction(c)
-        acc = term if acc is None else acc + term
-    return acc
+    """Plain permutation-sum immanant of a square grid of pairwise commuting
+    SuperPolys (no parity signs)."""
+    indices = tuple(indices) if indices is not None else tuple(range(1, len(entries) + 1))
+    grid = [[entries[i - 1][j - 1] for j in indices] for i in indices]
+    chi = _as_class_function(char, len(indices))
+    return permutation_sum(grid, lambda perm: chi(perm.cycle_type()), grid[0][0].algebra.one())
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,9 @@ class SuperPoly:
             raise AlgebraMismatchError("operands come from different algebras")
 
     def __add__(self, other):
-        if other.__class__ is not SuperPoly and isinstance(other, (int, Fraction)):
+        if other.__class__ is not SuperPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.algebra.scalar(other)
         self._check(other)
         terms = dict(self._terms)
@@ -237,7 +239,9 @@ class SuperPoly:
         return SuperPoly(self.algebra, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if other.__class__ is not SuperPoly and isinstance(other, (int, Fraction)):
+        if other.__class__ is not SuperPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.algebra.scalar(other)
         return self + (-other)
 
@@ -246,13 +250,15 @@ class SuperPoly:
 
     def __mul__(self, other):
         left = self._terms
-        if other.__class__ is SuperPoly or not isinstance(other, (int, Fraction)):
+        if other.__class__ is SuperPoly:
             self._check(other)
             right = other._terms
             if len(right) == 1 and _ONE in right:  # a constant operand only scales the other
                 other = right[_ONE]
             elif len(left) == 1 and _ONE in left:
                 left, other = right, left[_ONE]
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
         if other.__class__ is not SuperPoly:
             if other == 0:
                 return SuperPoly(self.algebra, {})
@@ -468,7 +474,12 @@ class TruncatedSeries:
         zero = self.algebra.zero()
         return TruncatedSeries(self.algebra, [zero if c is None else c for c in coeffs], order)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        """other * self, each coefficient multiplied on the left: for odd
+        elements this differs in sign from self * other."""
+        if isinstance(other, (int, Fraction, SuperPoly)):
+            return TruncatedSeries(self.algebra, [other * c for c in self.coeffs], self.order)
+        return NotImplemented
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse to the same truncation order."""
@@ -682,9 +693,10 @@ def poly_from_terms(algebra: Algebra, terms: Iterable[Mapping]) -> SuperPoly:
             tuple(sorted((name, int(exp)) for name, exp in t.get("even", []))),
             tuple(t.get("odd", [])),
         )
-        for name in t.get("odd", []):
-            if algebra.parity_of(name) != Parity.ODD:
-                raise SuperRingError(f"{name!r} is not an odd generator")
+        for parity, names in ((Parity.EVEN, [name for name, _ in key[0]]), (Parity.ODD, key[1])):
+            for name in names:
+                if name not in algebra or algebra.parity_of(name) != parity:
+                    raise SuperRingError(f"{name!r} is not an {parity.name.lower()} generator")
         if list(key[1]) != sorted(key[1]):
             raise SuperRingError("odd part must be listed in canonical sorted order")
         out = out + SuperPoly(algebra, {key: c} if c else {})

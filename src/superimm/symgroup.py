@@ -90,19 +90,28 @@ def symmetric_group(r: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in iter_permutations(range(1, r + 1)))
 
 
-def commuting_determinant(entries, one):
-    """Permutation-sum determinant of a square grid of pairwise commuting
-    elements of a commutative ring whose unit is `one`; `one` for the empty
-    grid."""
+def permutation_sum(entries, coefficient, one):
+    """Sum over s in S_r of coefficient(s) * prod_i entries[i][s(i)], for a
+    square grid of pairwise commuting elements of a ring whose unit is `one`."""
     acc = one * 0
     for perm in symmetric_group(len(entries)):
+        c = coefficient(perm)
+        if c == 0:
+            continue
         term = one
         for i, row in enumerate(entries):
             term = term * row[perm.images[i] - 1]
             if term.is_zero:
                 break
-        acc = acc + (term if perm.sign() > 0 else -term)
+        else:
+            acc = acc + (term if c == 1 else -term if c == -1 else term * c)
     return acc
+
+
+def commuting_determinant(entries, one):
+    """Permutation-sum determinant of a square grid of pairwise commuting
+    elements; `one` for the empty grid."""
+    return permutation_sum(entries, Permutation.sign, one)
 
 
 class GroupAlgebraElement:
@@ -190,8 +199,6 @@ class GroupAlgebraElement:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other) * GroupAlgebraElement.one(self.degree)
         return (
             isinstance(other, GroupAlgebraElement)
             and self.degree == other.degree

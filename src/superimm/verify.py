@@ -42,15 +42,10 @@ from superimm.superring import (
     grassmann_algebra,
     poly_to_terms,
 )
-from superimm.symgroup import (
-    GroupAlgebraElement,
-    Permutation,
-    commuting_determinant,
-    primitive_idempotent,
-    symmetric_group,
-)
+from superimm.symgroup import commuting_determinant, primitive_idempotent
 from superimm.tableaux import (
     character,
+    class_size,
     conjugate,
     hook_partitions,
     hook_product,
@@ -163,35 +158,20 @@ def _run(name: str, params: dict, comparisons) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _embedded_idempotent(shape, offset: int, degree: int) -> GroupAlgebraElement:
-    """Primitive idempotent of the row tableau, acting on an interval of slots."""
-    shape = normalize_partition(shape)
-    size = sum(shape)
-    if size == 0:
-        return GroupAlgebraElement.one(degree)
-    small = primitive_idempotent(row_reading_tableau(shape))
-    terms = {}
-    for perm, c in small.terms.items():
-        images = list(range(1, degree + 1))
-        for k in range(1, size + 1):
-            images[offset + k - 1] = offset + perm(k)
-        terms[Permutation(images)] = c
-    return GroupAlgebraElement(degree, terms)
-
-
 def _lr_by_characters(mu, nu, r: int) -> dict:
-    """Conjugation-average the product of two embedded idempotents, then read
-    off irreducible multiplicities through character orthogonality."""
-    e = _embedded_idempotent(mu, 0, r) * _embedded_idempotent(nu, sum(mu), r)
-    symmetrized = GroupAlgebraElement(r)
-    for s in symmetric_group(r):
-        symmetrized = symmetrized + e.conjugate_by(s)
+    """Frobenius reciprocity: c^lam_{mu nu} = sum over alpha |- |mu| and
+    beta |- |nu| of chi^mu(alpha) chi^nu(beta) chi^lam(alpha u beta) / (z_alpha z_beta),
+    with 1/z_alpha = class_size(alpha) / |mu|!."""
+    a, b = sum(mu), sum(nu)
+    classes = [
+        (tuple(sorted(alpha + beta, reverse=True)),
+         Fraction(character(mu, alpha) * character(nu, beta) * class_size(alpha) * class_size(beta),
+                  factorial(a) * factorial(b)))
+        for alpha in partitions(a) for beta in partitions(b)
+    ]
     out = {}
     for lam in partitions(r):
-        total = Fraction(0)
-        for perm, c in symmetrized.terms.items():
-            total += c * character(lam, perm.cycle_type())
-        coeff = total / factorial(r)
+        coeff = sum((w * character(lam, rho) for rho, w in classes), Fraction(0))
         if coeff:
             out[lam] = coeff
     return out
@@ -254,28 +234,36 @@ def lr_coefficient(mu, nu, lam) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Multiset splitting helpers
+# Tables of normalized immanants over multisets
 # ---------------------------------------------------------------------------
 
 
-def _multiset_splittings(indices, sizes, d: int):
-    """Ordered tuples of sorted multisets with the given sizes whose disjoint
-    union is the given multiset."""
-    total = tuple(indices.count(i) for i in range(1, d + 1))
+def _immanant_table(shape, x: SuperMatrix) -> dict:
+    """immanant(shape, I) / I! for each sorted multiset I of size |shape|;
+    zero entries are left out."""
+    table = {}
+    for indices in sorted_multisets(x.m, x.n, sum(shape)):
+        value = super_immanant(shape, x, indices)
+        if not value.is_zero:
+            table[indices] = value * Fraction(1, repetition_factor(indices))
+    return table
 
-    def grow(counts, pos):
-        if pos == len(sizes):
-            if not any(counts):
-                yield ()
-            return
-        for sub in weak_compositions(sizes[pos], d):
-            rest = tuple(c - s for c, s in zip(counts, sub))
-            if min(rest) < 0:
-                continue
-            for tail in grow(rest, pos + 1):
-                yield (composition_to_multiset(sub),) + tail
 
-    yield from grow(total, 0)
+def _table_product(tables, one) -> dict:
+    """Product of tables by adding weights: entry I sums, over the ordered
+    splittings of the multiset I into one part per table, the products of
+    the tables' entries at the parts (in table order)."""
+    out = {(): one}
+    for table in tables:
+        step: dict = {}
+        for left, a in out.items():
+            for right, b in table.items():
+                key = tuple(sorted(left + right))
+                value = a * b
+                prev = step.get(key)
+                step[key] = value if prev is None else prev + value
+        out = step
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +305,15 @@ def check_littlewood_2(mu, nu, m: int, n: int) -> CheckReport:
     table = _lr_table(mu, nu)
 
     def comparisons():
+        zero = x.algebra.zero()
+        product = _table_product([_immanant_table(mu, x), _immanant_table(nu, x)], x.algebra.one())
         for indices in sorted_multisets(m, n, r):
-            lhs = x.algebra.zero()
-            for part1, part2 in _multiset_splittings(indices, (sum(mu), sum(nu)), m + n):
-                value = super_immanant(mu, x, part1) * super_immanant(nu, x, part2)
-                if not value.is_zero:
-                    lhs = lhs + value * Fraction(
-                        1, repetition_factor(part1) * repetition_factor(part2)
-                    )
-            rhs = x.algebra.zero()
+            rhs = zero
             for lam, c in table.items():
                 value = super_immanant(lam, x, indices)
                 if not value.is_zero:
                     rhs = rhs + value * Fraction(c, repetition_factor(indices))
-            yield (f"I={list(indices)}", lhs, rhs)
+            yield (f"I={list(indices)}", product.get(indices, zero), rhs)
 
     return _run("littlewood2", params, comparisons())
 
@@ -344,52 +327,39 @@ def check_lmw(lam, m: int, n: int) -> CheckReport:
     x = generator_matrix(m, n)
     psi = induced_sign_character(lam)
     phi = induced_trivial_character(lam)
-    sizes = tuple(lam)
-
-    def split_sum(indices, shapes):
-        acc = x.algebra.zero()
-        alpha_full = repetition_factor(indices)
-        for parts in _multiset_splittings(indices, sizes, m + n):
-            value = x.algebra.one()
-            denom = 1
-            for shape, part in zip(shapes, parts):
-                value = value * super_immanant(shape, x, part)
-                if value.is_zero:
-                    break
-                denom *= repetition_factor(part)
-            if not value.is_zero:
-                acc = acc + value * Fraction(alpha_full, denom)
-        return acc
 
     def comparisons():
-        columns = [tuple([1] * part) for part in lam]
+        zero = x.algebra.zero()
+        columns = [(1,) * part for part in lam]
         rows = [(part,) for part in lam]
+        tables = {shape: _immanant_table(shape, x) for shape in dict.fromkeys(columns + rows)}
+        column_product, row_product = (
+            _table_product([tables[shape] for shape in shapes], x.algebra.one())
+            for shapes in (columns, rows)
+        )
         for indices in sorted_multisets(m, n, r):
+            alpha = repetition_factor(indices)
             yield (
                 f"sign-induced, I={list(indices)}",
                 super_immanant(psi, x, indices),
-                split_sum(indices, columns),
+                column_product.get(indices, zero) * alpha,
             )
             yield (
                 f"trivial-induced, I={list(indices)}",
                 super_immanant(phi, x, indices),
-                split_sum(indices, rows),
+                row_product.get(indices, zero) * alpha,
             )
 
     return _run("lmw", params, comparisons())
 
 
-def _invariant_series(x: SuperMatrix, order: int, kind: str) -> TruncatedSeries:
-    """lambda(-t) or sigma(t) by the immanant route (one-column or one-row
+def _invariant_series(x: SuperMatrix, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """lambda(-t) and sigma(t) by the immanant route (one-column and one-row
     normalized immanant sums), never by the library's characteristic series."""
-    coeffs = [x.algebra.one()]
-    if kind == "elementary@-t":
-        coeffs += [normalized_immanant_sum((1,) * k, x) * ((-1) ** k) for k in range(1, order + 1)]
-    elif kind == "complete":
-        coeffs += [normalized_immanant_sum((k,), x) for k in range(1, order + 1)]
-    else:
-        raise VerifyError(kind)
-    return TruncatedSeries(x.algebra, coeffs, order)
+    one = [x.algebra.one()]
+    lam_neg = one + [normalized_immanant_sum((1,) * k, x) * ((-1) ** k) for k in range(1, order + 1)]
+    sig = one + [normalized_immanant_sum((k,), x) for k in range(1, order + 1)]
+    return TruncatedSeries(x.algebra, lam_neg, order), TruncatedSeries(x.algebra, sig, order)
 
 
 def check_macmahon(m: int, n: int, order: int) -> CheckReport:
@@ -400,8 +370,7 @@ def check_macmahon(m: int, n: int, order: int) -> CheckReport:
     x = generator_matrix(m, n)
 
     def comparisons():
-        lam_neg = _invariant_series(x, order, "elementary@-t")
-        sig = _invariant_series(x, order, "complete")
+        lam_neg, sig = _invariant_series(x, order)
         yield ("lambda(-t) sigma(t) = 1", lam_neg * sig, TruncatedSeries.one(x.algebra, order))
 
     return _run("macmahon", params, comparisons())
@@ -416,8 +385,7 @@ def check_newton(m: int, n: int, order: int) -> CheckReport:
     x = generator_matrix(m, n)
 
     def comparisons():
-        lam_neg = _invariant_series(x, order, "elementary@-t")
-        sig = _invariant_series(x, order, "complete")
+        lam_neg, sig = _invariant_series(x, order)
         psi = TruncatedSeries(x.algebra, [power_trace(x, k + 1) for k in range(order)], order - 1)
         yield ("d/dt lambda(-t) = -lambda(-t) psi(t)", lam_neg.derivative(), (lam_neg * psi) * (-1))
         yield ("d/dt sigma(t) = psi(t) sigma(t)", sig.derivative(), psi * sig)

@@ -40,6 +40,29 @@ def test_only_superring_reads_polynomial_terms():
         assert not readers, (path.name, readers)
 
 
+def _imported_names(tree: ast.Module):
+    """(bound name, line) for every import in a module except `__future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_package_has_no_unused_imports():
+    """Every name an import binds in a library module (the package's
+    `__init__` re-exports, so it is exempt) is read somewhere in that module."""
+    sources = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert sources
+    for path in sources:
+        tree = _parse(path)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = [(name, line) for name, line in _imported_names(tree) if name not in read]
+        assert not unused, (path.name, unused)
+
+
 # Top-level names that no check, script or CLI path calls, kept on purpose.
 UNREACHED_BY_DESIGN = {
     "immanant_via_idempotent": "test oracle: the immanant as a supertrace through an idempotent",
@@ -50,7 +73,6 @@ UNREACHED_BY_DESIGN = {
     "fusion_idempotent": "test oracle: the fusion procedure for primitive idempotents",
     "central_idempotent": "public API: central idempotents of the group algebra",
     "transposition_relation": "test oracle: the Jucys-Murphy transposition relation",
-    "class_size": "test oracle: class sizes for the character orthogonality relations",
     "lr_coefficient": "public API: one Littlewood-Richardson coefficient, both oracles agreeing",
     "check_classical_degeneration": "test oracle: classical immanants at n = 0, no odd block",
 }

@@ -11,6 +11,7 @@ from superimm.superring import (
     NotInvertibleError,
     ParseError,
     Parity,
+    SuperRingError,
     TruncatedSeries,
     grassmann_algebra,
     parse_poly,
@@ -280,6 +281,29 @@ def test_serialization_round_trip(mixed):
     data = poly_to_terms(p)
     assert all(set(d) == {"coefficient", "even", "odd"} for d in data)
     assert poly_from_terms(alg, data) == p
+
+
+def test_poly_from_terms_rejects_names_off_the_algebra():
+    alg = grassmann_algebra(2)
+    p = 3 * alg.gen("th1") * alg.gen("th2") - alg.gen("th2") + Fraction(1, 2)
+    assert poly_from_terms(alg, poly_to_terms(p)) == p
+    for bad in (
+        {"coefficient": 1, "even": [["zz", 1]]},  # undeclared even name
+        {"coefficient": 1, "even": [["th1", 1]]},  # odd generator listed as even
+        {"coefficient": 1, "odd": ["qq"]},  # undeclared odd name
+    ):
+        with pytest.raises(SuperRingError):
+            poly_from_terms(alg, [bad])
+
+
+def test_poly_times_series_multiplies_on_the_left(mixed):
+    alg, x, y, t1, t2, t3 = mixed
+    s = TruncatedSeries.from_polys(alg, [alg.one(), t2], 1)
+    assert (t1 * s).coeffs == (t1, t1 * t2)
+    assert (s * t1).coeffs == (t1, -(t1 * t2))
+    assert (2 * s).coeffs == (alg.scalar(2), 2 * t2)
+    with pytest.raises(TypeError):
+        t1 + s
 
 
 def test_algebra_equality_implies_equal_hashes():

@@ -155,6 +155,16 @@ def test_star_involution():
         assert e.star() == e
 
 
+def test_equal_elements_hash_equal():
+    one = GroupAlgebraElement.one(3)
+    y2 = jucys_murphy(2, 3)
+    assert y2 * y2 == one
+    assert one != 1 and GroupAlgebraElement(3) != 0
+    pairs = [(y2 * y2, one), (one, 1), (GroupAlgebraElement(3), 0), (y2 - y2, GroupAlgebraElement(3))]
+    for a, b in pairs:
+        assert a != b or hash(a) == hash(b)
+
+
 def test_jm_range_errors():
     with pytest.raises(SymGroupError):
         jucys_murphy(4, 3)

@@ -51,6 +51,43 @@ def test_lr_against_known_table():
         assert lr_coefficient((2, 1), (2, 1), lam) == want.get(lam, 0)
 
 
+@pytest.mark.parametrize("route", ["_lr_by_characters", "_lr_by_schur_multiplication"])
+def test_each_lr_route_is_watched(monkeypatch, route):
+    import superimm.verify as verify
+
+    original = getattr(verify, route)
+
+    def broken(mu, nu, r):
+        table = dict(original(mu, nu, r))
+        table[(3, 1)] = table.get((3, 1), 0) + 1
+        return table
+
+    verify._lr_table.cache_clear()
+    monkeypatch.setattr(verify, route, broken)
+    try:
+        with pytest.raises(VerifyError):
+            lr_coefficient((2, 1), (1,), (3, 1))
+    finally:
+        verify._lr_table.cache_clear()
+
+
+def test_littlewood_2_builds_each_table_entry_once(monkeypatch):
+    import superimm.verify as verify
+
+    calls = []
+    original = verify.super_immanant
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "super_immanant", spy)
+    report = check_littlewood_2((1,), (1,), 2, 1)
+    assert report.passed and report.cases == 6
+    # 3 + 3 table entries, then the LR-weighted sides (2 shapes x 6 multisets)
+    assert len(calls) == 18
+
+
 def _assert_pass(report: CheckReport):
     assert report.passed, report.witness
     assert report.cases > 0

@@ -3,8 +3,9 @@
 
 Covers the documented grid: vanishing/Kostant/Schur-Weyl sweeps, the series
 identities at three block sizes, the determinant identities, the multiset
-expansion identities, and ten seeded Grassmann points per block size for the
-eigenvalue correspondence.
+expansion identities, ten seeded Grassmann points per block size for the
+eigenvalue correspondence, the diagonal specialization and the chain-coefficient
+oracle: every family of `verify.CHECK_FAMILIES`.
 """
 
 import argparse
@@ -43,6 +44,8 @@ GRID = [
     ("littlewood3", 2, 1, 3, {}),
     ("hessenberg", 1, 1, 3, {}),
     ("hessenberg", 2, 1, 3, {}),
+    ("phi-isomorphism", 2, 1, 3, {}),
+    ("chain-oracle", 2, 1, 3, {}),
 ]
 
 

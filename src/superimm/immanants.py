@@ -295,16 +295,20 @@ def _as_class_function(char, r: int):
 
 
 def _koszul_sum(x: SuperMatrix, weighted, row_indices, col_indices) -> SuperPoly:
-    """Sum of c * action sign * chain coefficient over the (permutation, c)
-    pairs of `weighted`, the rows permuted by each permutation."""
-    acc = x.algebra.zero()
+    """Sum of c * action sign * chain coefficient over the (permutation, c) pairs
+    of `weighted`, the signed weights added up first per rearranged row tuple
+    K = I o perm, so that each K with a non-zero total costs one coefficient."""
+    totals: dict = {}
     for perm, c in weighted:
-        if c == 0:
-            continue
-        k = composed_tuple(row_indices, perm)
-        term = chain_coefficient(x, k, col_indices)
-        if not term.is_zero:
-            acc = acc + term * (c * action_sign(k, x.m, perm))
+        if c:
+            k = composed_tuple(row_indices, perm)
+            totals[k] = totals.get(k, 0) + c * action_sign(k, x.m, perm)
+    acc = x.algebra.zero()
+    for k, total in totals.items():
+        if total != 0:
+            term = chain_coefficient(x, k, col_indices)
+            if not term.is_zero:
+                acc = acc + term * total
     return acc
 
 

@@ -443,6 +443,8 @@ class TruncatedSeries:
         return self.coeffs[k]
 
     def __add__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         return TruncatedSeries(
             self.algebra,
@@ -455,11 +457,13 @@ class TruncatedSeries:
         return TruncatedSeries(self.algebra, [-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, TruncatedSeries) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SuperPoly)):
             return TruncatedSeries(self.algebra, [c * other for c in self.coeffs], self.order)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         coeffs = [None] * (order + 1)
         right = [(j, b) for j, b in enumerate(other.coeffs[: order + 1]) if not b.is_zero]

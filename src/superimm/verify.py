@@ -266,6 +266,14 @@ def _table_product(tables, one) -> dict:
     return out
 
 
+def _once(memo: dict, key, compute):
+    """memo[key], computed on first use.  Nothing is stored when compute
+    raises, so every report that needs the value raises it again."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 # ---------------------------------------------------------------------------
 # The identity catalog
 # ---------------------------------------------------------------------------
@@ -295,22 +303,27 @@ def check_littlewood_1(mu, nu, m: int, n: int) -> CheckReport:
     return _run("littlewood1", params, comparisons())
 
 
-def check_littlewood_2(mu, nu, m: int, n: int) -> CheckReport:
+def check_littlewood_2(mu, nu, m: int, n: int, factors: dict | None = None,
+                       weighted: dict | None = None) -> CheckReport:
     """Normalized immanant products over multiset splittings equal the
-    LR-weighted normalized immanant, multiset by multiset."""
+    LR-weighted normalized immanant, multiset by multiset.  A sweep shares two
+    dicts that fill on first use: the product side's factor tables by shape
+    (`factors`), the LR-weighted side's immanants by (lambda, I) (`weighted`)."""
     mu, nu = normalize_partition(mu), normalize_partition(nu)
     params = {"identity": "littlewood2", "m": m, "n": n, "mu": list(mu), "nu": list(nu)}
     r = sum(mu) + sum(nu)
     x = generator_matrix(m, n)
     table = _lr_table(mu, nu)
+    factors, weighted = ({} if memo is None else memo for memo in (factors, weighted))
 
     def comparisons():
         zero = x.algebra.zero()
-        product = _table_product([_immanant_table(mu, x), _immanant_table(nu, x)], x.algebra.one())
+        tables = [_once(factors, shape, lambda: _immanant_table(shape, x)) for shape in (mu, nu)]
+        product = _table_product(tables, x.algebra.one())
         for indices in sorted_multisets(m, n, r):
             rhs = zero
             for lam, c in table.items():
-                value = super_immanant(lam, x, indices)
+                value = _once(weighted, (lam, indices), lambda: super_immanant(lam, x, indices))
                 if not value.is_zero:
                     rhs = rhs + value * Fraction(c, repetition_factor(indices))
             yield (f"I={list(indices)}", product.get(indices, zero), rhs)
@@ -666,14 +679,6 @@ def check_berezinian_series(m: int, n: int, order: int, seed: int, trials: int) 
     return _run("berezinian-series", params, comparisons())
 
 
-def _once(memo: dict, key, compute):
-    """memo[key], computed on first use.  Nothing is stored when compute
-    raises, so every report that needs the value raises it again."""
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 def check_littlewood_3(lam, m: int, n: int, point: GrassmannPoint,
                        symbolic: dict | None = None, at_point: dict | None = None) -> CheckReport:
     """Evaluate the normalized immanant sum at a Grassmann point and compare
@@ -836,7 +841,8 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
     if name == "littlewood1":
         return [check_littlewood_1(mu, nu, m, n) for mu, nu in _partition_pairs(m + n, m + n)]
     if name == "littlewood2":
-        return [check_littlewood_2(mu, nu, m, n) for mu, nu in _partition_pairs(1, max_r)]
+        shared: tuple = ({}, {})  # factor tables, LR-weighted immanants
+        return [check_littlewood_2(mu, nu, m, n, *shared) for mu, nu in _partition_pairs(1, max_r)]
     if name == "littlewood3":
         symbolic: dict = {}
         reports = []

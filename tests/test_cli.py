@@ -176,7 +176,7 @@ def test_check_labels_vacuous_reports(capsys):
     assert lines[-1] == "1/4 checks passed, 3 vacuous (0 cases)"
 
 
-def test_identity_suite_script_counts_vacuous_reports(monkeypatch, tmp_path, capsys):
+def _identity_suite_script():
     import importlib.util
     from pathlib import Path
 
@@ -184,6 +184,17 @@ def test_identity_suite_script_counts_vacuous_reports(monkeypatch, tmp_path, cap
     spec = importlib.util.spec_from_file_location("run_identity_suite", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_identity_suite_grid_runs_every_family():
+    from superimm.verify import CHECK_FAMILIES
+
+    assert {row[0] for row in _identity_suite_script().GRID} == set(CHECK_FAMILIES)
+
+
+def test_identity_suite_script_counts_vacuous_reports(monkeypatch, tmp_path, capsys):
+    script = _identity_suite_script()
     monkeypatch.setattr(script, "GRID", [("vanishing", 1, 1, 4, {}), ("kostant", 1, 1, 2, {})])
     out_path = tmp_path / "report.json"
     assert script.main(["--out", str(out_path)]) == 0

@@ -306,6 +306,18 @@ def test_poly_times_series_multiplies_on_the_left(mixed):
         t1 + s
 
 
+def test_series_with_a_non_series_operand_raises_type_error(mixed):
+    alg, x, y, t1, t2, t3 = mixed
+    s = TruncatedSeries.from_polys(alg, [alg.one(), t2], 1)
+    for left, right in [(s, x), (x, s), (s, 1), (1, s)]:
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+    with pytest.raises(TypeError):
+        s * "x"
+
+
 def test_algebra_equality_implies_equal_hashes():
     a, b = Algebra("a"), Algebra("b")
     for alg in (a, b):

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -84,8 +85,9 @@ def test_littlewood_2_builds_each_table_entry_once(monkeypatch):
     monkeypatch.setattr(verify, "super_immanant", spy)
     report = check_littlewood_2((1,), (1,), 2, 1)
     assert report.passed and report.cases == 6
-    # 3 + 3 table entries, then the LR-weighted sides (2 shapes x 6 multisets)
-    assert len(calls) == 18
+    # 3 entries of the one (1,) factor table, then the LR-weighted side
+    # (2 shapes x 6 multisets)
+    assert len(calls) == 15
 
 
 def _assert_pass(report: CheckReport):
@@ -489,3 +491,74 @@ def test_vacuous_reports_keep_their_json():
     assert vacuous.passed and vacuous.cases == 0 and vacuous.vacuous
     assert "vacuous" not in vacuous.to_dict()
     assert not check_vanishing(1, 1, 4).vacuous
+
+
+def test_littlewood_2_sweep_computes_each_immanant_once_per_side(monkeypatch):
+    import superimm.verify as verify
+
+    calls = Counter()
+    side = ["weighted"]
+    immanant, table = verify.super_immanant, verify._immanant_table
+
+    def immanant_spy(lam, x, indices):
+        calls[side[0], tuple(lam), tuple(indices)] += 1
+        return immanant(lam, x, indices)
+
+    def table_spy(shape, x):
+        side[0] = "factors"
+        try:
+            return table(shape, x)
+        finally:
+            side[0] = "weighted"
+
+    monkeypatch.setattr(verify, "super_immanant", immanant_spy)
+    monkeypatch.setattr(verify, "_immanant_table", table_spy)
+    reports = sweep("littlewood2", 2, 1, 4)
+    assert reports and all(r.passed for r in reports)
+    assert set(calls.values()) == {1}
+    assert {key[0] for key in calls} == {"factors", "weighted"}
+
+
+def test_littlewood_2_wrong_immanant_fails_only_its_reports(monkeypatch):
+    import superimm.verify as verify
+
+    original = verify.super_immanant
+    bad = (2, 1)
+
+    def off_by_one(lam, x, indices):
+        value = original(lam, x, indices)
+        return value + x.algebra.one() if tuple(lam) == bad else value
+
+    monkeypatch.setattr(verify, "super_immanant", off_by_one)
+    reports = sweep("littlewood2", 2, 1, 4)
+    failed, touched = set(), set()
+    for report in reports:
+        pair = tuple(report.params["mu"]), tuple(report.params["nu"])
+        if not report.passed:
+            assert report.witness["case"].startswith("I=")
+            failed.add(pair)
+        if bad in pair or bad in verify._lr_table(*pair):
+            touched.add(pair)
+    # with an empty factor both sides carry the same shift, so they agree
+    assert failed == {pair for pair in touched if () not in pair}
+    assert len(failed) == 6
+
+
+def test_grouping_by_rearrangement_is_watched(monkeypatch):
+    """Keeping one permutation per rearrangement, rather than the signed sum
+    of all of them, breaks Kostant's identity: its other side, the
+    weight-space supertrace, does not run through the Koszul sum."""
+    import superimm.immanants as immanants
+    from superimm.tensorspace import composed_tuple
+
+    _assert_pass(check_kostant(1, 1, 3))
+    original = immanants._koszul_sum
+
+    def first_of_each(x, weighted, row_indices, col_indices):
+        kept = {}
+        for perm, c in weighted:
+            kept.setdefault(composed_tuple(row_indices, perm), (perm, c))
+        return original(x, kept.values(), row_indices, col_indices)
+
+    monkeypatch.setattr(immanants, "_koszul_sum", first_of_each)
+    assert not check_kostant(1, 1, 3).passed

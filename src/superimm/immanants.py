@@ -137,6 +137,8 @@ class SuperMatrix:
         return _blocks(self.entries, self.m)
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
+        if not isinstance(other, SuperMatrix):
+            return NotImplemented
         return SuperMatrix(
             self.m,
             self.n,
@@ -294,6 +296,12 @@ def _as_class_function(char, r: int):
     return lambda ct: character(shape, ct)
 
 
+@lru_cache(maxsize=None)
+def _typed_permutations(r: int) -> tuple:
+    """The (permutation, cycle type) pairs of S_r."""
+    return tuple((perm, perm.cycle_type()) for perm in symmetric_group(r))
+
+
 def _koszul_sum(x: SuperMatrix, weighted, row_indices, col_indices) -> SuperPoly:
     """Sum of c * action sign * chain coefficient over the (permutation, c) pairs
     of `weighted`, the signed weights added up first per rearranged row tuple
@@ -323,7 +331,7 @@ def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> Super
         raise SuperMatrixError(f"indices must lie in [1, {x.size}]")
     r = len(row_indices)
     chi = _as_class_function(char, r)
-    weighted = ((perm, chi(perm.cycle_type())) for perm in symmetric_group(r))
+    weighted = ((perm, chi(ct)) for perm, ct in _typed_permutations(r))
     acc = _koszul_sum(x, weighted, row_indices, col_indices)
     return -acc if immanant_prefactor(row_indices, col_indices, x.m) < 0 else acc
 

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 
@@ -107,17 +108,28 @@ class Algebra:
         return self.scalar(1)
 
     def scalar(self, c) -> "SuperPoly":
-        c = _normal(c)
-        return SuperPoly(self, {((), ()): c} if c else {})
+        return _monomial(self, _ONE, c)
 
 
-def _normal(c):
-    """A rational in stored form: int when its denominator is 1, else Fraction."""
-    if c.__class__ is int:
-        return c
-    if c.__class__ is not Fraction:
+def _monomial(algebra: Algebra, key, c) -> "SuperPoly":
+    """The rational c times the monomial `key`."""
+    if c.__class__ is not int:
         c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+        if c.denominator != 1:
+            return SuperPoly(algebra, {key: c.numerator}, c.denominator)
+        c = c.numerator
+    return SuperPoly(algebra, {key: c} if c else {})
+
+
+def _reduced(algebra: Algebra, terms: dict, den: int) -> "SuperPoly":
+    """The SuperPoly with numerators `terms` (no zeros) over the positive `den`,
+    the common factor of den and the numerators divided out."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return SuperPoly(algebra, terms, den)
 
 
 def merge_odd_parts(a: tuple, b: tuple):
@@ -166,17 +178,19 @@ _ONE = ((), ())  # the key of the constant monomial
 class SuperPoly:
     """Element of a free supercommutative Q-algebra, in normal form.
 
-    Terms map (even_part, odd_part) -> nonzero coefficient: an int, or a
-    Fraction when the denominator is not 1.  even_part is a sorted tuple of
-    (generator, exponent) and odd_part a sorted tuple of odd generator names.
-    Instances are treated as immutable.
+    Terms map (even_part, odd_part) -> nonzero int numerator, all over one
+    positive denominator `_den`, kept reduced: gcd(_den, *numerators) == 1,
+    and _den == 1 for zero.  even_part is a sorted tuple of (generator,
+    exponent) and odd_part a sorted tuple of odd generator names.  Instances
+    are treated as immutable.
     """
 
-    __slots__ = ("algebra", "_terms")
+    __slots__ = ("algebra", "_terms", "_den")
 
-    def __init__(self, algebra: Algebra, terms: dict):
+    def __init__(self, algebra: Algebra, terms: dict, den: int = 1):
         self.algebra = algebra
         self._terms = terms
+        self._den = den
 
     # -- structure queries -----------------------------------------------------
 
@@ -184,13 +198,21 @@ class SuperPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def _coefficients(self):
+        """(key, coefficient) pairs, each coefficient an int when its
+        denominator is 1, else a Fraction."""
+        den = self._den
+        if den == 1:
+            return self._terms.items()
+        return [(k, c // den if c % den == 0 else Fraction(c, den)) for k, c in self._terms.items()]
+
     def terms(self):
         """Deterministically ordered (even, odd, coefficient) triples."""
-        return sorted(((e, o, c) for (e, o), c in self._terms.items()))
+        return sorted(((e, o, c) for (e, o), c in self._coefficients()))
 
     def coefficient(self, key) -> Fraction:
         """Coefficient of the monomial key (even_part, odd_part); 0 if absent."""
-        return Fraction(self._terms.get(key, 0))
+        return Fraction(self._terms.get(key, 0), self._den)
 
     def constant_term(self) -> Fraction:
         return self.coefficient(((), ()))
@@ -210,7 +232,7 @@ class SuperPoly:
         odd = {}
         for key, c in self._terms.items():
             (even if len(key[1]) % 2 == 0 else odd)[key] = c
-        return SuperPoly(self.algebra, even), SuperPoly(self.algebra, odd)
+        return _reduced(self.algebra, even, self._den), _reduced(self.algebra, odd, self._den)
 
     # -- ring operations -------------------------------------------------------
 
@@ -224,48 +246,50 @@ class SuperPoly:
                 return NotImplemented
             other = self.algebra.scalar(other)
         self._check(other)
-        terms = dict(self._terms)
+        den = lcm(self._den, other._den)  # both sides rescaled to the common denominator
+        scale, other_scale = den // self._den, den // other._den
+        terms = dict(self._terms) if scale == 1 else {k: c * scale for k, c in self._terms.items()}
         for key, c in other._terms.items():
-            s = terms.get(key, 0) + c
+            s = terms.get(key, 0) + c * other_scale
             if s:
-                terms[key] = _normal(s)
+                terms[key] = s
             elif key in terms:
                 del terms[key]
-        return SuperPoly(self.algebra, terms)
+        return _reduced(self.algebra, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPoly(self.algebra, {k: -c for k, c in self._terms.items()})
+        return SuperPoly(self.algebra, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
-        if other.__class__ is not SuperPoly:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = self.algebra.scalar(other)
+        if not isinstance(other, (SuperPoly, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        left = self._terms
+        left, den = self._terms, self._den
+        num = None  # set when the product only scales `left` by num / scale
         if other.__class__ is SuperPoly:
             self._check(other)
             right = other._terms
             if len(right) == 1 and _ONE in right:  # a constant operand only scales the other
-                other = right[_ONE]
+                num, scale = right[_ONE], other._den
             elif len(left) == 1 and _ONE in left:
-                left, other = right, left[_ONE]
-        elif not isinstance(other, (int, Fraction)):
+                left, den, num, scale = right, other._den, left[_ONE], den
+        elif isinstance(other, (int, Fraction)):
+            num, scale = other.numerator, other.denominator
+        else:
             return NotImplemented
-        if other.__class__ is not SuperPoly:
-            if other == 0:
+        if num is not None:
+            if num == 0:
                 return SuperPoly(self.algebra, {})
-            if other == 1:
-                return SuperPoly(self.algebra, dict(left))
-            other = _normal(other)
-            return SuperPoly(self.algebra, {k: _normal(c * other) for k, c in left.items()})
+            if num == scale == 1:
+                return SuperPoly(self.algebra, left, den)
+            return _reduced(self.algebra, {k: c * num for k, c in left.items()}, den * scale)
         terms: dict = {}
         for (ea, oa), ca in left.items():
             for (eb, ob), cb in right.items():
@@ -280,10 +304,7 @@ class SuperPoly:
                     terms[key] = s
                 else:
                     del terms[key]
-        for key, c in terms.items():  # _normal, inlined: it runs once per product term
-            if c.__class__ is not int and c.denominator == 1:
-                terms[key] = c.numerator
-        return SuperPoly(self.algebra, terms)
+        return _reduced(self.algebra, terms, den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -303,11 +324,13 @@ class SuperPoly:
             other = self.algebra.scalar(other)
         if not isinstance(other, SuperPoly):
             return NotImplemented
-        return self.algebra.compatible(other.algebra) and self._terms == other._terms
+        return (self.algebra.compatible(other.algebra) and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self):  # a constant hashes like the rational it equals
-        terms = self._terms
-        return hash(terms.get(_ONE, 0) if terms.keys() <= {_ONE} else frozenset(terms.items()))
+        if self._terms.keys() <= {_ONE}:
+            return hash(self.constant_term())
+        return hash(frozenset(self._coefficients()))
 
     # -- substitution ----------------------------------------------------------
 
@@ -331,16 +354,21 @@ class SuperPoly:
                 powers[name, exp] = value
             return powers[name, exp]
 
-        acc: dict = {}
+        images_of_terms = []
         for (even, odd), c in self._terms.items():
             term = None
             for name, exp in (*even, *((name, 1) for name in odd)):
                 term = power(name, exp) if term is None else term * power(name, exp)
                 if term.is_zero:
                     break
-            for key, v in (((_ONE, 1),) if term is None else term._terms.items()):
+            images_of_terms.append((c, target.one() if term is None else term))
+        den = lcm(*(term._den for _, term in images_of_terms))
+        acc: dict = {}
+        for c, term in images_of_terms:
+            c *= den // term._den
+            for key, v in term._terms.items():
                 acc[key] = acc.get(key, 0) + c * v
-        return SuperPoly(target, {k: _normal(v) for k, v in acc.items() if v})
+        return _reduced(target, {k: v for k, v in acc.items() if v}, self._den * den)
 
     # -- inverses ----------------------------------------------------------------
 
@@ -692,7 +720,6 @@ def poly_to_terms(p: SuperPoly) -> list[dict]:
 def poly_from_terms(algebra: Algebra, terms: Iterable[Mapping]) -> SuperPoly:
     out = algebra.zero()
     for t in terms:
-        c = _normal(t["coefficient"])
         key = (
             tuple(sorted((name, int(exp)) for name, exp in t.get("even", []))),
             tuple(t.get("odd", [])),
@@ -703,5 +730,5 @@ def poly_from_terms(algebra: Algebra, terms: Iterable[Mapping]) -> SuperPoly:
                     raise SuperRingError(f"{name!r} is not an {parity.name.lower()} generator")
         if list(key[1]) != sorted(key[1]):
             raise SuperRingError("odd part must be listed in canonical sorted order")
-        out = out + SuperPoly(algebra, {key: c} if c else {})
+        out = out + _monomial(algebra, key, t["coefficient"])
     return out

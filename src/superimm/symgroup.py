@@ -138,6 +138,8 @@ class GroupAlgebraElement:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = other * GroupAlgebraElement.one(self.degree)
+        elif not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for p, c in other.terms.items():
@@ -154,8 +156,8 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.degree, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = other * GroupAlgebraElement.one(self.degree)
+        if not isinstance(other, (int, Fraction, GroupAlgebraElement)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -164,6 +166,8 @@ class GroupAlgebraElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return GroupAlgebraElement(self.degree, {p: c * other for p, c in self.terms.items()})
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
         self._check(other)
         terms: dict = {}
         for p, cp in self.terms.items():

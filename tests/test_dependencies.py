@@ -27,8 +27,8 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_only_superring_reads_polynomial_terms():
-    """`SuperPoly._terms` is private to superring: other modules go through
-    its public methods (`terms`, `coefficient`, `poly_to_terms`, ...)."""
+    """`SuperPoly._terms` and `_den` are private to superring: other modules go
+    through its public methods (`terms`, `coefficient`, `poly_to_terms`, ...)."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     for path in sources:
@@ -36,7 +36,7 @@ def test_only_superring_reads_polynomial_terms():
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         readers = [node.lineno for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and node.attr == "_terms"]
+                   if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_den")]
         assert not readers, (path.name, readers)
 
 

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from superimm import immanants
 from superimm.immanants import (
     DegenerateSpectrumError,
     SuperMatrix,
@@ -32,7 +33,7 @@ from superimm.immanants import (
     weight_space_supertrace,
 )
 from superimm.superring import GrassmannPoint, TruncatedSeries, grassmann_algebra
-from superimm.symgroup import primitive_idempotent
+from superimm.symgroup import Permutation, primitive_idempotent
 from superimm.tableaux import hook_product, partitions, row_reading_tableau, standard_tableaux
 from superimm.tensorspace import (
     composition_to_multiset,
@@ -367,3 +368,16 @@ def test_load_supermatrix_raises_only_value_errors(text):
         load_supermatrix(text)
     except ValueError:
         pass
+
+
+def test_super_immanant_reads_cycle_types_from_one_table_per_degree(monkeypatch):
+    """The cycle types of S_r are computed once per r, not once per permutation
+    on every call."""
+    calls = []
+    cycle_type = Permutation.cycle_type
+    monkeypatch.setattr(Permutation, "cycle_type", lambda perm: calls.append(perm) or cycle_type(perm))
+    immanants._typed_permutations.cache_clear()
+    x = generator_matrix(1, 1)
+    super_immanant((2, 1), x, (1, 1, 2))
+    super_immanant((3,), x, (1, 2, 2))
+    assert len(calls) <= 6

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -547,3 +548,36 @@ def test_integer_and_fraction_inputs_build_equal_polys():
     for p, q in pairs:
         assert p == q and hash(p) == hash(q)
         assert poly_to_terms(p) == poly_to_terms(q)
+
+
+def _assert_canonical(p):
+    """Stored as nonzero int numerators over one reduced positive denominator."""
+    nums = list(p._terms.values())
+    assert all(type(c) is int and c != 0 for c in nums)
+    assert type(p._den) is int and p._den >= 1
+    assert gcd(p._den, *nums) == 1
+    assert nums or p._den == 1
+
+
+@given(raw_polys(), raw_polys(), raw_polys(max_size=2), rationals)
+@example(raw_a={((("x", 1),), ()): 1}, raw_b={}, raw_c={}, s=Fraction(1, 2))
+@settings(max_examples=200, deadline=None)
+def test_every_result_is_stored_over_one_reduced_denominator(raw_a, raw_b, raw_c, s):
+    alg = _kernel_algebra()
+    a, b, c = (poly_from_terms(alg, _as_terms(raw)) for raw in (raw_a, raw_b, raw_c))
+    images = {g: b for g in EVEN_GENS} | {g: c for g in ODD_GENS}
+    soul = poly_from_terms(alg, _as_terms({key: v for key, v in raw_c.items() if key[1]}))
+    results = [
+        a, -a, a + b, a - b, a + s, s - a, a * b, a * s, s * a, a * alg.scalar(s),
+        a.substitute(images, alg), *a.homogeneous_parts(), (soul + (s or 1)).inverse_of_unit(),
+    ]
+    for p in results:
+        _assert_canonical(p)
+    for p, q in [
+        (a * s + a * (1 - s), a),
+        ((a * b) * c, a * (b * c)),
+        ((a + b) - b, a),
+        (a * Fraction(1, 2) + a * Fraction(1, 2), a),
+    ]:
+        assert p == q and hash(p) == hash(q)
+    assert hash(alg.scalar(s)) == hash(s)

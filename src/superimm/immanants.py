@@ -33,16 +33,17 @@ from superimm.symgroup import (
 )
 from superimm.tableaux import (
     character,
-    hook_product,
     is_semistandard_super,
     normalize_partition,
+    partitions,
     relabel_by_weight,
     row_reading_tableau,
 )
 from superimm.tensorspace import (
-    TensorOperator,
+    act_conversion_sign,
     action_sign,
     apply_group_algebra_to_state,
+    apply_matrix_at_slot,
     bilinear_form,
     composed_tuple,
     composition_to_multiset,
@@ -232,11 +233,18 @@ def supertrace(x: SuperMatrix) -> SuperPoly:
 # ---------------------------------------------------------------------------
 
 
+def _check_indices(size: int, *index_tuples) -> None:
+    """Reject index tuples of unequal length or with an index outside [1, size]."""
+    if len({len(t) for t in index_tuples}) > 1:
+        raise SuperMatrixError("index tuples must have equal length")
+    if not all(0 < i <= size for t in index_tuples for i in t):
+        raise SuperMatrixError(f"indices must lie in [1, {size}]")
+
+
 def chain_coefficient(x: SuperMatrix, out_indices, in_indices) -> SuperPoly:
     """Closed form of the bra-ket coefficient of X_1...X_r between two basis
     tensors: signed ordered product of the matrix entries."""
-    if len(out_indices) != len(in_indices):
-        raise SuperMatrixError("index tuples must have equal length")
+    _check_indices(x.size, out_indices, in_indices)
     sign = comodule_sign(out_indices, in_indices, x.m)
     term = x.algebra.one()
     for i, j in zip(out_indices, in_indices):
@@ -246,21 +254,24 @@ def chain_coefficient(x: SuperMatrix, out_indices, in_indices) -> SuperPoly:
     return -term if sign < 0 else term
 
 
-def slot_operators(x: SuperMatrix, r: int) -> list[TensorOperator]:
-    """The operators acting by x on one of r slots, slot 1 first."""
-    return [TensorOperator.matrix_at_slot(x.entries, slot, x.m, x.n, r) for slot in range(1, r + 1)]
+def _nonzero_columns(x: SuperMatrix) -> list:
+    """Per column j, the (i, entry) pairs of the non-zero entries of x."""
+    return [[(i, e) for i, e in enumerate(col, 1) if not e.is_zero] for col in zip(*x.entries)]
 
 
-def chain_coefficient_slotwise(x: SuperMatrix, out_indices, in_indices, slot_ops=None) -> SuperPoly:
-    """Oracle: apply the slot factors one at a time, tracking every move of an
-    odd matrix leg past coefficients and basis factors.  A caller with many
-    index pairs passes `slot_operators(x, r)` once as `slot_ops`."""
-    if slot_ops is None:
-        slot_ops = slot_operators(x, len(out_indices))
+def chain_coefficient_slotwise(x: SuperMatrix, out_indices, in_indices) -> SuperPoly:
+    """Oracle: apply the slot factors to the input basis tensor one at a time,
+    slot r first, tracking every move of an odd matrix leg past coefficients
+    and basis factors.  The factors still to come leave a finished slot alone,
+    so only basis tensors with the output's index there are kept."""
+    _check_indices(x.size, out_indices, in_indices)
+    out_indices = tuple(out_indices)
+    columns = _nonzero_columns(x)
     state = {tuple(in_indices): x.algebra.one()}
-    for op in reversed(slot_ops):
-        state = op.apply(state)
-    value = state.get(tuple(out_indices))
+    for slot in range(len(in_indices), 0, -1):
+        state = {key: c for key, c in apply_matrix_at_slot(state, columns, slot, x.m).items()
+                 if key[slot - 1] == out_indices[slot - 1]}
+    value = state.get(out_indices)
     return x.algebra.zero() if value is None else value
 
 
@@ -289,6 +300,9 @@ def chain_state(x: SuperMatrix, in_indices, weight) -> dict:
 
 def _as_class_function(char, r: int):
     if isinstance(char, dict):
+        missing = [ct for ct in partitions(r) if ct not in char]
+        if missing:
+            raise SuperMatrixError(f"class function has no value at cycle types {missing}")
         return lambda ct: char[ct]
     shape = normalize_partition(char)
     if sum(shape) != r:
@@ -325,10 +339,7 @@ def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> Super
     submatrix.  `char` is a partition or a {cycle_type: value} dict."""
     row_indices = tuple(row_indices)
     col_indices = row_indices if col_indices is None else tuple(col_indices)
-    if len(row_indices) != len(col_indices):
-        raise SuperMatrixError("row and column index tuples must have equal length")
-    if any(not 1 <= i <= x.size for i in row_indices + col_indices):
-        raise SuperMatrixError(f"indices must lie in [1, {x.size}]")
+    _check_indices(x.size, row_indices, col_indices)
     r = len(row_indices)
     chi = _as_class_function(char, r)
     weighted = ((perm, chi(ct)) for perm, ct in _typed_permutations(r))
@@ -345,6 +356,7 @@ def immanant_via_idempotent(shape, x: SuperMatrix, indices, tab=None) -> SuperPo
     """The same immanant from one primitive idempotent: the symmetrized sum of
     diagonal coefficients against E_T.  Requires a sorted index tuple."""
     indices = tuple(indices)
+    _check_indices(x.size, indices)
     if list(indices) != sorted(indices):
         raise SuperMatrixError("index tuple must be non-decreasing")
     shape = normalize_partition(shape)
@@ -393,6 +405,7 @@ def classical_immanant(entries, char, indices=None):
     """Plain permutation-sum immanant of a square grid of pairwise commuting
     SuperPolys (no parity signs)."""
     indices = tuple(indices) if indices is not None else tuple(range(1, len(entries) + 1))
+    _check_indices(len(entries), indices)
     grid = [[entries[i - 1][j - 1] for j in indices] for i in indices]
     chi = _as_class_function(char, len(indices))
     return permutation_sum(grid, lambda perm: chi(perm.cycle_type()), grid[0][0].algebra.one())
@@ -449,16 +462,21 @@ def star_product(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
 
 
 def star_product_slotwise(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
-    """Oracle for the star product: build flip . Y_1 . Z_2 on two slots as a
-    tensor operator and contract the first slot."""
-    m, n = y.m, y.n
-    flip = TensorOperator.from_permutation(Permutation.transposition(1, 2, 2), m, n)
-    y1 = TensorOperator.matrix_at_slot(y.entries, 1, m, n, 2)
-    z2 = TensorOperator.matrix_at_slot(z.entries, 2, m, n, 2)
-    grid = flip.compose(y1).compose(z2).contract_slots([1]).matrix_entries()
+    """Oracle for the star product: apply Z on slot two, Y on slot one and the
+    flip to each two-slot basis tensor |a, b>, then contract the first slot."""
+    m = y.m
+    flip = GroupAlgebraElement.of(Permutation.transposition(1, 2, 2))
+    y_columns, z_columns = _nonzero_columns(y), _nonzero_columns(z)
     zero = y.algebra.zero()
-    rows = [[(zero + g if isinstance(g, Fraction) else g) for g in row] for row in grid]
-    return SuperMatrix(m, n, rows, validate=False)
+    rows = [[zero] * y.size for _ in range(y.size)]
+    for a, b in product(range(1, y.size + 1), repeat=2):
+        state = apply_matrix_at_slot({(a, b): y.algebra.one()}, z_columns, 2, m)
+        state = apply_matrix_at_slot(state, y_columns, 1, m)
+        for (l1, l2), c in apply_group_algebra_to_state(flip, state, m).items():
+            if l1 == a:
+                sign = act_conversion_sign((l1, l2), (a, b), m) * parity_weight(a, m)
+                rows[l2 - 1][b - 1] = rows[l2 - 1][b - 1] + (c if sign > 0 else -c)
+    return SuperMatrix(m, y.n, rows, validate=False)
 
 
 def star_power(x: SuperMatrix, k: int) -> SuperMatrix:
@@ -744,10 +762,9 @@ def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
     return -acc if sign < 0 else acc
 
 
-def schur_weyl_norm_report(shape, tab, weight, m: int, n: int) -> dict:
+def schur_weyl_norm_report(tab, weight, m: int, n: int) -> dict:
     """Norm bookkeeping for one idempotent image vector E_T e_I: the vector,
     whether it vanishes, its self-pairing, and the relabelled filling."""
-    shape = normalize_partition(shape)
     weight = tuple(weight)
     multiset = composition_to_multiset(weight)
     e = primitive_idempotent(tab)
@@ -759,7 +776,6 @@ def schur_weyl_norm_report(shape, tab, weight, m: int, n: int) -> dict:
         "semistandard": is_semistandard_super(filling, m, n),
         "vector_zero": not vec,
         "norm": norm,
-        "expected_norm": Fraction(repetition_factor(multiset), hook_product(shape)),
         "vector": vec,
     }
 

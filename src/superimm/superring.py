@@ -466,6 +466,8 @@ class TruncatedSeries:
         return all(c.is_zero for c in self.coeffs)
 
     def coefficient(self, k: int) -> SuperPoly:
+        if k < 0:
+            raise SuperRingError(f"coefficient index {k} is negative")
         if k > self.order:
             raise SuperRingError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]

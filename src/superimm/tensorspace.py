@@ -2,24 +2,19 @@
 
 Basis tensors are index tuples in [m+n]^r; index parity is 0 up to m and 1
 past m.  States are sparse maps from index tuples to coefficients (rationals
-or SuperPolys).  Operators are kept in action form: the coefficient of |I>
-in O|J>.  All Koszul signs live in the seam functions below, so a test can
+or SuperPolys).  Permutations and matrices act on states, one basis tensor at
+a time.  All Koszul signs live in the seam functions below, so a test can
 perturb one convention at a time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import factorial
 
 from superimm.superring import SuperPoly
 from superimm.symgroup import GroupAlgebraElement, Permutation
-
-
-class TensorSpaceError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +72,7 @@ def immanant_prefactor(row_indices, col_indices, m: int) -> int:
     return -1 if sum(a * b for a, b in zip(pr, pc)) % 2 else 1
 
 
-def _act_conversion_sign(out_indices, in_indices, m: int) -> int:
+def act_conversion_sign(out_indices, in_indices, m: int) -> int:
     """Sign between action coefficients and the matrix-unit expansion: the
     a-th leg moves past the first a-1 input basis factors."""
     po = tuple_parities(out_indices, m)
@@ -183,6 +178,27 @@ def apply_group_algebra_to_state(elem: GroupAlgebraElement, state: dict, m: int)
     return out
 
 
+def apply_matrix_at_slot(state: dict, columns, slot: int, m: int) -> dict:
+    """Act by a matrix on one (1-based) slot of every basis tensor of a state,
+    identity elsewhere.  `columns[j - 1]` lists the (i, entry) pairs of the
+    non-zero entries in column j.  An odd matrix leg costs a sign moving past
+    the input basis factors before the slot and past the odd part of the
+    coefficient."""
+    out: dict = {}
+    for key, c in state.items():
+        head, j, tail = key[: slot - 1], key[slot - 1], key[slot:]
+        prefix = sum(tuple_parities(head, m))
+        parity_j = index_parity(j, m)
+        parts = _hom_parts(c)
+        for i, entry in columns[j - 1]:
+            out_key = head + (i,) + tail
+            odd_leg = index_parity(i, m) != parity_j
+            for par, part in parts:
+                term = entry * part
+                state_add(out, out_key, -term if odd_leg and (prefix + par) % 2 else term)
+    return out
+
+
 def bilinear_form(state1: dict, state2: dict):
     """Product-delta pairing, extended linearly over coefficients."""
     total = None
@@ -193,145 +209,3 @@ def bilinear_form(state1: dict, state2: dict):
         term = c1 * c2
         total = term if total is None else total + term
     return 0 if total is None else total
-
-
-# ---------------------------------------------------------------------------
-# Operators in action form
-# ---------------------------------------------------------------------------
-
-
-class TensorOperator:
-    """Sparse even operator on r slots, stored by action coefficients."""
-
-    __slots__ = ("m", "n", "r", "coeffs", "_by_input")
-
-    def __init__(self, m: int, n: int, r: int, coeffs: dict | None = None):
-        self.m = m
-        self.n = n
-        self.r = r
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if not _is_zero(v)}
-        self._by_input = None  # input key -> [(output key, coefficient, leg parity)]
-
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def from_permutation(perm: Permutation, m: int, n: int) -> "TensorOperator":
-        r = perm.degree
-        coeffs = {}
-        for key in product(range(1, m + n + 1), repeat=r):
-            coeffs[(permuted_tuple(key, perm), key)] = Fraction(action_sign(key, m, perm))
-        return TensorOperator(m, n, r, coeffs)
-
-    @staticmethod
-    def matrix_at_slot(entries, slot: int, m: int, n: int, r: int) -> "TensorOperator":
-        """The operator acting by the matrix on one slot and identity elsewhere.
-
-        Stores action coefficients: the matrix legs pick up a sign moving past
-        the input basis factors before the slot.
-        """
-        d = m + n
-        coeffs: dict = {}
-        for key in product(range(1, d + 1), repeat=r):
-            j = key[slot - 1]
-            kp = tuple_parities(key, m)
-            prefix = sum(kp[: slot - 1])
-            for i in range(1, d + 1):
-                entry = entries[i - 1][j - 1]
-                if _is_zero(entry):
-                    continue
-                out_key = key[: slot - 1] + (i,) + key[slot:]
-                negate = ((index_parity(i, m) + kp[slot - 1]) * prefix) % 2
-                coeffs[(out_key, key)] = -entry if negate else entry
-        return TensorOperator(m, n, r, coeffs)
-
-    # -- algebra ----------------------------------------------------------------
-
-    def compose(self, other: "TensorOperator") -> "TensorOperator":
-        """Operator product: self acts after other.  Moving self's legs past an
-        odd coefficient of other costs a sign."""
-        by_input: dict = {}
-        for (k, j), c in other.coeffs.items():
-            by_input.setdefault(k, []).append((j, c))
-        coeffs: dict = {}
-        for (l, k), c1 in self.coeffs.items():
-            pairs = by_input.get(k)
-            if pairs is None:
-                continue
-            legs = (sum(tuple_parities(l, self.m)) + sum(tuple_parities(k, self.m))) % 2
-            for j, c2 in pairs:
-                for par, part in _hom_parts(c2):
-                    term = c1 * part
-                    if legs and par:
-                        term = -term
-                    state_add(coeffs, (l, j), term)
-        return TensorOperator(self.m, self.n, self.r, coeffs)
-
-    def apply(self, state: dict) -> dict:
-        if self._by_input is None:
-            self._by_input = {}
-            for (l, k), a in self.coeffs.items():
-                self._by_input.setdefault(k, []).append((l, a, sum(tuple_parities(l + k, self.m)) % 2))
-        out: dict = {}
-        for k, c in state.items():
-            parts = _hom_parts(c)
-            for l, a, legs in self._by_input.get(k, ()):
-                for par, part in parts:
-                    term = a * part
-                    if legs and par:
-                        term = -term
-                    state_add(out, l, term)
-        return out
-
-    # -- traces -------------------------------------------------------------------
-
-    def supertrace(self):
-        """Full contraction: parity-weighted sum of diagonal action coefficients."""
-        total = None
-        for (l, k), a in self.coeffs.items():
-            if l != k:
-                continue
-            w = 1
-            for i in l:
-                w *= parity_weight(i, self.m)
-            term = -a if w < 0 else a
-            total = term if total is None else total + term
-        return 0 if total is None else total
-
-    def contract_slots(self, slots) -> "TensorOperator":
-        """Partial supertrace over the given (1-based) slots, via the
-        matrix-unit expansion."""
-        slots = sorted(set(slots))
-        keep = [a for a in range(self.r) if a + 1 not in slots]
-        coeffs: dict = {}
-        for (l, k), a in self.coeffs.items():
-            if any(l[s - 1] != k[s - 1] for s in slots):
-                continue
-            unit = _act_conversion_sign(l, k, self.m) * a
-            w = 1
-            for s in slots:
-                w *= parity_weight(k[s - 1], self.m)
-            lred = tuple(l[i] for i in keep)
-            kred = tuple(k[i] for i in keep)
-            sign = _act_conversion_sign(lred, kred, self.m) * w
-            state_add(coeffs, (lred, kred), -unit if sign < 0 else unit)
-        return TensorOperator(self.m, self.n, len(keep), coeffs)
-
-    def matrix_entries(self):
-        """For a one-slot operator: the (m+n)x(m+n) grid of coefficients."""
-        if self.r != 1:
-            raise TensorSpaceError("matrix_entries needs a one-slot operator")
-        d = self.m + self.n
-        grid = [[Fraction(0)] * d for _ in range(d)]
-        for ((i,), (j,)), a in self.coeffs.items():
-            grid[i - 1][j - 1] = a
-        return grid
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorOperator)
-            and (self.m, self.n, self.r) == (other.m, other.n, other.r)
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"TensorOperator(r={self.r}, {len(self.coeffs)} coefficients)"

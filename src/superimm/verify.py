@@ -31,7 +31,6 @@ from superimm.immanants import (
     normalized_immanant_sum,
     power_trace,
     schur_weyl_norm_report,
-    slot_operators,
     super_immanant,
     weight_space_supertrace,
 )
@@ -419,14 +418,10 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
         lam_t = conjugate(lam)
         width_a = lam[0] if lam else 0
         width_b = len(lam)
-        needed = max(
-            [lam_t[i] - (i + 1) + (j + 1) for i in range(width_a) for j in range(width_a)]
-            + [lam[i] - (i + 1) + (j + 1) for i in range(width_b) for j in range(width_b)]
-            + [0]
-        )
         # alpha_k is (-1)^k times the u^k coefficient of the characteristic
-        # series, beta_k the u^k coefficient of its inverse (MacMahon)
-        series = characteristic_series(x, max(needed, r))
+        # series, beta_k the u^k coefficient of its inverse (MacMahon); the
+        # largest Jacobi-Trudi index, lambda_1 + len(lambda) - 1, is at most r
+        series = characteristic_series(x, r)
         alphas = {k: -c if k % 2 else c for k, c in enumerate(series.coeffs)}
         betas = dict(enumerate(series.invert().coeffs))
 
@@ -457,12 +452,12 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
             kb = inverse_kostka(mu, lam)
             if ka:
                 term = x.algebra.one()
-                for part in padded(mu, max(width_a, len(mu))):
+                for part in mu:
                     term = term * alphas[part]
                 expan_a = expan_a + term * ka
             if kb:
                 term = x.algebra.one()
-                for part in padded(mu, max(width_b, len(mu))):
+                for part in mu:
                     term = term * betas[part]
                 expan_b = expan_b + term * kb
         yield ("inverse-Kostka alpha expansion", expan_a, det_a)
@@ -475,6 +470,8 @@ def check_hessenberg(lam, m: int, n: int) -> CheckReport:
     """Classical immanant of the power-trace Hessenberg matrix over r! equals
     the normalized immanant sum; the traces must commute first."""
     lam = normalize_partition(lam)
+    if not lam:
+        raise VerifyError("hessenberg needs a nonempty shape")
     params = {"identity": "hessenberg", "m": m, "n": n, "lambda": list(lam)}
     r = sum(lam)
     x = generator_matrix(m, n)
@@ -557,7 +554,7 @@ def check_schur_weyl(m: int, n: int, r: int) -> CheckReport:
             for weight in weak_compositions(r, m + n):
                 indices = composition_to_multiset(weight)
                 alpha = repetition_factor(indices)
-                reports = {tab: schur_weyl_norm_report(lam, tab, weight, m, n) for tab in tabs}
+                reports = {tab: schur_weyl_norm_report(tab, weight, m, n) for tab in tabs}
                 groups: dict = {}
                 for tab, rep in reports.items():
                     yield (
@@ -770,13 +767,12 @@ def check_chain_oracle(m: int, n: int, max_r: int) -> CheckReport:
 
     def comparisons():
         for r in range(1, max_r + 1):
-            slot_ops = slot_operators(x, r)
             for out_indices in iproduct(range(1, m + n + 1), repeat=r):
                 for in_indices in iproduct(range(1, m + n + 1), repeat=r):
                     yield (
                         f"I={list(out_indices)}, J={list(in_indices)}",
                         chain_coefficient(x, out_indices, in_indices),
-                        chain_coefficient_slotwise(x, out_indices, in_indices, slot_ops),
+                        chain_coefficient_slotwise(x, out_indices, in_indices),
                     )
 
     return _run("chain-oracle", params, comparisons())

@@ -1,5 +1,6 @@
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import superimm
@@ -63,7 +64,8 @@ def test_package_has_no_unused_imports():
         assert not unused, (path.name, unused)
 
 
-# Top-level names that no check, script or CLI path calls, kept on purpose.
+# Top-level names, and methods as `Class.method`, that no check, script or
+# CLI path calls, kept on purpose.
 UNREACHED_BY_DESIGN = {
     "immanant_via_idempotent": "test oracle: the immanant as a supertrace through an idempotent",
     "star_product_slotwise": "test oracle: star products slot by slot",
@@ -75,50 +77,54 @@ UNREACHED_BY_DESIGN = {
     "transposition_relation": "test oracle: the Jucys-Murphy transposition relation",
     "lr_coefficient": "public API: one Littlewood-Richardson coefficient, both oracles agreeing",
     "check_classical_degeneration": "test oracle: classical immanants at n = 0, no odd block",
+    "GroupAlgebraElement.star": "public API: the inversion anti-involution of the group algebra",
+    "GroupAlgebraElement.conjugate_by": "test oracle: centrality of idempotents under conjugation",
 }
 
 
-def _definition_name(node):
-    """The name a top-level def or class binds; None for other statements."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return node.name
-    return None
+def _definitions(tree: ast.Module):
+    """(key, name, body) for every top-level def or class, keyed by its name,
+    and for every method of a top-level class but dunders, keyed `Class.method`."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield top.name, top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    yield f"{top.name}.{node.name}", node.name, node
 
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _references(tree: ast.Module):
-    """(name, enclosing top-level definition) for every Name and Attribute."""
-    for top in tree.body:
-        owner = _definition_name(top)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
+def _referenced_names(node):
+    """The identifier of every Name and Attribute under a node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
 
 
 def test_library_code_has_a_caller():
-    """Every top-level def or class of the package is referenced somewhere
-    in the package (outside its own definition), in `scripts` or in
-    `perfbench`; tests alone do not keep library code alive."""
+    """Every top-level def or class of the package, and every method of its
+    classes but dunders, is referenced somewhere in the package (outside its
+    own definition), in `scripts` or in `perfbench`; tests alone do not keep
+    library code alive."""
     trees = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    reached: dict[str, set] = {}
-    for module, tree in trees.items():
-        for name, owner in _references(tree):
-            reached.setdefault(name, set()).add((module, owner))
-    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        for name, _ in _references(_parse(path)):
-            reached.setdefault(name, set()).add((path.name, None))
+    others = [_parse(path) for path in
+              sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))]
+    total = Counter(name for tree in [*trees.values(), *others] for name in _referenced_names(tree))
     unreached = {
-        top.name: f"{module}:{top.name}"
+        key: f"{module}:{key}"
         for module, tree in trees.items()
-        for top in tree.body
-        if _definition_name(top) and not reached.get(top.name, set()) - {(module, top.name)}
+        for key, name, body in _definitions(tree)
+        if total[name] == Counter(_referenced_names(body))[name]
     }
-    uncalled = sorted(unreached[name] for name in unreached.keys() - UNREACHED_BY_DESIGN.keys())
+    uncalled = sorted(unreached[key] for key in unreached.keys() - UNREACHED_BY_DESIGN.keys())
     assert not uncalled, uncalled
     stale = sorted(UNREACHED_BY_DESIGN.keys() - unreached.keys())
     assert not stale, f"allowed as unreached, but reached or gone: {stale}"

@@ -80,6 +80,27 @@ def test_chain_oracle_exhaustive():
                     )
 
 
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda x: chain_coefficient(x, (0,), (1,)),
+        lambda x: chain_coefficient(x, (3,), (1,)),
+        lambda x: chain_coefficient_slotwise(x, (3,), (1,)),
+        lambda x: classical_immanant(x.entries, (1, 1), (0, 1)),
+        lambda x: immanant_via_idempotent((1, 1), x, (0, 1)),
+    ],
+    ids=["chain-0", "chain-3", "slotwise-3", "classical-0", "idempotent-0"],
+)
+def test_indices_out_of_range_are_rejected(compute):
+    with pytest.raises(SuperMatrixError, match=r"indices must lie in \[1, 2\]"):
+        compute(generator_matrix(1, 1))
+
+
+def test_class_function_missing_a_cycle_type_is_rejected():
+    with pytest.raises(SuperMatrixError, match=r"cycle types \[\(1, 1\)\]"):
+        super_immanant({(2,): 1}, generator_matrix(1, 1), (1, 2))
+
+
 def test_classical_determinant():
     x, g = gens(2, 0)
     det = super_immanant((1, 1), x, (1, 2))
@@ -144,7 +165,7 @@ def test_invariants_cross_checked_and_commuting():
 
 
 def test_star_product_against_slot_oracle():
-    for m, n in [(1, 1), (2, 1)]:
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         x = generator_matrix(m, n)
         assert star_product(x, x) == star_product_slotwise(x, x)
     y = generator_matrix(2, 0)
@@ -295,7 +316,7 @@ def test_diagonalize_with_mixed_body():
 
 
 def test_schur_weyl_identity_filling():
-    rep = schur_weyl_norm_report((2, 1), standard_tableaux((2, 1))[0], (1, 1, 1), 2, 1)
+    rep = schur_weyl_norm_report(standard_tableaux((2, 1))[0], (1, 1, 1), 2, 1)
     assert rep["semistandard"] and not rep["vector_zero"]
     assert rep["norm"] == Fraction(1, hook_product((2, 1)))
 

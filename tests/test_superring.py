@@ -231,6 +231,12 @@ def test_series_no_silent_extension():
     assert (f * g).order == 1
 
 
+def test_series_rejects_a_negative_index():
+    f = TruncatedSeries.from_scalars(Algebra("q"), [1, 2, 3], 2)
+    with pytest.raises(SuperRingError, match="negative"):
+        f.coefficient(-1)
+
+
 def test_series_invert_requires_unit(mixed):
     alg, x, *_ = mixed
     f = TruncatedSeries.from_polys(alg, [alg.zero(), x], 1)

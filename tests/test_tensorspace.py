@@ -3,9 +3,10 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
+from superimm.immanants import SuperMatrix, star_product_slotwise
+from superimm.superring import Algebra
 from superimm.symgroup import GroupAlgebraElement, Permutation, symmetric_group
 from superimm.tensorspace import (
-    TensorOperator,
     action_sign,
     apply_group_algebra_to_state,
     bilinear_form,
@@ -13,6 +14,7 @@ from superimm.tensorspace import (
     composition_to_multiset,
     comodule_sign,
     immanant_prefactor,
+    parity_weight,
     permuted_tuple,
     repetition_factor,
     sorted_multisets,
@@ -29,27 +31,43 @@ def test_action_sign_examples():
     assert action_sign((2, 2), 1, Permutation.identity(2)) == 1
 
 
+def _basis_states(m, n, r):
+    for key in product(range(1, m + n + 1), repeat=r):
+        yield key, {key: Fraction(1)}
+
+
+def _act(perm, state, m):
+    return apply_group_algebra_to_state(GroupAlgebraElement.of(perm), state, m)
+
+
 def test_permutation_operators_compose():
+    # acting by t and then by s is acting by s*t, on every basis tensor
     for m, n in [(1, 1), (2, 1)]:
         for r in (2, 3):
             for s in symmetric_group(r):
                 for t in symmetric_group(r):
-                    op = TensorOperator.from_permutation(s, m, n).compose(
-                        TensorOperator.from_permutation(t, m, n)
-                    )
-                    assert op == TensorOperator.from_permutation(s * t, m, n)
+                    for _, state in _basis_states(m, n, r):
+                        assert _act(s, _act(t, state, m), m) == _act(s * t, state, m)
 
 
 def test_action_on_states_matches_operator():
+    # move each factor to its target slot by swaps of neighbours, one minus
+    # sign per swap of two odd factors
     rng = random.Random(7)
     for _ in range(20):
         r = rng.choice((2, 3))
         perm = rng.choice(symmetric_group(r))
         key = tuple(rng.choice((1, 2)) for _ in range(r))
-        state = {key: Fraction(3)}
-        direct = apply_group_algebra_to_state(GroupAlgebraElement.of(perm), state, 1)
-        via_op = TensorOperator.from_permutation(perm, 1, 1).apply(state)
-        assert direct == via_op
+        factors = list(zip(perm.images, key))
+        sign = 1
+        for end in range(r - 1, 0, -1):
+            for k in range(end):
+                if factors[k][0] > factors[k + 1][0]:
+                    if factors[k][1] > 1 and factors[k + 1][1] > 1:
+                        sign = -sign
+                    factors[k], factors[k + 1] = factors[k + 1], factors[k]
+        moved = tuple(i for _, i in factors)
+        assert _act(perm, {key: Fraction(3)}, 1) == {moved: Fraction(3 * sign)}
 
 
 def test_group_algebra_operator_matches_state_action():
@@ -58,15 +76,13 @@ def test_group_algebra_operator_matches_state_action():
     s = Permutation.transposition(1, 2, 3)
     t = Permutation((2, 3, 1))
     elem = GroupAlgebraElement(r, {s: Fraction(1, 2), t: Fraction(-2)})
-    for key in product(range(1, m + n + 1), repeat=r):
-        state = {key: Fraction(1)}
+    for _, state in _basis_states(m, n, r):
         expected: dict = {}
         for perm, c in elem.terms.items():
-            for out_key, value in TensorOperator.from_permutation(perm, m, n).apply(state).items():
+            for out_key, value in _act(perm, state, m).items():
                 state_add(expected, out_key, c * value)
         assert apply_group_algebra_to_state(elem, state, m) == expected
-        ident = TensorOperator.from_permutation(Permutation.identity(r), m, n)
-        assert ident.apply(state) == state
+        assert _act(Permutation.identity(r), state, m) == state
 
 
 def test_contravariance_of_the_pairing():
@@ -105,12 +121,15 @@ def test_immanant_prefactor():
 
 
 def test_supertrace_of_flip_counts_dimension():
+    flip = Permutation.transposition(1, 2, 2)
     for m, n in [(1, 1), (2, 1), (1, 2), (2, 2)]:
-        flip = TensorOperator.from_permutation(Permutation.transposition(1, 2, 2), m, n)
-        assert flip.supertrace() == m - n
-        # partial contraction agrees with the full one
-        twice = flip.contract_slots([1]).contract_slots([1])
-        assert twice.coeffs.get(((), ()), Fraction(0)) == m - n
+        total = 0
+        for (a, b), state in _basis_states(m, n, 2):
+            total += parity_weight(a, m) * parity_weight(b, m) * _act(flip, state, m).get((a, b), 0)
+        assert total == m - n
+        # the star product of two identities is the flip contracted over slot 1
+        ident = SuperMatrix.identity(m, n, Algebra("t"))
+        assert star_product_slotwise(ident, ident) == ident
 
 
 def test_multi_index():

@@ -404,6 +404,11 @@ def test_littlewood_3_rejects_the_empty_shape_up_front(monkeypatch):
         check_littlewood_3((), 1, 1, point)
 
 
+def test_hessenberg_rejects_the_empty_shape_up_front():
+    with pytest.raises(VerifyError, match="nonempty shape"):
+        check_hessenberg((), 1, 1)
+
+
 def test_sweep_rejects_trials_below_one():
     for trials in (0, -2):
         with pytest.raises(VerifyError, match=f"trials >= 1, got {trials}"):
@@ -433,15 +438,6 @@ def test_littlewood_3_sweep_shares_its_work(monkeypatch):
     # one diagonalization per point, the symbolic sides once per shape or degree
     assert calls == {"diagonalize": 3, "normalized_immanant_sum": 6, "power_trace": 3,
                      "elementary_invariant": 3, "complete_invariant": 3}
-
-
-def test_chain_oracle_builds_each_slot_operator_once(monkeypatch):
-    from superimm.tensorspace import TensorOperator
-
-    calls = {}
-    _spy(monkeypatch, TensorOperator, "matrix_at_slot", calls)
-    _assert_pass(check_chain_oracle(1, 1, 3))
-    assert calls == {"matrix_at_slot": 1 + 2 + 3}
 
 
 def test_littlewood_3_failure_at_one_point_stays_with_its_reports(monkeypatch):

@@ -234,11 +234,16 @@ def supertrace(x: SuperMatrix) -> SuperPoly:
 
 
 def _check_indices(size: int, *index_tuples) -> None:
-    """Reject index tuples of unequal length or with an index outside [1, size]."""
+    """Reject index tuples of unequal length, or with an index that is not a
+    plain int (a bool is not) or lies outside [1, size]."""
     if len({len(t) for t in index_tuples}) > 1:
         raise SuperMatrixError("index tuples must have equal length")
-    if not all(0 < i <= size for t in index_tuples for i in t):
-        raise SuperMatrixError(f"indices must lie in [1, {size}]")
+    for t in index_tuples:
+        for i in t:
+            if i.__class__ is not int:
+                raise SuperMatrixError("indices must be integers")
+            if not 0 < i <= size:
+                raise SuperMatrixError(f"indices must lie in [1, {size}]")
 
 
 def chain_coefficient(x: SuperMatrix, out_indices, in_indices) -> SuperPoly:
@@ -298,16 +303,17 @@ def chain_state(x: SuperMatrix, in_indices, weight) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _as_class_function(char, r: int):
+def _as_class_function(char, r: int) -> dict:
+    """The table {cycle type: value} over the partitions of r."""
     if isinstance(char, dict):
         missing = [ct for ct in partitions(r) if ct not in char]
         if missing:
             raise SuperMatrixError(f"class function has no value at cycle types {missing}")
-        return lambda ct: char[ct]
+        return {ct: char[ct] for ct in partitions(r)}
     shape = normalize_partition(char)
     if sum(shape) != r:
         raise SuperMatrixError("character shape size must match the index length")
-    return lambda ct: character(shape, ct)
+    return {ct: character(shape, ct) for ct in partitions(r)}
 
 
 @lru_cache(maxsize=None)
@@ -342,7 +348,7 @@ def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> Super
     _check_indices(x.size, row_indices, col_indices)
     r = len(row_indices)
     chi = _as_class_function(char, r)
-    weighted = ((perm, chi(ct)) for perm, ct in _typed_permutations(r))
+    weighted = ((perm, chi[ct]) for perm, ct in _typed_permutations(r))
     acc = _koszul_sum(x, weighted, row_indices, col_indices)
     return -acc if immanant_prefactor(row_indices, col_indices, x.m) < 0 else acc
 
@@ -403,12 +409,14 @@ def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
 
 def classical_immanant(entries, char, indices=None):
     """Plain permutation-sum immanant of a square grid of pairwise commuting
-    SuperPolys (no parity signs)."""
+    SuperPolys (no parity signs); 1 for the empty index tuple."""
+    if not entries:
+        raise SuperMatrixError("the grid of entries is empty")
     indices = tuple(indices) if indices is not None else tuple(range(1, len(entries) + 1))
     _check_indices(len(entries), indices)
     grid = [[entries[i - 1][j - 1] for j in indices] for i in indices]
     chi = _as_class_function(char, len(indices))
-    return permutation_sum(grid, lambda perm: chi(perm.cycle_type()), grid[0][0].algebra.one())
+    return permutation_sum(grid, lambda perm: chi[perm.cycle_type()], entries[0][0].algebra.one())
 
 
 # ---------------------------------------------------------------------------

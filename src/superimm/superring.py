@@ -2,8 +2,11 @@
 
 Generators carry a Z2 parity.  Even generators are central; odd generators
 anticommute pairwise and square to zero.  A monomial is kept in normal form
-(odd factors sorted by generator name, the reordering sign absorbed into the
-coefficient), so polynomial equality is a dictionary comparison.
+(even factors sorted by name; odd factors stored as a bitmask, one bit per odd
+generator in declaration order, the reordering sign into that bit order
+absorbed into the coefficient), so polynomial equality is a dictionary
+comparison.  Every public view shows the odd factors sorted by name, with the
+sign of that order.
 
 Also provides truncated power series over such an algebra, finite Grassmann
 algebras Lambda_N as evaluation targets, a small expression grammar for
@@ -17,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -58,6 +62,8 @@ class Algebra:
     def __init__(self, label: str = ""):
         self.label = label
         self._gens: dict[str, Generator] = {}
+        self._bit: dict[str, int] = {}  # odd generator -> its bit, in declaration order
+        self._shown: dict[int, tuple] = {}  # memo of _odd_names
 
     def declare(self, name: str, parity: Parity) -> "SuperPoly":
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
@@ -68,6 +74,8 @@ class Algebra:
                 raise SuperRingError(f"generator {name!r} already declared with other parity")
         else:
             self._gens[name] = Generator(name, Parity(parity))
+            if parity == Parity.ODD:
+                self._bit[name] = 1 << len(self._bit)
         return self.gen(name)
 
     def even(self, *names: str):
@@ -81,9 +89,9 @@ class Algebra:
     def gen(self, name: str) -> "SuperPoly":
         g = self._gens[name]
         if g.parity == Parity.EVEN:
-            key = (((name, 1),), ())
+            key = (((name, 1),), 0)
         else:
-            key = ((), (name,))
+            key = ((), self._bit[name])
         return SuperPoly(self, {key: 1})
 
     def parity_of(self, name: str) -> Parity:
@@ -96,7 +104,27 @@ class Algebra:
         return name in self._gens
 
     def compatible(self, other: "Algebra") -> bool:
-        return self is other or self._gens == other._gens
+        """Same generators, and the same odd declaration order (the bit order)."""
+        return self is other or (self._gens == other._gens and list(self._bit) == list(other._bit))
+
+    def _odd_names(self, mask: int) -> tuple:
+        """(sign, names) for the odd part stored as `mask`: its generators in
+        name order, and the sign that reorders their product from bit order
+        into name order."""
+        shown = self._shown.get(mask)
+        if shown is None:
+            in_bit_order = [name for name, bit in self._bit.items() if mask & bit]
+            swaps = sum(a > b for a, b in combinations(in_bit_order, 2))
+            shown = self._shown[mask] = (-1 if swaps % 2 else 1, tuple(sorted(in_bit_order)))
+        return shown
+
+    def _odd_mask(self, names) -> tuple:
+        """(sign, mask) for an odd part given as names in name order, the
+        inverse of `_odd_names`; (0, 0) unless the names are distinct odd
+        generators in name order."""
+        mask = sum({self._bit.get(name, 0) for name in names})  # the union of distinct bits
+        sign, shown = self._odd_names(mask)
+        return (sign, mask) if shown == tuple(names) else (0, 0)
 
     def __repr__(self):
         return f"Algebra({self.label or len(self._gens)} gens)"
@@ -132,33 +160,21 @@ def _reduced(algebra: Algebra, terms: dict, den: int) -> "SuperPoly":
     return SuperPoly(algebra, terms, den)
 
 
-def merge_odd_parts(a: tuple, b: tuple):
-    """Interleave two sorted odd-generator tuples, tracking the Koszul sign.
+def merge_odd_parts(a: int, b: int):
+    """Multiply two odd parts stored as bitmasks, tracking the Koszul sign.
 
-    Returns (sign, merged); sign 0 means a generator repeats and the term dies.
+    Each generator of b moves left past the generators of a on higher bits,
+    so the sign is the parity of the pairs (i in a, j in b) with i > j.
+    Returns (sign, a | b); sign 0 means a generator repeats and the term dies.
     """
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    sign = 1
-    out = []
-    i = j = 0
-    la = len(a)
-    while i < la and j < len(b):
-        if a[i] == b[j]:
-            return 0, ()
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (la - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+    if a & b:
+        return 0, 0
+    union, swaps = a | b, 0
+    while a and b:
+        low = b & -b
+        swaps += (a & -(low << 1)).bit_count()  # the bits of a above low
+        b ^= low
+    return -1 if swaps & 1 else 1, union
 
 
 def _merge_even(a: tuple, b: tuple) -> tuple:
@@ -172,7 +188,7 @@ def _merge_even(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(exps.items()))
 
 
-_ONE = ((), ())  # the key of the constant monomial
+_ONE = ((), 0)  # the key of the constant monomial
 
 
 class SuperPoly:
@@ -181,8 +197,10 @@ class SuperPoly:
     Terms map (even_part, odd_part) -> nonzero int numerator, all over one
     positive denominator `_den`, kept reduced: gcd(_den, *numerators) == 1,
     and _den == 1 for zero.  even_part is a sorted tuple of (generator,
-    exponent) and odd_part a sorted tuple of odd generator names.  Instances
-    are treated as immutable.
+    exponent) and odd_part an int bitmask of odd generators, the monomial
+    being their product in bit (declaration) order.  `terms`, `coefficient`,
+    `str` and the term serialization show odd parts as name-sorted tuples
+    with the sign of name order.  Instances are treated as immutable.
     """
 
     __slots__ = ("algebra", "_terms", "_den")
@@ -207,19 +225,23 @@ class SuperPoly:
         return [(k, c // den if c % den == 0 else Fraction(c, den)) for k, c in self._terms.items()]
 
     def terms(self):
-        """Deterministically ordered (even, odd, coefficient) triples."""
-        return sorted(((e, o, c) for (e, o), c in self._coefficients()))
+        """Deterministically ordered (even, odd, coefficient) triples, odd a
+        name-sorted tuple of generator names."""
+        shown = [(e, self.algebra._odd_names(o), c) for (e, o), c in self._coefficients()]
+        return sorted((e, names, sign * c) for e, (sign, names), c in shown)
 
     def coefficient(self, key) -> Fraction:
-        """Coefficient of the monomial key (even_part, odd_part); 0 if absent."""
-        return Fraction(self._terms.get(key, 0), self._den)
+        """Coefficient of the monomial key (even_part, odd_part), odd_part a
+        name-sorted tuple of names; 0 if absent."""
+        sign, mask = self.algebra._odd_mask(key[1])
+        return Fraction(sign * self._terms.get((key[0], mask), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self.coefficient(((), ()))
+        return Fraction(self._terms.get(_ONE, 0), self._den)
 
     def parity(self):
         """Parity if homogeneous (0, 1, or 0 for the zero poly); None if mixed."""
-        parities = {len(o) % 2 for (_, o) in self._terms}
+        parities = {o.bit_count() % 2 for (_, o) in self._terms}
         if not parities:
             return Parity.EVEN
         if len(parities) > 1:
@@ -231,7 +253,7 @@ class SuperPoly:
         even = {}
         odd = {}
         for key, c in self._terms.items():
-            (even if len(key[1]) % 2 == 0 else odd)[key] = c
+            (odd if key[1].bit_count() % 2 else even)[key] = c
         return _reduced(self.algebra, even, self._den), _reduced(self.algebra, odd, self._den)
 
     # -- ring operations -------------------------------------------------------
@@ -293,9 +315,9 @@ class SuperPoly:
         terms: dict = {}
         for (ea, oa), ca in left.items():
             for (eb, ob), cb in right.items():
-                sign, odd = merge_odd_parts(oa, ob)
-                if sign == 0:
+                if oa & ob:  # a repeated odd generator: the pair dies
                     continue
+                sign, odd = merge_odd_parts(oa, ob)
                 key = (_merge_even(ea, eb), odd)
                 p = ca * cb if sign > 0 else -(ca * cb)
                 s = terms.get(key)
@@ -337,8 +359,8 @@ class SuperPoly:
     def substitute(self, images: Mapping[str, "SuperPoly"], target: Algebra) -> "SuperPoly":
         """Ring homomorphism determined by generator images.
 
-        Odd factors are substituted in the monomial's canonical order, so the
-        normal-form sign stored in the coefficient stays correct.
+        Odd factors are substituted in name order, with the stored
+        coefficient taken to that order's sign.
         """
         powers: dict = {}
 
@@ -355,13 +377,15 @@ class SuperPoly:
             return powers[name, exp]
 
         images_of_terms = []
+        odd_names = self.algebra._odd_names
         for (even, odd), c in self._terms.items():
+            sign, names = odd_names(odd)
             term = None
-            for name, exp in (*even, *((name, 1) for name in odd)):
+            for name, exp in (*even, *((name, 1) for name in names)):
                 term = power(name, exp) if term is None else term * power(name, exp)
                 if term.is_zero:
                     break
-            images_of_terms.append((c, target.one() if term is None else term))
+            images_of_terms.append((sign * c, target.one() if term is None else term))
         den = lcm(*(term._den for _, term in images_of_terms))
         acc: dict = {}
         for c, term in images_of_terms:
@@ -382,15 +406,15 @@ class SuperPoly:
         if body == 0:
             raise NotInvertibleError("constant term is zero")
         soul = self - body
-        odd_names = set()
-        for (_, o), _c in soul._terms.items():
+        odd_bits = 0
+        for _, o in soul._terms:
             if not o:
                 raise NotInvertibleError("soul contains a non-nilpotent term")
-            odd_names.update(o)
+            odd_bits |= o
         inv_body = Fraction(1) / body
         out = self.algebra.scalar(inv_body)
         power = self.algebra.one()
-        for _ in range(len(odd_names)):
+        for _ in range(odd_bits.bit_count()):
             power = power * soul * (-inv_body)
             if power.is_zero:
                 break
@@ -569,7 +593,7 @@ def grassmann_algebra(n_units: int) -> Algebra:
 
 def theta_degree(p: SuperPoly) -> int:
     """Largest number of odd factors in any term (0 for the zero poly)."""
-    return max((len(o) for (_, o) in p._terms), default=0)
+    return max((o.bit_count() for (_, o) in p._terms), default=0)
 
 
 def soul(p: SuperPoly) -> SuperPoly:
@@ -722,15 +746,15 @@ def poly_to_terms(p: SuperPoly) -> list[dict]:
 def poly_from_terms(algebra: Algebra, terms: Iterable[Mapping]) -> SuperPoly:
     out = algebra.zero()
     for t in terms:
-        key = (
-            tuple(sorted((name, int(exp)) for name, exp in t.get("even", []))),
-            tuple(t.get("odd", [])),
-        )
-        for parity, names in ((Parity.EVEN, [name for name, _ in key[0]]), (Parity.ODD, key[1])):
+        even = tuple(sorted((name, int(exp)) for name, exp in t.get("even", [])))
+        odd = tuple(t.get("odd", []))
+        for parity, names in ((Parity.EVEN, [name for name, _ in even]), (Parity.ODD, odd)):
             for name in names:
                 if name not in algebra or algebra.parity_of(name) != parity:
                     raise SuperRingError(f"{name!r} is not an {parity.name.lower()} generator")
-        if list(key[1]) != sorted(key[1]):
-            raise SuperRingError("odd part must be listed in canonical sorted order")
-        out = out + _monomial(algebra, key, t["coefficient"])
+        sign, mask = algebra._odd_mask(odd)
+        if not sign:
+            raise SuperRingError("odd part must list distinct generators in name order")
+        term = _monomial(algebra, (even, mask), t["coefficient"])
+        out = out + (term if sign > 0 else -term)
     return out

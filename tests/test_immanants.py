@@ -96,6 +96,36 @@ def test_indices_out_of_range_are_rejected(compute):
         compute(generator_matrix(1, 1))
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1", None])
+def test_indices_that_are_not_ints_are_rejected(bad):
+    x = generator_matrix(1, 1)
+    for compute in (
+        lambda: chain_coefficient(x, (bad,), (1,)),
+        lambda: chain_coefficient_slotwise(x, (1,), (bad,)),
+        lambda: super_immanant((1,), x, (bad,)),
+        lambda: classical_immanant(x.entries, (1,), (bad,)),
+    ):
+        with pytest.raises(SuperMatrixError, match="indices must be integers"):
+            compute()
+
+
+def test_classical_immanant_of_the_empty_index_tuple_is_one():
+    x = generator_matrix(1, 1)
+    assert classical_immanant(x.entries, (), ()) == x.algebra.one()
+    assert classical_immanant(x.entries, (), ()) == super_immanant((), x, ())
+    with pytest.raises(SuperMatrixError, match="grid of entries is empty"):
+        classical_immanant([], (), ())
+
+
+def test_class_function_is_evaluated_once_per_cycle_type(monkeypatch):
+    calls = []
+    monkeypatch.setattr(immanants, "character", lambda lam, ct: calls.append(ct) or 1)
+    x = generator_matrix(1, 1)
+    super_immanant((2, 1), x, (1, 1, 2))
+    classical_immanant(x.entries, (2,), (1, 2))
+    assert sorted(calls) == sorted([*partitions(3), *partitions(2)])
+
+
 def test_class_function_missing_a_cycle_type_is_rejected():
     with pytest.raises(SuperMatrixError, match=r"cycle types \[\(1, 1\)\]"):
         super_immanant({(2,): 1}, generator_matrix(1, 1), (1, 2))

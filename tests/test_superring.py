@@ -298,6 +298,8 @@ def test_poly_from_terms_rejects_names_off_the_algebra():
         {"coefficient": 1, "even": [["zz", 1]]},  # undeclared even name
         {"coefficient": 1, "even": [["th1", 1]]},  # odd generator listed as even
         {"coefficient": 1, "odd": ["qq"]},  # undeclared odd name
+        {"coefficient": 1, "odd": ["th2", "th1"]},  # odd part out of name order
+        {"coefficient": 1, "odd": ["th1", "th1"]},  # repeated odd generator
     ):
         with pytest.raises(SuperRingError):
             poly_from_terms(alg, [bad])
@@ -348,12 +350,19 @@ def test_constant_poly_hashes_like_its_rational_value(value):
 # -- integer-first coefficients against a plain-Fraction reference -------------
 #
 # A reference polynomial is a dict {(even_part, odd_part): Fraction} in the
-# normal form SuperPoly documents; its arithmetic below shares no code with
-# superring (the Koszul sign is an inversion count of the concatenated odd
-# factors).
+# normal form SuperPoly shows (odd names sorted by name); its arithmetic below
+# shares no code with superring (the Koszul sign is an inversion count of the
+# concatenated odd factors).  SuperPoly stores odd parts in declaration order,
+# so the kernel tests also run on algebras whose odd generators are declared
+# out of name order.
 
 EVEN_GENS = ("x", "y")
-ODD_GENS = ("t1", "t2", "t3")
+ODD_GENS = ("th1", "th2", "th10")
+ODD_ORDERS = {
+    "name-order": ("th1", "th10", "th2"),
+    "reversed": ("th2", "th10", "th1"),
+    "th2-before-th10": ("th1", "th2", "th10"),
+}
 ONE_KEY = ((), ())
 
 rationals = st.one_of(
@@ -373,11 +382,14 @@ def raw_polys(keys=monomials, max_size=3):
     return st.dictionaries(keys, rationals, max_size=max_size)
 
 
-def _kernel_algebra():
+def _kernel_algebra(odd_order=ODD_ORDERS["name-order"]):
     alg = Algebra("kernel")
     alg.even(*EVEN_GENS)
-    alg.odd(*ODD_GENS)
+    alg.odd(*odd_order)
     return alg
+
+
+by_odd_order = pytest.mark.parametrize("odd_order", ODD_ORDERS.values(), ids=ODD_ORDERS)
 
 
 def _as_terms(raw):
@@ -448,10 +460,11 @@ def _assert_matches(p, ref):
     assert poly_to_terms(p) == expected
 
 
+@by_odd_order
 @given(raw_polys(), raw_polys(), raw_polys(max_size=2), rationals)
 @settings(max_examples=200, deadline=None)
-def test_kernel_coefficients_match_fraction_reference(raw_a, raw_b, raw_c, s):
-    alg = _kernel_algebra()
+def test_kernel_coefficients_match_fraction_reference(odd_order, raw_a, raw_b, raw_c, s):
+    alg = _kernel_algebra(odd_order)
     a, b, c = (poly_from_terms(alg, _as_terms(raw)) for raw in (raw_a, raw_b, raw_c))
     ref_a, ref_b, ref_c = _ref(raw_a), _ref(raw_b), _ref(raw_c)
     _assert_matches(a, ref_a)
@@ -483,15 +496,16 @@ odd_images = raw_polys(keys=monomials.filter(lambda key: len(key[1]) % 2 == 1))
     st.tuples(odd_images, odd_images, odd_images),
 )
 @example(
-    raw={((("x", 3), ("y", 1)), ("t1",)): 2, ((("x", 2),), ()): -1, ONE_KEY: Fraction(1, 2)},
-    evens=({ONE_KEY: Fraction(1, 3), ((), ("t1", "t2")): 1}, {}),
-    odds=({((), ("t2",)): 1}, {((("x", 1),), ("t3",)): -2}, {}),
+    raw={((("x", 3), ("y", 1)), ("th1",)): 2, ((("x", 2),), ()): -1, ONE_KEY: Fraction(1, 2)},
+    evens=({ONE_KEY: Fraction(1, 3), ((), ("th1", "th2")): 1}, {}),
+    odds=({((), ("th2",)): 1}, {((("x", 1),), ("th10",)): -2}, {}),
 )
 @settings(max_examples=200, deadline=None)
-def test_substitute_matches_factor_by_factor_reference(raw, evens, odds):
+@by_odd_order
+def test_substitute_matches_factor_by_factor_reference(odd_order, raw, evens, odds):
     """Even and odd images, exponents up to 3 and zero images, against the
     reference that multiplies in one generator factor at a time."""
-    alg = _kernel_algebra()
+    alg = _kernel_algebra(odd_order)
     raw_images = dict(zip(EVEN_GENS, evens)) | dict(zip(ODD_GENS, odds))
     images = {g: poly_from_terms(alg, _as_terms(r)) for g, r in raw_images.items()}
     ref_images = {g: _ref(r) for g, r in raw_images.items()}
@@ -512,7 +526,7 @@ def test_substitute_missing_generator_raises(mixed):
 
 
 @given(raw_polys(max_size=4), rationals)
-@example(raw={((("x", 1),), ("t1",)): Fraction(3, 2), ONE_KEY: 3}, s=Fraction(2, 3))
+@example(raw={((("x", 1),), ("th1",)): Fraction(3, 2), ONE_KEY: 3}, s=Fraction(2, 3))
 @settings(max_examples=200, deadline=None)
 def test_product_with_constant_operand_is_scaling(raw, s):
     """A constant operand on either side gives the product by the plain
@@ -527,13 +541,14 @@ def test_product_with_constant_operand_is_scaling(raw, s):
         assert all(c != 0 for c in product._terms.values())
 
 
+@by_odd_order
 @given(
     st.one_of(st.integers(1, 5), st.builds(Fraction, st.integers(1, 6), st.integers(1, 3))),
     raw_polys(keys=monomials.filter(lambda key: key[1]), max_size=4),
 )
 @settings(max_examples=200, deadline=None)
-def test_kernel_inverse_of_unit_matches_fraction_reference(body, raw_soul):
-    alg = _kernel_algebra()
+def test_kernel_inverse_of_unit_matches_fraction_reference(odd_order, body, raw_soul):
+    alg = _kernel_algebra(odd_order)
     raw = {**raw_soul, ONE_KEY: body}
     unit = poly_from_terms(alg, _as_terms(raw))
     inverse = unit.inverse_of_unit()
@@ -541,9 +556,49 @@ def test_kernel_inverse_of_unit_matches_fraction_reference(body, raw_soul):
     _assert_matches(unit * inverse, {ONE_KEY: Fraction(1)})
 
 
+@by_odd_order
+@given(raw_polys())
+@settings(max_examples=100, deadline=None)
+def test_terms_round_trip_under_every_odd_declaration_order(odd_order, raw):
+    """poly_to_terms, poly_from_terms, coefficient and str show name order,
+    whatever order the odd generators were declared in."""
+    alg = _kernel_algebra(odd_order)
+    p = poly_from_terms(alg, _as_terms(raw))
+    from_generators = alg.zero()
+    for (even, odd), c in raw.items():
+        term = alg.scalar(c)
+        for name in (*(name for name, exp in even for _ in range(exp)), *odd):
+            term = term * alg.gen(name)
+        from_generators = from_generators + term
+    assert from_generators == p
+    assert poly_from_terms(alg, poly_to_terms(p)) == p
+    for key, c in _ref(raw).items():
+        assert p.coefficient(key) == c
+    in_name_order = poly_from_terms(_kernel_algebra(), poly_to_terms(p))
+    assert poly_to_terms(in_name_order) == poly_to_terms(p)
+    assert str(in_name_order) == str(p)
+
+
+def test_algebras_declaring_odd_generators_in_different_orders_are_not_compatible():
+    a, b = _kernel_algebra(ODD_ORDERS["reversed"]), _kernel_algebra(ODD_ORDERS["th2-before-th10"])
+    assert not a.compatible(b) and not b.compatible(a)
+    p = a.gen("th2") * a.gen("th1") + a.gen("th10") * a.gen("x")
+    q = poly_from_terms(b, poly_to_terms(p))
+    assert poly_to_terms(q) == poly_to_terms(p) and str(q) == "-th1*th2 + x*th10"
+    assert p != q
+    with pytest.raises(AlgebraMismatchError):
+        p + q
+    swapped = [poly.substitute({"x": alg.gen("x"), "th1": alg.gen("th10"), "th2": alg.gen("th2"),
+                                "th10": alg.gen("th1")}, alg) for poly, alg in ((p, a), (q, b))]
+    # (-th1*th2 + x*th10) * (-th10*th2 + x*th1) = x^2*th10*th1 = -x^2*th1*th10
+    assert poly_to_terms(p * swapped[0]) == poly_to_terms(q * swapped[1]) == [
+        {"coefficient": "-1", "even": [["x", 2]], "odd": ["th1", "th10"]}
+    ]
+
+
 def test_integer_and_fraction_inputs_build_equal_polys():
     alg = _kernel_algebra()
-    x, t1 = alg.gen("x"), alg.gen("t1")
+    x, t1 = alg.gen("x"), alg.gen("th1")
     x_key = ((("x", 1),), ())
     pairs = [
         (alg.scalar(2), alg.scalar(Fraction(2))),

@@ -19,7 +19,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=20240613)
     parser.add_argument("--max-r", type=int, default=3)
     args = parser.parse_args(argv)
+    try:
+        if args.max_r < 1:
+            raise ValueError(f"--max-r must be at least 1, got {args.max_r}")
+        return _demo(args)
+    except ValueError as exc:  # every package error is a ValueError
+        print(f"diagonalize_demo: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _demo(args) -> int:
     m, n = args.m, args.n
     point = random_grassmann_point(m, n, args.seed)
     x = generator_matrix(m, n)

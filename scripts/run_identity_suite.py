@@ -59,10 +59,14 @@ def main(argv=None) -> int:
     all_reports = []
     start = time.perf_counter()
     for name, m, n, max_r, extra in GRID:
-        reports = sweep(
-            name, m, n, max_r,
-            order=extra.get("order", 3), seed=args.seed, trials=args.trials,
-        )
+        try:
+            reports = sweep(
+                name, m, n, max_r,
+                order=extra.get("order", 3), seed=args.seed, trials=args.trials,
+            )
+        except ValueError as exc:  # every package error is a ValueError
+            print(f"run_identity_suite: error: {exc}", file=sys.stderr)
+            return 2
         passed = sum(r.passed for r in reports)
         vacuous = sum(r.vacuous for r in reports)
         cases = sum(r.cases for r in reports)

@@ -19,7 +19,7 @@ from superimm.immanants import (
     super_immanant,
 )
 from superimm.superring import poly_to_terms
-from superimm.supersym import schur_super, schur_super_jacobi_trudi_grid
+from superimm.supersym import jacobi_trudi_grid, schur_super
 from superimm.verify import CHECK_FAMILIES, sweep
 
 CHECK_NAMES = (*CHECK_FAMILIES, "all")
@@ -70,9 +70,8 @@ def _cmd_imm(args) -> int:
 def _cmd_schur(args) -> int:
     shape = _parse_ints(args.shape)
     if args.form == "jacobi-trudi":
-        grid = schur_super_jacobi_trudi_grid(shape, args.m, args.n)
-        for row in grid:
-            print("  ".join("." if k is None else f"S[{k}]" for k in row))
+        for row in jacobi_trudi_grid(shape, lambda k: f"S[{k}]"):
+            print("  ".join(row))
     else:
         print(schur_super(shape, args.m, args.n))
     return 0

@@ -591,15 +591,6 @@ def grassmann_algebra(n_units: int) -> Algebra:
     return alg
 
 
-def theta_degree(p: SuperPoly) -> int:
-    """Largest number of odd factors in any term (0 for the zero poly)."""
-    return max((o.bit_count() for (_, o) in p._terms), default=0)
-
-
-def soul(p: SuperPoly) -> SuperPoly:
-    return p - p.constant_term()
-
-
 class GrassmannPoint:
     """A parity-respecting assignment of generators to Lambda_N elements."""
 
@@ -617,11 +608,6 @@ class GrassmannPoint:
             got = value.parity()
             if not value.is_zero and got != want:
                 raise EvaluationError(f"value for {name!r} has parity {got}, expected {want}")
-            if want == Parity.EVEN and theta_degree(soul(value)) == 0 and not soul(value).is_zero:
-                raise EvaluationError(f"even value for {name!r} has a non-nilpotent soul")
-
-    def body(self, name: str) -> Fraction:
-        return self.assignment[name].constant_term()
 
     def evaluate(self, p: SuperPoly) -> SuperPoly:
         if not p.algebra.compatible(self.source):

@@ -75,16 +75,18 @@ def complete_super(k: int, m: int, n: int) -> SuperPoly:
     return _generating_series(m, n, k).coefficient(k)
 
 
+def jacobi_trudi_grid(shape, entry) -> list[list]:
+    """The Jacobi-Trudi matrix of a partition: entry (i, j), counted from 0,
+    is entry(shape[i] - i + j)."""
+    shape = normalize_partition(shape)
+    return [[entry(part - i + j) for j in range(len(shape))] for i, part in enumerate(shape)]
+
+
 def schur_super(shape, m: int, n: int) -> SuperPoly:
     """Jacobi-Trudi determinant in the generating coefficients; vanishes
     exactly off the (m,n) hook."""
-    shape = normalize_partition(shape)
-    ell = len(shape)
-    entries = [
-        [complete_super(shape[i] - (i + 1) + (j + 1), m, n) for j in range(ell)]
-        for i in range(ell)
-    ]
-    return commuting_determinant(entries, sym_algebra(m, n).one())
+    grid = jacobi_trudi_grid(shape, lambda k: complete_super(k, m, n))
+    return commuting_determinant(grid, sym_algebra(m, n).one())
 
 
 def _swap_generators(f: SuperPoly, a: str, b: str) -> SuperPoly:
@@ -155,10 +157,3 @@ def evaluate_two_alphabets(f: SuperPoly, first_values, second_values, target: Al
         images[f"v{j}"] = value
     return f.substitute(images, target)
 
-
-def schur_super_jacobi_trudi_grid(shape, m: int, n: int):
-    """The Jacobi-Trudi matrix skeleton: grid of degree labels, for display."""
-    shape = normalize_partition(shape)
-    ell = max(len(shape), 1)
-    return [[shape[i] - (i + 1) + (j + 1) if i < len(shape) else None for j in range(ell)]
-            for i in range(ell)]

@@ -377,14 +377,10 @@ def class_size(cycle_type) -> int:
 
 def induced_sign_character(mu):
     """Class function of the character induced from the sign character of the
-    Young subgroup S_mu, expanded through Kostka numbers."""
-    mu = normalize_partition(mu)
-    r = sum(mu)
-    table = {
-        rho: sum(kostka(conjugate(lam), mu) * character(lam, rho) for lam in partitions(r))
-        for rho in partitions(r)
-    }
-    return table
+    Young subgroup S_mu: Ind(sgn) = sgn (x) Ind(1), so its value at rho is
+    the sign (-1)^(r - len(rho)) times the trivially induced one."""
+    return {rho: (-1) ** (sum(rho) - len(rho)) * value
+            for rho, value in induced_trivial_character(mu).items()}
 
 
 def induced_trivial_character(mu):

@@ -68,6 +68,7 @@ from superimm.tensorspace import (
 )
 from superimm.supersym import (
     evaluate_two_alphabets,
+    jacobi_trudi_grid,
     power_sum,
     schur_super,
     sym_algebra,
@@ -415,53 +416,36 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
     x = generator_matrix(m, n)
 
     def comparisons():
-        lam_t = conjugate(lam)
-        width_a = lam[0] if lam else 0
-        width_b = len(lam)
+        zero, one = x.algebra.zero(), x.algebra.one()
         # alpha_k is (-1)^k times the u^k coefficient of the characteristic
         # series, beta_k the u^k coefficient of its inverse (MacMahon); the
         # largest Jacobi-Trudi index, lambda_1 + len(lambda) - 1, is at most r
         series = characteristic_series(x, r)
         alphas = {k: -c if k % 2 else c for k, c in enumerate(series.coeffs)}
         betas = dict(enumerate(series.invert().coeffs))
-
-        def grid_det(table, width, shape_row):
-            grid = [
-                [table.get(shape_row[i] - (i + 1) + (j + 1), x.algebra.zero()) for j in range(width)]
-                for i in range(width)
-            ]
-            return commuting_determinant(grid, x.algebra.one())
-
-        def padded(shape, width):
-            return tuple(shape[i] if i < len(shape) else 0 for i in range(width))
-
-        det_a = grid_det(alphas, width_a, padded(lam_t, width_a))
-        det_b = grid_det(betas, width_b, padded(lam, width_b))
+        sides = [("alpha", conjugate(lam), alphas), ("beta", lam, betas)]
+        dets = [
+            commuting_determinant(jacobi_trudi_grid(shape, lambda k: table.get(k, zero)), one)
+            for _, shape, table in sides
+        ]
         imm_sum = normalized_immanant_sum(lam, x)
         trace_form = idempotent_chain_supertrace(
             primitive_idempotent(row_reading_tableau(lam)), x, r
         )
-        yield ("det(alpha-JT) = normalized immanant sum", det_a, imm_sum)
-        yield ("det(beta-JT) = normalized immanant sum", det_b, imm_sum)
+        for (label, _, _), det in zip(sides, dets):
+            yield (f"det({label}-JT) = normalized immanant sum", det, imm_sum)
         yield ("idempotent supertrace = normalized immanant sum", trace_form, imm_sum)
 
-        expan_a = x.algebra.zero()
-        expan_b = x.algebra.zero()
-        for mu in partitions(r):
-            ka = inverse_kostka(mu, lam_t)
-            kb = inverse_kostka(mu, lam)
-            if ka:
-                term = x.algebra.one()
-                for part in mu:
-                    term = term * alphas[part]
-                expan_a = expan_a + term * ka
-            if kb:
-                term = x.algebra.one()
-                for part in mu:
-                    term = term * betas[part]
-                expan_b = expan_b + term * kb
-        yield ("inverse-Kostka alpha expansion", expan_a, det_a)
-        yield ("inverse-Kostka beta expansion", expan_b, det_b)
+        for (label, shape, table), det in zip(sides, dets):
+            expansion = zero
+            for mu in partitions(r):
+                coeff = inverse_kostka(mu, shape)
+                if coeff:
+                    term = one
+                    for part in mu:
+                        term = term * table[part]
+                    expansion = expansion + term * coeff
+            yield (f"inverse-Kostka {label} expansion", expansion, det)
 
     return _run("goulden-jackson", params, comparisons())
 

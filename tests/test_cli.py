@@ -34,6 +34,11 @@ def test_schur_expanded_and_skeleton(capsys):
     assert lines == ["S[2]  S[3]", "S[0]  S[1]"]
 
 
+def test_schur_skeleton_of_the_empty_shape_is_empty(capsys):
+    assert main(["schur", "--lambda", "", "--m", "1", "--n", "1", "--form", "jacobi-trudi"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_berezinian_series_output(capsys):
     assert main(["berezinian", "--m", "1", "--n", "1", "--order", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -176,15 +181,19 @@ def test_check_labels_vacuous_reports(capsys):
     assert lines[-1] == "1/4 checks passed, 3 vacuous (0 cases)"
 
 
-def _identity_suite_script():
+def _load_script(name: str):
     import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_identity_suite.py"
-    spec = importlib.util.spec_from_file_location("run_identity_suite", path)
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def _identity_suite_script():
+    return _load_script("run_identity_suite")
 
 
 def test_identity_suite_grid_runs_every_family():
@@ -205,3 +214,30 @@ def test_identity_suite_script_counts_vacuous_reports(monkeypatch, tmp_path, cap
     assert lines[3].startswith("3/6 checks passed, 3 vacuous (0 cases), 0 failed in ")
     data = json.loads(out_path.read_text())
     assert [entry["passed"] for entry in data] == [True] * 6
+
+
+def test_identity_suite_script_rejects_zero_trials(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    assert _identity_suite_script().main(["--trials", "0", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "run_identity_suite: error: sweep needs trials >= 1, got 0\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "0", "--n", "0"], "block sizes (0|0) must be non-negative with m + n >= 1"),
+    (["--max-r", "0"], "--max-r must be at least 1, got 0"),
+], ids=["empty-blocks", "max-r-zero"])
+def test_diagonalize_demo_rejects_bad_input_in_one_line(argv, message, capsys):
+    assert _load_script("diagonalize_demo").main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"diagonalize_demo: error: {message}\n"
+
+
+def test_diagonalize_demo_smoke(capsys):
+    assert _load_script("diagonalize_demo").main(["--m", "2", "--n", "1", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "residual exactly zero: True" in out
+    assert "MISMATCH" not in out

@@ -100,13 +100,37 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _referenced_names(node):
-    """The identifier of every Name and Attribute under a node."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound_names(func) -> set:
+    """The names a function binds itself: its parameters and the names it
+    assigns, nested functions and classes left out."""
+    args = func.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    names = {param.arg for param in params if param is not None}
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _referenced_names(node, bound=frozenset()):
+    """The identifier of every Attribute under a node, and of every Name but
+    those that an enclosing function binds itself: a local `body` is not a
+    call of a method `body`."""
+    if isinstance(node, _FUNCTIONS):
+        bound = bound | _bound_names(node)
+    if isinstance(node, ast.Name) and node.id not in bound:
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _referenced_names(child, bound)
 
 
 def test_library_code_has_a_caller():

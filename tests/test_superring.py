@@ -146,7 +146,7 @@ def test_point_body_accessor(mixed):
     alg, *_ = mixed
     lam = grassmann_algebra(2)
     pt = GrassmannPoint(alg, {"x": lam.scalar(Fraction(5, 2)) + lam.gen("th1") * lam.gen("th2")}, n_units=2)
-    assert pt.body("x") == Fraction(5, 2)
+    assert pt.assignment["x"].constant_term() == Fraction(5, 2)
 
 
 def test_point_rejects_parity_mismatch(mixed):

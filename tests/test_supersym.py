@@ -9,6 +9,7 @@ from superimm.supersym import (
     diagonal_specialization,
     evaluate_two_alphabets,
     is_supersymmetric,
+    jacobi_trudi_grid,
     power_sum,
     schur_super,
     supersymmetry_report,
@@ -27,6 +28,12 @@ from superimm.tableaux import (
 def xy(m, n):
     alg = sym_algebra(m, n)
     return alg, [alg.gen(f"u{i}") for i in range(1, m + 1)], [alg.gen(f"v{j}") for j in range(1, n + 1)]
+
+
+def test_jacobi_trudi_grid_indices():
+    assert jacobi_trudi_grid((3, 1), lambda k: k) == [[3, 4], [0, 1]]
+    assert jacobi_trudi_grid((2, 2, 1), str) == [["2", "3", "4"], ["1", "2", "3"], ["-1", "0", "1"]]
+    assert jacobi_trudi_grid((), str) == []
 
 
 def test_power_sum_values():

@@ -154,6 +154,16 @@ def test_character_orthogonality():
                 assert total == want
 
 
+def test_sign_induced_character_is_the_kostka_sum_over_conjugates():
+    # the Kostka sum over conjugate shapes, apart from the library's sgn * phi_mu
+    for r in range(1, 7):
+        for mu in partitions(r):
+            assert induced_sign_character(mu) == {
+                rho: sum(kostka(conjugate(lam), mu) * character(lam, rho) for lam in partitions(r))
+                for rho in partitions(r)
+            }
+
+
 def test_induced_characters_match_kostka_expansion():
     mu = (2, 1)
     psi = induced_sign_character(mu)

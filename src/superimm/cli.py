@@ -69,11 +69,13 @@ def _cmd_imm(args) -> int:
 
 def _cmd_schur(args) -> int:
     shape = _parse_ints(args.shape)
-    if args.form == "jacobi-trudi":
+    if args.form == "jacobi-trudi":  # a skeleton: no block sizes are read
         for row in jacobi_trudi_grid(shape, lambda k: f"S[{k}]"):
             print("  ".join(row))
-    else:
-        print(schur_super(shape, args.m, args.n))
+        return 0
+    if args.m is None or args.n is None:
+        raise SuperMatrixError("--form expanded needs both --m and --n")
+    print(schur_super(shape, args.m, args.n))
     return 0
 
 
@@ -132,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_schur = sub.add_parser("schur", help="print a Schur supersymmetric polynomial")
     p_schur.add_argument("--lambda", dest="shape", required=True)
-    p_schur.add_argument("--m", type=_int_at_least(0), required=True)
-    p_schur.add_argument("--n", type=_int_at_least(0), required=True)
+    p_schur.add_argument("--m", type=_int_at_least(0), default=None)
+    p_schur.add_argument("--n", type=_int_at_least(0), default=None)
     p_schur.add_argument("--form", choices=("expanded", "jacobi-trudi"), default="expanded")
     p_schur.set_defaults(func=_cmd_schur)
 
@@ -160,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.m == 0 and args.n == 0:
+    if args.m == 0 and args.n == 0 and getattr(args, "form", None) != "jacobi-trudi":
         parser.error("block sizes need m + n >= 1")
     try:
         return args.func(args)

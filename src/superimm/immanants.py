@@ -21,7 +21,9 @@ from superimm.superring import (
     Parity,
     SuperPoly,
     TruncatedSeries,
+    odd_degree_parts,
     parse_poly,
+    sum_of_products,
 )
 from superimm.symgroup import (
     GroupAlgebraElement,
@@ -74,20 +76,9 @@ class DegenerateSpectrumError(SuperMatrixError):
 
 
 def _mat_mul(p, q, zero):
-    """Product of two matrices over the ring whose zero is `zero`, skipping
-    zero factors."""
+    """Product of two matrices over the ring whose zero is `zero`."""
     cols = list(zip(*q))
-    rows = []
-    for row in p:
-        out = []
-        for col in cols:
-            acc = None
-            for a, b in zip(row, col):
-                if not a.is_zero and not b.is_zero:
-                    acc = a * b if acc is None else acc + a * b
-            out.append(zero if acc is None else acc)
-        rows.append(out)
-    return rows
+    return [[sum_of_products(zero, zip(row, col)) for col in cols] for row in p]
 
 
 def _blocks(grid, m: int):
@@ -453,7 +444,7 @@ def star_product(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
         pi = index_parity(i, y.m)
         for b in range(1, d + 1):
             pb = index_parity(b, y.m)
-            acc = y.algebra.zero()
+            pairs = []
             for a in range(1, d + 1):
                 e1, e2 = y[i, a], z[a, b]
                 if e1.is_zero or e2.is_zero:
@@ -462,9 +453,8 @@ def star_product(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
                 sign = parity_weight(a, y.m)
                 if (pi * pb + (pi + pb) * pa) % 2:
                     sign = -sign
-                term = e1 * e2
-                acc = acc + (term if sign > 0 else -term)
-            row.append(acc)
+                pairs.append((e1, e2 if sign > 0 else -e2))
+            row.append(sum_of_products(y.algebra.zero(), pairs))
         rows.append(row)
     return SuperMatrix(y.m, y.n, rows, validate=False)
 
@@ -625,13 +615,22 @@ def _rational_eigenbasis(block):
 def diagonalize(x: SuperMatrix) -> dict:
     """Exact diagonalization of a supermatrix over a Grassmann algebra.
 
+    Every entry must be a rational body plus a soul in the ideal of the odd
+    generators; DegenerateSpectrumError names the first entry that is not.
     First conjugates by the rational eigenbasis of the block bodies, then
-    solves for each eigenvector column by a fixed-point iteration that raises
-    the theta degree of the error every pass, so it terminates exactly.  A
-    pass divides only by the rational gaps b_pos - b_k between distinct bodies.
+    solves for each eigenvector column one theta degree at a time: its
+    degree-d part is fixed by the lower parts, dividing only by the rational
+    gaps b_pos - b_k between distinct bodies.
     """
     m, n = x.m, x.n
     algebra = x.algebra
+    zero = algebra.zero()
+    for i, row in enumerate(x.entries):
+        for j, e in enumerate(row):
+            even = odd_degree_parts(e).get(0)  # the body and any soul term without odd factors
+            if even is not None and even != even.constant_term():
+                raise DegenerateSpectrumError(
+                    f"entry ({i + 1}, {j + 1}) is not a rational body plus a soul in the odd ideal")
     a, b, c, d = x.blocks()
     a_roots, v1 = _rational_eigenbasis([[e.constant_term() for e in row] for row in a])
     d_roots, v2 = _rational_eigenbasis([[e.constant_term() for e in row] for row in d])
@@ -639,51 +638,46 @@ def diagonalize(x: SuperMatrix) -> dict:
     if len(set(bodies)) != len(bodies):
         raise DegenerateSpectrumError("eigenvalue bodies collide across the blocks")
     size = m + n
-    v = [[algebra.zero() for _ in range(size)] for _ in range(size)]
-    for i in range(m):
-        for j in range(m):
-            v[i][j] = algebra.scalar(v1[i][j])
-    for i in range(n):
-        for j in range(n):
-            v[m + i][m + j] = algebra.scalar(v2[i][j])
+    v = [[zero] * size for _ in range(size)]
+    for offset, block in ((0, v1), (m, v2)):
+        for i, row in enumerate(block):
+            for j, value in enumerate(row):
+                v[offset + i][offset + j] = algebra.scalar(value)
     v_mat = SuperMatrix(m, n, v, validate=False)
     v_inv_mat = SuperMatrix(m, n, _grassmann_matrix_inverse(v, algebra), validate=False)
     xp = v_inv_mat @ x @ v_mat
 
-    soul = [
-        [xp[i + 1, j + 1] - (bodies[i] if i == j else 0) for j in range(size)]
-        for i in range(size)
-    ]
-    passes = _grassmann_units(algebra) + 2
+    # soul[e][k][t]: the part of xp[k, t] - b_k [k == t] with e odd factors, e >= 1
+    degrees = range(1, _grassmann_units(algebra) + 1)
+    soul = {e: [[zero] * size for _ in range(size)] for e in degrees}
+    for k in range(size):
+        for t in range(size):
+            entry = xp[k + 1, t + 1] - (bodies[k] if k == t else 0)
+            for e, part in odd_degree_parts(entry).items():
+                soul[e][k][t] = part
     columns = []
     eigenvalues = []
     for pos in range(size):
-        z = [algebra.scalar(int(k == pos)) for k in range(size)]
-        shift = algebra.zero()  # omega - b_pos; row k: (b_pos - b_k) z_k = rows[k] - shift z_k
-        inverse_gaps = [Fraction(1) / (bodies[pos] - b) if b != bodies[pos] else 0 for b in bodies]
-        for _ in range(passes):
-            rows = []
+        # z[k][d], minus_shift[d]: the degree-d parts of z_k and of b_pos - omega
+        z = [[algebra.scalar(int(k == pos))] for k in range(size)]
+        minus_shift = [zero]
+        inverse_gaps = [Fraction(1) / (bodies[pos] - b) if k != pos else 0
+                        for k, b in enumerate(bodies)]
+        for d in degrees:
+            lower = [(e, t) for e in range(1, d + 1) for t in range(size)]
+            shift = sum_of_products(zero, ((soul[e][pos][t], z[t][d - e]) for e, t in lower))
+            minus_shift.append(-shift)
             for k in range(size):
-                row = algebra.zero()
-                for t in range(size):
-                    if not soul[k][t].is_zero and not z[t].is_zero:
-                        row = row + soul[k][t] * z[t]
-                rows.append(row)
-            z_new = []
-            for k, row in enumerate(rows):
-                if k != pos and not rows[pos].is_zero and not z[k].is_zero:
-                    row = row - rows[pos] * z[k]
-                z_new.append(algebra.one() if k == pos else row * inverse_gaps[k])
-            if z_new == z and rows[pos] == shift:
-                break
-            z, shift = z_new, rows[pos]
-        omega = shift + bodies[pos]
+                z[k].append(zero if k == pos else sum_of_products(zero, [
+                    *((soul[e][k][t], z[t][d - e]) for e, t in lower),
+                    *((minus_shift[e], z[k][d - e]) for e in range(1, d + 1)),
+                ]) * inverse_gaps[k])
+        z = [sum(parts, zero) for parts in z]
+        omega = algebra.scalar(bodies[pos]) - sum(minus_shift, zero)
         for k in range(size):
-            lhs = algebra.zero()
-            for t in range(size):
-                lhs = lhs + xp[k + 1, t + 1] * z[t]
+            lhs = sum_of_products(zero, ((xp[k + 1, t + 1], z[t]) for t in range(size)))
             if lhs != omega * z[k]:
-                raise DegenerateSpectrumError("eigenvector iteration did not converge")
+                raise DegenerateSpectrumError("eigenvector solve failed its check X'z = omega z")
         eigenvalues.append(omega)
         columns.append(z)
 

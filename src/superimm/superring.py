@@ -178,14 +178,68 @@ def merge_odd_parts(a: int, b: int):
 
 
 def _merge_even(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
     exps: dict[str, int] = dict(a)
     for name, e in b:
         exps[name] = exps.get(name, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def _accumulate(terms: dict, left: dict, right: dict, scale: int) -> None:
+    """Add scale * left * right (numerator dicts) into `terms`, dropping sums
+    that cancel.  A pair sharing an odd generator dies before the sign rule;
+    a side with no odd (or no even) factors needs no merge."""
+    merge = merge_odd_parts
+    for (ea, oa), ca in left.items():
+        ca *= scale
+        for (eb, ob), cb in right.items():
+            if oa & ob:
+                continue
+            p = ca * cb
+            if oa and ob:
+                sign, odd = merge(oa, ob)
+                if sign < 0:
+                    p = -p
+            else:
+                odd = oa | ob
+            key = (_merge_even(ea, eb) if ea and eb else ea or eb, odd)
+            s = terms.get(key, 0) + p
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+
+
+def sum_of_products(zero, pairs):
+    """The sum of a * b over the (a, b) pairs, `zero` when there are none.
+    SuperPoly pairs accumulate in one pass over one common denominator,
+    reduced once; other rings (truncated series) add product by product."""
+    if zero.__class__ is not SuperPoly:
+        acc = None
+        for a, b in pairs:
+            if not a.is_zero and not b.is_zero:
+                acc = a * b if acc is None else acc + a * b
+        return zero if acc is None else acc
+    algebra = zero.algebra
+    pairs = [(a, b) for a, b in pairs if a._terms and b._terms]
+    if len(pairs) < 2:  # one product keeps the constant-operand shortcuts of `*`
+        return pairs[0][0] * pairs[0][1] if pairs else zero
+    for a, b in pairs:
+        if a.algebra is not algebra or b.algebra is not algebra:
+            zero._check(a)
+            zero._check(b)
+    den = lcm(*(a._den * b._den for a, b in pairs))
+    terms: dict = {}
+    for a, b in pairs:
+        _accumulate(terms, a._terms, b._terms, den // (a._den * b._den))
+    return _reduced(algebra, terms, den)
+
+
+def odd_degree_parts(p: "SuperPoly") -> dict:
+    """{d: the part of p whose monomials have d odd factors}, nonzero parts only."""
+    parts: dict = {}
+    for key, c in p._terms.items():
+        parts.setdefault(key[1].bit_count(), {})[key] = c
+    return {d: _reduced(p.algebra, terms, p._den) for d, terms in parts.items()}
 
 
 _ONE = ((), 0)  # the key of the constant monomial
@@ -313,19 +367,7 @@ class SuperPoly:
                 return SuperPoly(self.algebra, left, den)
             return _reduced(self.algebra, {k: c * num for k, c in left.items()}, den * scale)
         terms: dict = {}
-        for (ea, oa), ca in left.items():
-            for (eb, ob), cb in right.items():
-                if oa & ob:  # a repeated odd generator: the pair dies
-                    continue
-                sign, odd = merge_odd_parts(oa, ob)
-                key = (_merge_even(ea, eb), odd)
-                p = ca * cb if sign > 0 else -(ca * cb)
-                s = terms.get(key)
-                s = p if s is None else s + p
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
+        _accumulate(terms, left, right, 1)
         return _reduced(self.algebra, terms, den * other._den)
 
     def __rmul__(self, other):
@@ -376,23 +418,27 @@ class SuperPoly:
                 powers[name, exp] = value
             return powers[name, exp]
 
+        prefixes: dict = {(): target.one()}
+
+        def prefix(factors):  # the image of the product of `factors`, built once per call
+            if factors not in prefixes:
+                head = prefix(factors[:-1])
+                prefixes[factors] = head if head.is_zero else head * power(*factors[-1])
+            return prefixes[factors]
+
         images_of_terms = []
         odd_names = self.algebra._odd_names
         for (even, odd), c in self._terms.items():
             sign, names = odd_names(odd)
-            term = None
-            for name, exp in (*even, *((name, 1) for name in names)):
-                term = power(name, exp) if term is None else term * power(name, exp)
-                if term.is_zero:
-                    break
-            images_of_terms.append((sign * c, target.one() if term is None else term))
-        den = lcm(*(term._den for _, term in images_of_terms))
-        acc: dict = {}
-        for c, term in images_of_terms:
-            c *= den // term._den
-            for key, v in term._terms.items():
-                acc[key] = acc.get(key, 0) + c * v
-        return _reduced(target, {k: v for k, v in acc.items() if v}, self._den * den)
+            factors = (*even, *((name, 1) for name in names))
+            head = prefix(factors[:-1])
+            if not head.is_zero:
+                images_of_terms.append((sign * c, head, power(*factors[-1]) if factors else head))
+        den = lcm(*(head._den * last._den for _, head, last in images_of_terms))
+        terms: dict = {}
+        for c, head, last in images_of_terms:
+            _accumulate(terms, head._terms, last._terms, c * (den // (head._den * last._den)))
+        return _reduced(target, terms, self._den * den)
 
     # -- inverses ----------------------------------------------------------------
 
@@ -546,11 +592,9 @@ class TruncatedSeries:
         except NotInvertibleError as exc:
             raise NotInvertibleError(f"series constant term not invertible: {exc}") from exc
         coeffs = [c0]
+        zero = self.algebra.zero()
         for k in range(1, self.order + 1):
-            acc = self.algebra.zero()
-            for j in range(1, k + 1):
-                if not self.coeffs[j].is_zero:
-                    acc = acc + self.coeffs[j] * coeffs[k - j]
+            acc = sum_of_products(zero, zip(self.coeffs[1 : k + 1], coeffs[::-1]))
             coeffs.append(-(c0 * acc))
         return TruncatedSeries(self.algebra, coeffs, self.order)
 

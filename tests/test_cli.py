@@ -39,6 +39,18 @@ def test_schur_skeleton_of_the_empty_shape_is_empty(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("sizes", [[], ["--m", "0", "--n", "0"], ["--m", "5", "--n", "7"]])
+def test_schur_skeleton_reads_no_block_sizes(sizes, capsys):
+    assert main(["schur", "--lambda", "2,1", *sizes, "--form", "jacobi-trudi"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["S[2]  S[3]", "S[0]  S[1]"]
+
+
+@pytest.mark.parametrize("sizes", [[], ["--m", "1"], ["--n", "1"]])
+def test_schur_expanded_needs_both_block_sizes(sizes, capsys):
+    assert main(["schur", "--lambda", "2,1", *sizes]) == 2
+    assert capsys.readouterr().err == "superimm: error: --form expanded needs both --m and --n\n"
+
+
 def test_berezinian_series_output(capsys):
     assert main(["berezinian", "--m", "1", "--n", "1", "--order", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -32,7 +32,7 @@ from superimm.immanants import (
     supertrace,
     weight_space_supertrace,
 )
-from superimm.superring import GrassmannPoint, TruncatedSeries, grassmann_algebra
+from superimm.superring import Algebra, GrassmannPoint, TruncatedSeries, grassmann_algebra
 from superimm.symgroup import Permutation, primitive_idempotent
 from superimm.tableaux import hook_product, partitions, row_reading_tableau, standard_tableaux
 from superimm.tensorspace import (
@@ -41,6 +41,7 @@ from superimm.tensorspace import (
     sorted_multisets,
     weak_compositions,
 )
+from superimm.verify import random_grassmann_point
 
 
 def gens(m, n):
@@ -300,6 +301,26 @@ def test_diagonalize_rejects_degenerate_bodies():
     x = SuperMatrix(1, 1, [[lam.scalar(1), lam.gen("th1")], [lam.gen("th2"), lam.scalar(1)]])
     with pytest.raises(DegenerateSpectrumError):
         diagonalize(x)
+
+
+def test_diagonalize_refuses_souls_outside_the_odd_ideal():
+    # with an even generator t, 1 + t is no rational body plus an odd-ideal soul
+    alg = Algebra("even soul")
+    t = alg.even("t")
+    a, b = alg.odd("a", "b")
+    one, two, zero = alg.scalar(1), alg.scalar(2), alg.zero()
+    for entries in ([[one + t, zero], [zero, two]], [[one + t, a], [b, two]]):
+        with pytest.raises(DegenerateSpectrumError, match=r"^entry \(1, 1\) is not a rational body"):
+            diagonalize(SuperMatrix(1, 1, entries))
+
+
+@pytest.mark.parametrize("n_units", [2, 3, 5])
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2)])
+def test_diagonalize_solves_at_other_unit_counts(m, n, n_units):
+    point = random_grassmann_point(m, n, 20240613 + n_units, n_units=n_units)
+    result = diagonalize(generator_matrix(m, n).evaluate(point).transpose())
+    assert result["residual_zero"]
+    assert result["u"] @ result["u_inv"] == SuperMatrix.identity(m, n, point.target)
 
 
 def test_weight_space_supertrace_matches_immanants():

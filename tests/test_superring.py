@@ -18,15 +18,20 @@ from superimm.superring import (
     parse_poly,
     poly_from_terms,
     poly_to_terms,
+    sum_of_products,
 )
 
 
-@pytest.fixture
-def mixed():
+def _mixed_algebra():
     alg = Algebra("mixed")
     x, y = alg.even("x", "y")
     t1, t2, t3 = alg.odd("t1", "t2", "t3")
     return alg, x, y, t1, t2, t3
+
+
+@pytest.fixture
+def mixed():
+    return _mixed_algebra()
 
 
 def test_odd_generators_anticommute(mixed):
@@ -109,6 +114,32 @@ def test_associativity_distributivity(data):
     alg, a, b, c = data
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_sum_of_products_matches_the_sum_of_its_products(seed):
+    """Mixed denominators (coefficients over 1, 2 and 3), cancellation, the
+    empty list, and truncated series pairs, which sum product by product."""
+    import random
+
+    rng = random.Random(seed)
+    alg = _mixed_algebra()[0]
+    pairs = [(_random_poly(alg, rng), _random_poly(alg, rng)) for _ in range(rng.randrange(6))]
+    expected = alg.zero()
+    for a, b in pairs:
+        expected = expected + a * b
+    got = sum_of_products(alg.zero(), pairs)
+    assert got == expected
+    _assert_canonical(got)
+    assert sum_of_products(alg.zero(), pairs + [(-a, b) for a, b in pairs]).is_zero
+    assert sum_of_products(alg.zero(), []) == 0
+    series = [TruncatedSeries.from_polys(alg, [a, b], 2) for a, b in pairs]
+    zero = TruncatedSeries.from_polys(alg, [], 2)
+    expected = zero
+    for f, g in zip(series, series[1:]):
+        expected = expected + f * g
+    assert sum_of_products(zero, zip(series, series[1:])) == expected
 
 
 def test_evaluation_is_homomorphism(mixed):
@@ -631,6 +662,7 @@ def test_every_result_is_stored_over_one_reduced_denominator(raw_a, raw_b, raw_c
     results = [
         a, -a, a + b, a - b, a + s, s - a, a * b, a * s, s * a, a * alg.scalar(s),
         a.substitute(images, alg), *a.homogeneous_parts(), (soul + (s or 1)).inverse_of_unit(),
+        sum_of_products(alg.zero(), [(a, b), (b, c), (a * s, c)]),
     ]
     for p in results:
         _assert_canonical(p)

@@ -612,15 +612,27 @@ def _rational_eigenbasis(block):
     return roots, [[columns[j][i] for j in range(size)] for i in range(size)]
 
 
+def _unipotent_inverse(columns, algebra):
+    """Inverse of Q = I + N, columns[t][k][e] being the part N^(e)[k][t] of Q[k][t] with
+    e odd factors: its degree-d part is F^(d) = -sum_e N^(e) F^(d-e), F^(0) = I."""
+    size, zero = len(columns), algebra.zero()
+    parts = [[[algebra.scalar(int(k == j)) for j in range(size)] for k in range(size)]]
+    for d in range(1, len(columns[0][0])):
+        parts.append([[-sum_of_products(zero, (
+            (columns[t][k][e], parts[d - e][t][j]) for e in range(1, d + 1) for t in range(size)
+        )) for j in range(size)] for k in range(size)])
+    return [[sum((part[k][j] for part in parts), zero) for j in range(size)] for k in range(size)]
+
+
 def diagonalize(x: SuperMatrix) -> dict:
     """Exact diagonalization of a supermatrix over a Grassmann algebra.
 
     Every entry must be a rational body plus a soul in the ideal of the odd
     generators; DegenerateSpectrumError names the first entry that is not.
-    First conjugates by the rational eigenbasis of the block bodies, then
-    solves for each eigenvector column one theta degree at a time: its
-    degree-d part is fixed by the lower parts, dividing only by the rational
-    gaps b_pos - b_k between distinct bodies.
+    Conjugates by the rational eigenbasis V of the block bodies, then solves
+    for each eigenvector column of Q one theta degree at a time, dividing only
+    by the rational gaps b_pos - b_k between distinct bodies.  u = V Q, and
+    u^-1 = Q^-1 V^-1 from the rational block inverses and Q^-1 by degree.
     """
     m, n = x.m, x.n
     algebra = x.algebra
@@ -638,13 +650,14 @@ def diagonalize(x: SuperMatrix) -> dict:
     if len(set(bodies)) != len(bodies):
         raise DegenerateSpectrumError("eigenvalue bodies collide across the blocks")
     size = m + n
-    v = [[zero] * size for _ in range(size)]
+    v, v_inv = ([[zero] * size for _ in range(size)] for _ in range(2))
     for offset, block in ((0, v1), (m, v2)):
-        for i, row in enumerate(block):
-            for j, value in enumerate(row):
-                v[offset + i][offset + j] = algebra.scalar(value)
+        for grid, values in ((v, block), (v_inv, ratlinalg.inv(block))):
+            for i, row in enumerate(values):
+                for j, value in enumerate(row):
+                    grid[offset + i][offset + j] = algebra.scalar(value)
     v_mat = SuperMatrix(m, n, v, validate=False)
-    v_inv_mat = SuperMatrix(m, n, _grassmann_matrix_inverse(v, algebra), validate=False)
+    v_inv_mat = SuperMatrix(m, n, v_inv, validate=False)
     xp = v_inv_mat @ x @ v_mat
 
     # soul[e][k][t]: the part of xp[k, t] - b_k [k == t] with e odd factors, e >= 1
@@ -656,6 +669,7 @@ def diagonalize(x: SuperMatrix) -> dict:
             for e, part in odd_degree_parts(entry).items():
                 soul[e][k][t] = part
     columns = []
+    degree_parts = []  # degree_parts[pos][k][d]: the degree-d part of entry (k, pos) of Q
     eigenvalues = []
     for pos in range(size):
         # z[k][d], minus_shift[d]: the degree-d parts of z_k and of b_pos - omega
@@ -672,6 +686,7 @@ def diagonalize(x: SuperMatrix) -> dict:
                     *((soul[e][k][t], z[t][d - e]) for e, t in lower),
                     *((minus_shift[e], z[k][d - e]) for e in range(1, d + 1)),
                 ]) * inverse_gaps[k])
+        degree_parts.append(z)
         z = [sum(parts, zero) for parts in z]
         omega = algebra.scalar(bodies[pos]) - sum(minus_shift, zero)
         for k in range(size):
@@ -683,7 +698,7 @@ def diagonalize(x: SuperMatrix) -> dict:
 
     q = [[columns[j][i] for j in range(size)] for i in range(size)]
     u = v_mat @ SuperMatrix(m, n, q, validate=False)
-    u_inv = SuperMatrix(m, n, _grassmann_matrix_inverse(u.entries, algebra), validate=False)
+    u_inv = SuperMatrix(m, n, _unipotent_inverse(degree_parts, algebra), validate=False) @ v_inv_mat
     residual = (u_inv @ x @ u) - SuperMatrix.diagonal(m, n, eigenvalues)
     return {
         "u": u,

@@ -2,12 +2,14 @@
 
 Matrices are lists of lists of Fractions (or ints).  Sizes here are tiny
 (at most 5 or so), so everything is plain Gaussian elimination, except the
-characteristic polynomial, which takes the library's determinant kernel.
+characteristic polynomial, which takes the library's determinant kernel, and
+its rational roots, found by the rational root test in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from superimm.superring import Algebra, TruncatedSeries
 from superimm.symgroup import commuting_determinant
@@ -117,20 +119,17 @@ def rational_roots(coeffs):
 
 
 def _find_rational_root(poly):
-    from math import gcd
-
-    denom_lcm = 1
-    for c in poly:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    """The first candidate root p/q of the rational root test, or None, for a
+    Fraction polynomial with a nonzero constant term.  p/q is a root when the
+    denominator-cleared coefficients c_i give sum_i c_i p^(deg-i) q^i == 0."""
+    denom_lcm = lcm(*(c.denominator for c in poly))
     ints = [int(c * denom_lcm) for c in poly]
-    lead, const = ints[0], ints[-1]
-    if const == 0:
-        return Fraction(0)
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _poly_eval(poly, cand) == 0:
-                    return cand
+    deg = len(ints) - 1
+    for p in _divisors(abs(ints[-1])):
+        for q in _divisors(abs(ints[0])):
+            for signed in (p, -p):
+                if sum(c * signed ** (deg - i) * q ** i for i, c in enumerate(ints)) == 0:
+                    return Fraction(signed, q)
     return None
 
 
@@ -138,13 +137,6 @@ def _divisors(n):
     out = [d for d in range(1, int(n ** 0.5) + 1) if n % d == 0]
     out += [n // d for d in reversed(out) if d * d != n]
     return out
-
-
-def _poly_eval(poly, x):
-    acc = Fraction(0)
-    for c in poly:
-        acc = acc * x + c
-    return acc
 
 
 def _deflate(poly, root):

@@ -314,13 +314,19 @@ def test_diagonalize_refuses_souls_outside_the_odd_ideal():
             diagonalize(SuperMatrix(1, 1, entries))
 
 
-@pytest.mark.parametrize("n_units", [2, 3, 5])
-@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("n_units", [2, 3, 4, 5])
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2), (3, 1), (2, 0), (0, 2)])
 def test_diagonalize_solves_at_other_unit_counts(m, n, n_units):
+    """u^-1 is checked against the Neumann-series inverse of u, one-block
+    matrices included."""
     point = random_grassmann_point(m, n, 20240613 + n_units, n_units=n_units)
     result = diagonalize(generator_matrix(m, n).evaluate(point).transpose())
     assert result["residual_zero"]
-    assert result["u"] @ result["u_inv"] == SuperMatrix.identity(m, n, point.target)
+    u, u_inv = result["u"], result["u_inv"]
+    assert u_inv == SuperMatrix(m, n, immanants._grassmann_matrix_inverse(u.entries, point.target))
+    identity = SuperMatrix.identity(m, n, point.target)
+    assert u @ u_inv == identity
+    assert u_inv @ u == identity
 
 
 def test_weight_space_supertrace_matches_immanants():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from superimm import ratlinalg
 
 
@@ -38,3 +40,23 @@ def test_char_poly_of_similar_diagonal_matrices():
 def test_char_poly_of_a_jordan_block():
     for a in (Fraction(0), Fraction(3), Fraction(-5, 2)):
         assert ratlinalg.char_poly([[a, 1], [0, a]]) == [1, -2 * a, a * a]
+
+
+_small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@given(
+    st.lists(_small_rationals, max_size=5),
+    _small_rationals.filter(bool),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_rational_roots_recovers_the_linear_factors(roots, lead, irrational):
+    """lead * prod (t - d), times t^2 - 2 or not: the roots come back as the
+    same multiset, and the polynomial splits exactly when t^2 - 2 is absent."""
+    poly = [lead * c for c in _expanded(roots)]
+    if irrational:
+        poly = [a - 2 * b for a, b in zip(poly + [0, 0], [0, 0] + poly)]
+    found, fully_split = ratlinalg.rational_roots(poly)
+    assert sorted(found) == sorted(roots)
+    assert fully_split is not irrational

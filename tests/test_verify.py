@@ -355,6 +355,24 @@ def test_broken_neumann_inverse_is_caught(monkeypatch):
 
     monkeypatch.setattr(immanants, "_neumann_inverse", flipped)
     assert _failed_case(check_berezinian_series(1, 1, 3, 99, 1)) == "symbolic coefficient k=3"
+    # diagonalize does not use the Neumann series; the characteristic series
+    # behind elementary_invariant does
+    point = random_grassmann_point(2, 1, 99)
+    assert _failed_case(check_littlewood_3((2, 1), 2, 1, point)) == "elementary specialization"
+
+
+def test_broken_unipotent_inverse_is_caught(monkeypatch):
+    import superimm.immanants as immanants
+
+    original = immanants._unipotent_inverse
+
+    def flipped(columns, algebra):
+        # F^(d) = +sum_e N^(e) F^(d-e): the recurrence loses its sign
+        negated = [[[p if e == 0 else -p for e, p in enumerate(parts)] for parts in column]
+                   for column in columns]
+        return original(negated, algebra)
+
+    monkeypatch.setattr(immanants, "_unipotent_inverse", flipped)
     point = random_grassmann_point(2, 1, 99)
     assert _failed_case(check_littlewood_3((2, 1), 2, 1, point)) == "diagonalization residual"
 

@@ -40,6 +40,8 @@ GRID = [
     ("goulden-jackson", 2, 1, 3, {}),
     ("berezinian", 1, 1, 3, {"order": 3}),
     ("berezinian", 2, 1, 3, {"order": 3}),
+    ("berezinian", 1, 2, 3, {"order": 3}),
+    ("berezinian", 2, 2, 3, {"order": 3}),
     ("littlewood3", 1, 1, 3, {}),
     ("littlewood3", 2, 1, 3, {}),
     ("hessenberg", 1, 1, 3, {}),
@@ -55,18 +57,21 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=10)
     parser.add_argument("--out", default="identity_suite_report.json")
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, OSError) as exc:  # a package error or an unwritable --out path
+        print(f"run_identity_suite: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     all_reports = []
     start = time.perf_counter()
     for name, m, n, max_r, extra in GRID:
-        try:
-            reports = sweep(
-                name, m, n, max_r,
-                order=extra.get("order", 3), seed=args.seed, trials=args.trials,
-            )
-        except ValueError as exc:  # every package error is a ValueError
-            print(f"run_identity_suite: error: {exc}", file=sys.stderr)
-            return 2
+        reports = sweep(
+            name, m, n, max_r,
+            order=extra.get("order", 3), seed=args.seed, trials=args.trials,
+        )
         passed = sum(r.passed for r in reports)
         vacuous = sum(r.vacuous for r in reports)
         cases = sum(r.cases for r in reports)

@@ -166,7 +166,7 @@ def main(argv=None) -> int:
         parser.error("block sizes need m + n >= 1")
     try:
         return args.func(args)
-    except ValueError as exc:  # every package error is a ValueError
+    except (ValueError, OSError) as exc:  # a package error or a bad --matrix/--out path
         print(f"superimm: error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ from superimm import ratlinalg
 from superimm.superring import (
     Algebra,
     GrassmannPoint,
+    NotInvertibleError,
     Parity,
     SuperPoly,
     TruncatedSeries,
@@ -498,59 +499,43 @@ def power_trace(x: SuperMatrix, k: int) -> SuperPoly:
 # ---------------------------------------------------------------------------
 
 
-def _neumann_inverse(entries, body_inv, one, terms: int):
-    """Inverse of E = B + S over the ring whose unit is `one`, given the
-    rational inverse `body_inv` of its body B: sum_k (-B^{-1} S)^k B^{-1}, whose
-    step -B^{-1} S = I - B^{-1} E must vanish at its `terms`-th power."""
-    zero = one * 0
-    inv = [[one * c for c in row] for row in body_inv]
-    step = [[one * int(i == j) - e for j, e in enumerate(row)]
-            for i, row in enumerate(_mat_mul(inv, entries, zero))]
-    out = power = inv
-    for _ in range(terms):
-        power = _mat_mul(step, power, zero)
-        if all(e.is_zero for row in power for e in row):
-            return out
-        out = [[p + q for p, q in zip(o_row, p_row)] for o_row, p_row in zip(out, power)]
-    raise SingularMatrixError(f"matrix soul is not nilpotent within {terms} terms")
+def _adjugate(d, one):
+    """Transposed cofactor matrix of a square grid of pairwise commuting
+    elements of the ring whose unit is `one`: D adj(D) = det(D) I."""
+    def cofactor(i, j):
+        minor = commuting_determinant(
+            [row[:j] + row[j + 1:] for k, row in enumerate(d) if k != i], one)
+        return -minor if (i + j) % 2 else minor
+
+    return [[cofactor(j, i) for j in range(len(d))] for i in range(len(d))]
 
 
-def _grassmann_units(algebra) -> int:
-    return sum(1 for g in algebra.generators() if g.parity == Parity.ODD)
-
-
-def _grassmann_matrix_inverse(entries, algebra):
-    """Inverse of a square matrix of even elements with invertible body.
-    Mod the g odd generators a nilpotent Neumann step is nilpotent over a
-    polynomial domain, so its size-th power lies in the odd ideal, and any
-    g + 1 factors from that ideal multiply to zero."""
-    try:
-        body_inv = ratlinalg.inv([[e.constant_term() for e in row] for row in entries])
-    except ZeroDivisionError as exc:
-        raise SingularMatrixError("matrix body is singular") from exc
-    terms = len(entries) * (_grassmann_units(algebra) + 1)
-    return _neumann_inverse(entries, body_inv, algebra.one(), terms)
-
-
-def _berezinian(a, b, c, d, one, invert, invert_unit):
+def _berezinian(a, b, c, d, one, invert_unit):
     """det(A - B D^{-1} C) / det(D) over the supercommutative ring whose unit
-    is `one`; `invert` inverts the matrix D and `invert_unit` its determinant."""
+    is `one`, with D^{-1} = adj(D) / det(D); `invert_unit` inverts det(D)."""
     if not d:
         return commuting_determinant(a, one)
     zero = one * 0
-    bdc = _mat_mul(_mat_mul(b, invert(d), zero), c, zero)
-    top = [[e - f for e, f in zip(a_row, bdc_row)] for a_row, bdc_row in zip(a, bdc)]
-    return commuting_determinant(top, one) * invert_unit(commuting_determinant(d, one))
+    det_inv = invert_unit(commuting_determinant(d, one))
+    bdc = _mat_mul(_mat_mul(b, _adjugate(d, one), zero), c, zero)
+    top = [[e - f * det_inv for e, f in zip(a_row, bdc_row)] for a_row, bdc_row in zip(a, bdc)]
+    return commuting_determinant(top, one) * det_inv
+
+
+def _unit_or_singular(det: SuperPoly) -> SuperPoly:
+    try:
+        return det.inverse_of_unit()
+    except NotInvertibleError as exc:
+        reason = "body is singular" if det.constant_term() == 0 else "soul is not nilpotent"
+        raise SingularMatrixError(f"matrix {reason}") from exc
 
 
 def berezinian(x: SuperMatrix) -> SuperPoly:
-    """Ber(X) when the even blocks have invertible bodies and nilpotent souls;
-    SingularMatrixError otherwise."""
-    algebra = x.algebra
-    return _berezinian(
-        *x.blocks(), algebra.one(),
-        lambda d: _grassmann_matrix_inverse(d, algebra), SuperPoly.inverse_of_unit,
-    )
+    """Ber(X) = det(A - B D^{-1} C) / det(D), with D^{-1} = adj(D) / det(D).
+    Defined whenever det(D) is a unit: a nonzero body plus a soul whose every
+    term has an odd factor.  SingularMatrixError otherwise, naming a singular
+    body or a soul that is not nilpotent."""
+    return _berezinian(*x.blocks(), x.algebra.one(), _unit_or_singular)
 
 
 def characteristic_series(x: SuperMatrix, order: int) -> TruncatedSeries:
@@ -568,12 +553,9 @@ def characteristic_series(x: SuperMatrix, order: int) -> TruncatedSeries:
          for j, e in enumerate(row)]
         for i, row in enumerate(x.transpose().entries)
     ]
-    # I - uD has body I and a soul divisible by u, whose (order + 1)-th power vanishes
-    eye = [[int(i == j) for j in range(x.n)] for i in range(x.n)]
-    one = TruncatedSeries.one(algebra, order)
+    # det(I - uD) has constant term 1, so it is a unit of the series ring
     return _berezinian(
-        *_blocks(grid, x.m), one,
-        lambda d: _neumann_inverse(d, eye, one, order + 1), TruncatedSeries.invert,
+        *_blocks(grid, x.m), TruncatedSeries.one(algebra, order), TruncatedSeries.invert,
     )
 
 
@@ -586,6 +568,10 @@ def characteristic_coefficients(x: SuperMatrix, order: int) -> list[SuperPoly]:
 # ---------------------------------------------------------------------------
 # Diagonalization over a Grassmann algebra
 # ---------------------------------------------------------------------------
+
+
+def _grassmann_units(algebra) -> int:
+    return sum(1 for g in algebra.generators() if g.parity == Parity.ODD)
 
 
 def _rational_eigenbasis(block):

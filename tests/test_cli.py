@@ -185,6 +185,29 @@ def test_malformed_matrix_documents_exit_2(text, message, tmp_path, capsys):
     assert captured.err == f"superimm: error: {message}\n"
 
 
+def _assert_one_line_error(prog, err, path):
+    assert err.startswith(f"{prog}: error: ") and err.endswith(f"{str(path)!r}\n")
+    assert err.count("\n") == 1
+
+
+def test_missing_matrix_file_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main(["imm", "--lambda", "1", "--rows", "1", "--matrix", str(path)]) == 2
+    _assert_one_line_error("superimm", capsys.readouterr().err, path)
+
+
+def test_matrix_directory_is_a_one_line_error(tmp_path, capsys):
+    assert main(["imm", "--lambda", "1", "--rows", "1", "--matrix", str(tmp_path)]) == 2
+    _assert_one_line_error("superimm", capsys.readouterr().err, tmp_path)
+
+
+def test_check_out_in_a_missing_directory_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    argv = ["check", "vanishing", "--m", "1", "--n", "1", "--max-r", "1", "--out", str(path)]
+    assert main(argv) == 2
+    _assert_one_line_error("superimm", capsys.readouterr().err, path)
+
+
 def test_check_labels_vacuous_reports(capsys):
     # at (1|1) the first shape off the hook has size 4
     assert main(["check", "vanishing", "--m", "1", "--n", "1", "--max-r", "4"]) == 0
@@ -235,6 +258,16 @@ def test_identity_suite_script_rejects_zero_trials(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "run_identity_suite: error: sweep needs trials >= 1, got 0\n"
     assert not out_path.exists()
+
+
+def test_identity_suite_out_in_a_missing_directory_is_a_one_line_error(
+    monkeypatch, tmp_path, capsys
+):
+    script = _identity_suite_script()
+    monkeypatch.setattr(script, "GRID", [("kostant", 1, 1, 1, {})])
+    path = tmp_path / "missing" / "report.json"
+    assert script.main(["--out", str(path)]) == 2
+    _assert_one_line_error("run_identity_suite", capsys.readouterr().err, path)
 
 
 @pytest.mark.parametrize("argv, message", [

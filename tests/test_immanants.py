@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -250,6 +251,36 @@ def test_berezinian_accepts_a_matrix_nilpotent_soul():
     assert berezinian(x) == 1
 
 
+def test_berezinian_accepts_a_lower_block_whose_determinant_is_a_unit():
+    # D = [[1 + a^2, a], [a, 1]] with a even: no power of its soul vanishes,
+    # but det(D) = 1, so D^-1 = adj(D) = [[1, -a], [-a, 1 + a^2]]
+    x = _loaded(1, 2, {"a": "even", "s": "odd", "t": "odd"},
+                [["2", "t", "0"], ["0", "1+a*a", "a"], ["s", "a", "1"]])
+    a, s, t = (x.algebra.gen(name) for name in "ast")
+    assert berezinian(x) == 2 - a * s * t
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (2, 0), (0, 2)])
+def test_berezinian_is_the_eigenvalue_ratio(m, n):
+    """Ber is invariant under conjugation, so Ber(X) = prod(omega) / prod(varpi)
+    over the even and odd eigenvalues that diagonalize finds; an odd eigenvalue
+    with body 0 makes the body of D singular."""
+    from superimm.immanants import SingularMatrixError
+
+    for s in range(6):
+        point = random_grassmann_point(m, n, 1000 + s)
+        x = generator_matrix(m, n).evaluate(point)
+        result = diagonalize(x)
+        one = point.target.one()
+        even = prod(result["even_eigenvalues"], start=one)
+        odd = prod(result["odd_eigenvalues"], start=one)
+        if odd.constant_term() == 0:
+            with pytest.raises(SingularMatrixError, match="matrix body is singular"):
+                berezinian(x)
+        else:
+            assert berezinian(x) == even * odd.inverse_of_unit(), (m, n, s)
+
+
 def test_characteristic_series_matches_invariants():
     # the invariants come from the characteristic series; both other routes
     # (normalized immanant sum, idempotent supertrace) must agree with them
@@ -317,13 +348,12 @@ def test_diagonalize_refuses_souls_outside_the_odd_ideal():
 @pytest.mark.parametrize("n_units", [2, 3, 4, 5])
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2), (3, 1), (2, 0), (0, 2)])
 def test_diagonalize_solves_at_other_unit_counts(m, n, n_units):
-    """u^-1 is checked against the Neumann-series inverse of u, one-block
+    """u^-1 is a two-sided inverse of u, hence the unique one, one-block
     matrices included."""
     point = random_grassmann_point(m, n, 20240613 + n_units, n_units=n_units)
     result = diagonalize(generator_matrix(m, n).evaluate(point).transpose())
     assert result["residual_zero"]
     u, u_inv = result["u"], result["u_inv"]
-    assert u_inv == SuperMatrix(m, n, immanants._grassmann_matrix_inverse(u.entries, point.target))
     identity = SuperMatrix.identity(m, n, point.target)
     assert u @ u_inv == identity
     assert u_inv @ u == identity

@@ -339,26 +339,30 @@ def test_broken_idempotent_supertrace_is_caught(monkeypatch):
         )
 
 
-def test_broken_neumann_inverse_is_caught(monkeypatch):
+def test_negated_adjugate_is_caught(monkeypatch):
     import superimm.immanants as immanants
-    from superimm import ratlinalg
 
-    original = immanants._neumann_inverse
-
-    def flipped(entries, body_inv, one, terms):
-        # invert B - S instead of B + S: the Neumann step changes sign
-        body = ratlinalg.inv(body_inv)
-        mirrored = [
-            [one * (2 * c) - e for e, c in zip(row, b_row)] for row, b_row in zip(entries, body)
-        ]
-        return original(mirrored, body_inv, one, terms)
-
-    monkeypatch.setattr(immanants, "_neumann_inverse", flipped)
-    assert _failed_case(check_berezinian_series(1, 1, 3, 99, 1)) == "symbolic coefficient k=3"
-    # diagonalize does not use the Neumann series; the characteristic series
-    # behind elementary_invariant does
+    original = immanants._adjugate
+    monkeypatch.setattr(
+        immanants, "_adjugate", lambda d, one: [[-e for e in row] for row in original(d, one)]
+    )
+    assert _failed_case(check_berezinian_series(1, 1, 3, 99, 1)) == "symbolic coefficient k=2"
+    # diagonalize does not use the adjugate; the characteristic series behind
+    # elementary_invariant does
     point = random_grassmann_point(2, 1, 99)
     assert _failed_case(check_littlewood_3((2, 1), 2, 1, point)) == "elementary specialization"
+
+
+def test_transposed_adjugate_is_caught(monkeypatch):
+    import superimm.immanants as immanants
+
+    original = immanants._adjugate
+    # a 1x1 adjugate is its own transpose: the mutation needs a 2x2 lower block
+    monkeypatch.setattr(
+        immanants, "_adjugate", lambda d, one: [list(col) for col in zip(*original(d, one))]
+    )
+    assert _failed_case(check_berezinian_series(1, 2, 3, 99, 1)) == "symbolic coefficient k=3"
+    assert _failed_case(check_goulden_jackson((2, 1), 1, 2)).startswith("det(alpha-JT)")
 
 
 def test_broken_unipotent_inverse_is_caught(monkeypatch):

@@ -56,7 +56,7 @@ def _demo(args) -> int:
             status = "ok" if lhs == rhs else "MISMATCH"
             agree &= lhs == rhs
             print(f"  lambda={lam!s:12s} [{status}] value = {lhs}")
-    return 0 if agree else 1
+    return 0 if agree and result["residual_zero"] else 1
 
 
 if __name__ == "__main__":

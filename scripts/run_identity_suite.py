@@ -10,6 +10,7 @@ oracle: every family of `verify.CHECK_FAMILIES`.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -58,13 +59,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="identity_suite_report.json")
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        with open(args.out, "w", encoding="utf-8") as out:  # a bad path fails before any sweep
+            try:
+                return _run(args, out)
+            except BaseException:  # no reports: leave no empty file behind
+                os.remove(args.out)
+                raise
     except (ValueError, OSError) as exc:  # a package error or an unwritable --out path
         print(f"run_identity_suite: error: {exc}", file=sys.stderr)
         return 2
 
 
-def _run(args) -> int:
+def _run(args, out) -> int:
     all_reports = []
     start = time.perf_counter()
     for name, m, n, max_r, extra in GRID:
@@ -83,8 +89,8 @@ def _run(args) -> int:
 
     failures = [r for r in all_reports if not r.passed]
     vacuous = sum(r.vacuous for r in all_reports)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in all_reports], fh, indent=2, sort_keys=True)
+    json.dump([r.to_dict() for r in all_reports], out, indent=2, sort_keys=True)
+    out.close()
     print(f"\n{len(all_reports) - len(failures) - vacuous}/{len(all_reports)} checks passed, "
           f"{vacuous} vacuous (0 cases), {len(failures)} failed "
           f"in {elapsed:.1f}s; report written to {args.out}")

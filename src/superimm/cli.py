@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 
 from superimm.immanants import (
     SuperMatrixError,
@@ -89,29 +91,28 @@ def _cmd_berezinian(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    reports = sweep(
-        args.name,
-        args.m,
-        args.n,
-        args.max_r,
-        order=args.order,
-        seed=args.seed,
-        trials=args.trials,
-    )
-    width = max(len(r.name) for r in reports)
-    failures = sum(not rep.passed for rep in reports)
-    vacuous = sum(rep.vacuous for rep in reports)
-    for rep in reports:
-        status = "FAIL" if not rep.passed else "vacuous" if rep.vacuous else "pass"
-        detail = {k: v for k, v in rep.params.items() if k != "identity"}
-        print(f"{rep.name:<{width}}  {status:<7}  cases={rep.cases:<5d} {detail}")
-        if not rep.passed:
-            print(f"  witness: {rep.witness}")
-    summary = f"{len(reports) - failures - vacuous}/{len(reports)} checks passed"
-    print(summary + (f", {vacuous} vacuous (0 cases)" if vacuous else ""))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([rep.to_dict() for rep in reports], fh, indent=2, sort_keys=True)
+    # --out is opened before the sweep, so a bad path fails before the work does
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
+        try:
+            reports = sweep(args.name, args.m, args.n, args.max_r,
+                            order=args.order, seed=args.seed, trials=args.trials)
+        except BaseException:
+            if out:  # no reports: leave no empty file behind
+                os.remove(args.out)
+            raise
+        width = max(len(r.name) for r in reports)
+        failures = sum(not rep.passed for rep in reports)
+        vacuous = sum(rep.vacuous for rep in reports)
+        for rep in reports:
+            status = "FAIL" if not rep.passed else "vacuous" if rep.vacuous else "pass"
+            detail = {k: v for k, v in rep.params.items() if k != "identity"}
+            print(f"{rep.name:<{width}}  {status:<7}  cases={rep.cases:<5d} {detail}")
+            if not rep.passed:
+                print(f"  witness: {rep.witness}")
+        summary = f"{len(reports) - failures - vacuous}/{len(reports)} checks passed"
+        print(summary + (f", {vacuous} vacuous (0 cases)" if vacuous else ""))
+        if out:
+            json.dump([rep.to_dict() for rep in reports], out, indent=2, sort_keys=True)
     return 1 if failures else 0
 
 

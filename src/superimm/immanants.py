@@ -600,14 +600,21 @@ def _rational_eigenbasis(block):
 
 def _unipotent_inverse(columns, algebra):
     """Inverse of Q = I + N, columns[t][k][e] being the part N^(e)[k][t] of Q[k][t] with
-    e odd factors: its degree-d part is F^(d) = -sum_e N^(e) F^(d-e), F^(0) = I."""
-    size, zero = len(columns), algebra.zero()
-    parts = [[[algebra.scalar(int(k == j)) for j in range(size)] for k in range(size)]]
-    for d in range(1, len(columns[0][0])):
-        parts.append([[-sum_of_products(zero, (
-            (columns[t][k][e], parts[d - e][t][j]) for e in range(1, d + 1) for t in range(size)
-        )) for j in range(size)] for k in range(size)])
-    return [[sum((part[k][j] for part in parts), zero) for j in range(size)] for k in range(size)]
+    e odd factors: its degree-d part is F^(d) = -sum_e N^(e) F^(d-e), F^(0) = I.  Only
+    nonzero parts are multiplied, and d runs to the unit count len(columns[0][0]) - 1:
+    products of low-degree parts reach degrees that N itself lacks."""
+    size, zero, top = len(columns), algebra.zero(), len(columns[0][0])
+    # rows[k]: the nonzero (e, t, N^(e)[k][t]) with e >= 1, by e and then t
+    rows = [[(e, t, columns[t][k][e]) for e in range(1, top) for t in range(size)
+             if not columns[t][k][e].is_zero] for k in range(size)]
+    parts = [{(k, k): algebra.scalar(1) for k in range(size)}]  # the nonzero entries of F^(d)
+    for d in range(1, top):
+        sums = {(k, j): sum_of_products(zero, [(p, parts[d - e][t, j]) for e, t, p in rows[k]
+                                               if e <= d and (t, j) in parts[d - e]])
+                for k in range(size) for j in range(size)}
+        parts.append({kj: -s for kj, s in sums.items() if not s.is_zero})
+    return [[sum((part[k, j] for part in parts if (k, j) in part), zero) for j in range(size)]
+            for k in range(size)]
 
 
 def diagonalize(x: SuperMatrix) -> dict:
@@ -618,7 +625,8 @@ def diagonalize(x: SuperMatrix) -> dict:
     Conjugates by the rational eigenbasis V of the block bodies, then solves
     for each eigenvector column of Q one theta degree at a time, dividing only
     by the rational gaps b_pos - b_k between distinct bodies.  u = V Q, and
-    u^-1 = Q^-1 V^-1 from the rational block inverses and Q^-1 by degree.
+    u^-1 = Q^-1 V^-1 from the rational block inverses and Q^-1 by degree.  Both
+    degree recurrences keep only the nonzero degree parts and multiply those.
     """
     m, n = x.m, x.n
     algebra = x.algebra
@@ -646,35 +654,38 @@ def diagonalize(x: SuperMatrix) -> dict:
     v_inv_mat = SuperMatrix(m, n, v_inv, validate=False)
     xp = v_inv_mat @ x @ v_mat
 
-    # soul[e][k][t]: the part of xp[k, t] - b_k [k == t] with e odd factors, e >= 1
-    degrees = range(1, _grassmann_units(algebra) + 1)
-    soul = {e: [[zero] * size for _ in range(size)] for e in degrees}
-    for k in range(size):
-        for t in range(size):
-            entry = xp[k + 1, t + 1] - (bodies[k] if k == t else 0)
-            for e, part in odd_degree_parts(entry).items():
-                soul[e][k][t] = part
+    # soul[k][t]: {e: the part of xp[k, t] - b_k [k == t] with e >= 1 odd factors}, nonzero
+    # parts only; rows[k] lists them as (e, t, part), by e and then t
+    units = _grassmann_units(algebra)
+    soul = [[odd_degree_parts(xp[k + 1, t + 1] - (bodies[k] if k == t else 0))
+             for t in range(size)] for k in range(size)]
+    rows = [[(e, t, soul[k][t][e]) for e in range(1, units + 1) for t in range(size)
+             if e in soul[k][t]] for k in range(size)]
     columns = []
     degree_parts = []  # degree_parts[pos][k][d]: the degree-d part of entry (k, pos) of Q
     eigenvalues = []
     for pos in range(size):
-        # z[k][d], minus_shift[d]: the degree-d parts of z_k and of b_pos - omega
-        z = [[algebra.scalar(int(k == pos))] for k in range(size)]
-        minus_shift = [zero]
+        # z[k], minus_shift: {d: the nonzero degree-d part} of z_k and of b_pos - omega
+        z = [{0: algebra.scalar(1)} if k == pos else {} for k in range(size)]
+        minus_shift = {}
         inverse_gaps = [Fraction(1) / (bodies[pos] - b) if k != pos else 0
                         for k, b in enumerate(bodies)]
-        for d in degrees:
-            lower = [(e, t) for e in range(1, d + 1) for t in range(size)]
-            shift = sum_of_products(zero, ((soul[e][pos][t], z[t][d - e]) for e, t in lower))
-            minus_shift.append(-shift)
+        for d in range(1, units + 1):
+            lower = [[(s, z[t][d - e]) for e, t, s in rows[k] if e <= d and d - e in z[t]]
+                     for k in range(size)]
+            shift = sum_of_products(zero, lower[pos])
+            if not shift.is_zero:
+                minus_shift[d] = -shift
             for k in range(size):
-                z[k].append(zero if k == pos else sum_of_products(zero, [
-                    *((soul[e][k][t], z[t][d - e]) for e, t in lower),
-                    *((minus_shift[e], z[k][d - e]) for e in range(1, d + 1)),
-                ]) * inverse_gaps[k])
-        degree_parts.append(z)
-        z = [sum(parts, zero) for parts in z]
-        omega = algebra.scalar(bodies[pos]) - sum(minus_shift, zero)
+                if k == pos:
+                    continue
+                value = sum_of_products(zero, [
+                    *lower[k], *((s, z[k][d - e]) for e, s in minus_shift.items() if d - e in z[k])])
+                if not value.is_zero:
+                    z[k][d] = value * inverse_gaps[k]
+        degree_parts.append([[parts.get(e, zero) for e in range(units + 1)] for parts in z])
+        z = [sum(parts.values(), zero) for parts in z]
+        omega = algebra.scalar(bodies[pos]) - sum(minus_shift.values(), zero)
         for k in range(size):
             lhs = sum_of_products(zero, ((xp[k + 1, t + 1], z[t]) for t in range(size)))
             if lhs != omega * z[k]:

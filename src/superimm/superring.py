@@ -160,12 +160,14 @@ def _reduced(algebra: Algebra, terms: dict, den: int) -> "SuperPoly":
     return SuperPoly(algebra, terms, den)
 
 
+@lru_cache(maxsize=None)
 def merge_odd_parts(a: int, b: int):
     """Multiply two odd parts stored as bitmasks, tracking the Koszul sign.
 
     Each generator of b moves left past the generators of a on higher bits,
     so the sign is the parity of the pairs (i in a, j in b) with i > j.
     Returns (sign, a | b); sign 0 means a generator repeats and the term dies.
+    Memoized per mask pair: a product kernel meets the same few pairs often.
     """
     if a & b:
         return 0, 0
@@ -187,7 +189,8 @@ def _merge_even(a: tuple, b: tuple) -> tuple:
 def _accumulate(terms: dict, left: dict, right: dict, scale: int) -> None:
     """Add scale * left * right (numerator dicts) into `terms`, dropping sums
     that cancel.  A pair sharing an odd generator dies before the sign rule;
-    a side with no odd (or no even) factors needs no merge."""
+    a side with no odd (or no even) factors needs no merge.  The sign rule is
+    the module's `merge_odd_parts` at call time, so a replaced one skips the memo."""
     merge = merge_odd_parts
     for (ea, oa), ca in left.items():
         ca *= scale

@@ -208,6 +208,34 @@ def test_check_out_in_a_missing_directory_is_a_one_line_error(tmp_path, capsys):
     _assert_one_line_error("superimm", capsys.readouterr().err, path)
 
 
+def _sweep_must_not_run(*args, **kwargs):
+    raise AssertionError("the sweep ran before --out was opened")
+
+
+def test_check_opens_out_before_the_sweep(monkeypatch, tmp_path, capsys):
+    import superimm.cli as cli
+
+    monkeypatch.setattr(cli, "sweep", _sweep_must_not_run)
+    path = tmp_path / "missing" / "x.json"
+    assert main(["check", "all", "--m", "2", "--n", "1", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_line_error("superimm", captured.err, path)
+
+
+def test_check_leaves_no_out_file_when_the_sweep_raises(monkeypatch, tmp_path, capsys):
+    import superimm.cli as cli
+
+    def failing_sweep(*args, **kwargs):
+        raise ValueError("sweep failed")
+
+    monkeypatch.setattr(cli, "sweep", failing_sweep)
+    path = tmp_path / "report.json"
+    assert main(["check", "kostant", "--m", "1", "--n", "1", "--out", str(path)]) == 2
+    assert capsys.readouterr().err == "superimm: error: sweep failed\n"
+    assert not path.exists()
+
+
 def test_check_labels_vacuous_reports(capsys):
     # at (1|1) the first shape off the hook has size 4
     assert main(["check", "vanishing", "--m", "1", "--n", "1", "--max-r", "4"]) == 0
@@ -270,6 +298,16 @@ def test_identity_suite_out_in_a_missing_directory_is_a_one_line_error(
     _assert_one_line_error("run_identity_suite", capsys.readouterr().err, path)
 
 
+def test_identity_suite_opens_out_before_the_sweep(monkeypatch, tmp_path, capsys):
+    script = _identity_suite_script()
+    monkeypatch.setattr(script, "sweep", _sweep_must_not_run)
+    path = tmp_path / "missing" / "x.json"
+    assert script.main(["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_line_error("run_identity_suite", captured.err, path)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--m", "0", "--n", "0"], "block sizes (0|0) must be non-negative with m + n >= 1"),
     (["--max-r", "0"], "--max-r must be at least 1, got 0"),
@@ -285,4 +323,22 @@ def test_diagonalize_demo_smoke(capsys):
     assert _load_script("diagonalize_demo").main(["--m", "2", "--n", "1", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "residual exactly zero: True" in out
+    assert "MISMATCH" not in out
+
+
+def test_diagonalize_demo_fails_on_a_nonzero_residual(monkeypatch, capsys):
+    import superimm.immanants as immanants
+
+    original = immanants._unipotent_inverse
+
+    def flipped(columns, algebra):
+        # F^(d) = +sum_e N^(e) F^(d-e): u^-1 is wrong, the eigenvalues are not
+        negated = [[[p if e == 0 else -p for e, p in enumerate(parts)] for parts in column]
+                   for column in columns]
+        return original(negated, algebra)
+
+    monkeypatch.setattr(immanants, "_unipotent_inverse", flipped)
+    assert _load_script("diagonalize_demo").main(["--m", "2", "--n", "1", "--max-r", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "residual exactly zero: False" in out
     assert "MISMATCH" not in out

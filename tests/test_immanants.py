@@ -346,10 +346,11 @@ def test_diagonalize_refuses_souls_outside_the_odd_ideal():
 
 
 @pytest.mark.parametrize("n_units", [2, 3, 4, 5])
-@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2), (3, 1), (2, 0), (0, 2)])
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (2, 0), (0, 2)])
 def test_diagonalize_solves_at_other_unit_counts(m, n, n_units):
     """u^-1 is a two-sided inverse of u, hence the unique one, one-block
-    matrices included."""
+    matrices included.  At (1|1) and (1|3) Q^-1 has parts of degrees that Q
+    lacks, so its recurrence must run to the unit count."""
     point = random_grassmann_point(m, n, 20240613 + n_units, n_units=n_units)
     result = diagonalize(generator_matrix(m, n).evaluate(point).transpose())
     assert result["residual_zero"]

@@ -15,6 +15,7 @@ from superimm.superring import (
     SuperRingError,
     TruncatedSeries,
     grassmann_algebra,
+    merge_odd_parts,
     parse_poly,
     poly_from_terms,
     poly_to_terms,
@@ -674,3 +675,32 @@ def test_every_result_is_stored_over_one_reduced_denominator(raw_a, raw_b, raw_c
     ]:
         assert p == q and hash(p) == hash(q)
     assert hash(alg.scalar(s)) == hash(s)
+
+
+def test_products_read_the_sign_rule_past_its_memo(monkeypatch):
+    """The Koszul sign is memoized per mask pair, but products look the rule up
+    in the module at each call: a replaced rule decides even for pairs the
+    memo already holds."""
+    import superimm.superring as superring
+
+    lam = grassmann_algebra(2)
+    th1, th2 = lam.gen("th1"), lam.gen("th2")
+    product = th2 * th1  # fills the memo with this mask pair
+    assert product == -(th1 * th2)
+    original = superring.merge_odd_parts
+    monkeypatch.setattr(superring, "merge_odd_parts", lambda a, b: (1, original(a, b)[1]))
+    assert th2 * th1 != product
+
+
+@given(st.integers(0, (1 << 10) - 1), st.integers(0, (1 << 10) - 1))
+@settings(max_examples=200, deadline=None)
+def test_memoized_sign_counts_the_crossing_pairs(a, b):
+    """(sign, a | b) with sign the parity of the pairs (i in a, j in b), i > j,
+    over bit positions; 0 when a and b share a bit.  The second call is the memo's."""
+    def bits(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    crossings = sum(1 for i in bits(a) for j in bits(b) if i > j)
+    want = (0, 0) if a & b else ((-1) ** crossings, a | b)
+    assert merge_odd_parts(a, b) == want
+    assert merge_odd_parts(a, b) == want

@@ -2,11 +2,11 @@
 
 Generators carry a Z2 parity.  Even generators are central; odd generators
 anticommute pairwise and square to zero.  A monomial is kept in normal form
-(even factors sorted by name; odd factors stored as a bitmask, one bit per odd
-generator in declaration order, the reordering sign into that bit order
-absorbed into the coefficient), so polynomial equality is a dictionary
-comparison.  Every public view shows the odd factors sorted by name, with the
-sign of that order.
+as one int key (one bit per odd generator and a 32-bit exponent field per
+even one, in declaration order, the reordering sign of its odd factors into
+that order absorbed into the coefficient), so polynomial equality is a
+dictionary comparison and a product's key is the sum of its factors' keys.
+Every public view shows the factors sorted by name, with the sign of that order.
 
 Also provides truncated power series over such an algebra, finite Grassmann
 algebras Lambda_N as evaluation targets, a small expression grammar for
@@ -56,14 +56,21 @@ class Generator:
     parity: Parity
 
 
+_EXP_LIMIT = 1 << 31  # the top bit of a 32-bit exponent field is a guard: exponents stay below it
+_FIELD = (_EXP_LIMIT << 1) - 1
+
+
 class Algebra:
     """A generator context: a set of named generators with parities."""
 
     def __init__(self, label: str = ""):
         self.label = label
         self._gens: dict[str, Generator] = {}
-        self._bit: dict[str, int] = {}  # odd generator -> its bit, in declaration order
-        self._shown: dict[int, tuple] = {}  # memo of _odd_names
+        self._bit: dict[str, int] = {}  # odd generator -> its key bit
+        self._shift: dict[str, int] = {}  # even generator -> the lowest bit of its exponent field
+        self._odd = 0  # the key bits of all odd generators
+        self._guard = 0  # the top bit of every exponent field
+        self._shown: dict[int, tuple] = {}  # memo of _factors
 
     def declare(self, name: str, parity: Parity) -> "SuperPoly":
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
@@ -74,8 +81,13 @@ class Algebra:
                 raise SuperRingError(f"generator {name!r} already declared with other parity")
         else:
             self._gens[name] = Generator(name, Parity(parity))
+            width = max(self._odd, self._guard).bit_length()  # the key bits allotted so far
             if parity == Parity.ODD:
-                self._bit[name] = 1 << len(self._bit)
+                self._bit[name] = 1 << width
+                self._odd |= 1 << width
+            else:
+                self._shift[name] = width
+                self._guard |= _EXP_LIMIT << width
         return self.gen(name)
 
     def even(self, *names: str):
@@ -87,11 +99,7 @@ class Algebra:
         return polys[0] if len(polys) == 1 else polys
 
     def gen(self, name: str) -> "SuperPoly":
-        g = self._gens[name]
-        if g.parity == Parity.EVEN:
-            key = (((name, 1),), 0)
-        else:
-            key = ((), self._bit[name])
+        key = self._bit[name] if self._gens[name].parity == Parity.ODD else 1 << self._shift[name]
         return SuperPoly(self, {key: 1})
 
     def parity_of(self, name: str) -> Parity:
@@ -104,27 +112,37 @@ class Algebra:
         return name in self._gens
 
     def compatible(self, other: "Algebra") -> bool:
-        """Same generators, and the same odd declaration order (the bit order)."""
-        return self is other or (self._gens == other._gens and list(self._bit) == list(other._bit))
+        """Same generators in the same declaration order, hence the same key layout."""
+        return self is other or list(self._gens.values()) == list(other._gens.values())
 
-    def _odd_names(self, mask: int) -> tuple:
-        """(sign, names) for the odd part stored as `mask`: its generators in
-        name order, and the sign that reorders their product from bit order
-        into name order."""
-        shown = self._shown.get(mask)
+    def _factors(self, key: int) -> tuple:
+        """(sign, even, odd, factors) for the monomial `key`: its even part
+        as name-sorted (generator, exponent) pairs, its odd part as sorted
+        names, the sign that reorders the odd part from bit order into name
+        order, and the even pairs followed by (name, 1) for each odd name."""
+        shown = self._shown.get(key)
         if shown is None:
-            in_bit_order = [name for name, bit in self._bit.items() if mask & bit]
+            even = tuple(sorted((name, key >> shift & _FIELD) for name, shift in self._shift.items()
+                                if key >> shift & _FIELD))
+            in_bit_order = [name for name, bit in self._bit.items() if key & bit]
             swaps = sum(a > b for a, b in combinations(in_bit_order, 2))
-            shown = self._shown[mask] = (-1 if swaps % 2 else 1, tuple(sorted(in_bit_order)))
+            odd = tuple(sorted(in_bit_order))
+            factors = (*even, *((name, 1) for name in odd))
+            shown = self._shown[key] = (-1 if swaps % 2 else 1, even, odd, factors)
         return shown
 
-    def _odd_mask(self, names) -> tuple:
-        """(sign, mask) for an odd part given as names in name order, the
-        inverse of `_odd_names`; (0, 0) unless the names are distinct odd
-        generators in name order."""
-        mask = sum({self._bit.get(name, 0) for name in names})  # the union of distinct bits
-        sign, shown = self._odd_names(mask)
-        return (sign, mask) if shown == tuple(names) else (0, 0)
+    def _key(self, even, odd) -> tuple:
+        """(sign, key) for the monomial (even, odd) as `_factors` shows it, its
+        inverse; (0, 0) unless both parts name distinct generators of their
+        parity in name order, with exponents in 1..2**31 - 1."""
+        even, odd, key = tuple(map(tuple, even)), tuple(odd), 0
+        for name, exp in even:
+            if name not in self._shift or exp.__class__ is not int or not 0 < exp < _EXP_LIMIT:
+                return 0, 0
+            key += exp << self._shift[name]
+        key += sum(self._bit.get(name, 0) for name in odd)  # an unknown name fails the round trip
+        sign, shown_even, shown_odd, _ = self._factors(key)
+        return (sign, key) if (shown_even, shown_odd) == (even, odd) else (0, 0)
 
     def __repr__(self):
         return f"Algebra({self.label or len(self._gens)} gens)"
@@ -160,6 +178,15 @@ def _reduced(algebra: Algebra, terms: dict, den: int) -> "SuperPoly":
     return SuperPoly(algebra, terms, den)
 
 
+def _reduced_product(algebra: Algebra, terms: dict, den: int) -> "SuperPoly":
+    """`_reduced` for summed keys: exponents stay below their field's guard bit,
+    so a sum of two never carries into the next field, and one reaching it raises."""
+    if algebra._guard and any(key & algebra._guard for key in terms):
+        raise SuperRingError(
+            f"an exponent reached {_EXP_LIMIT}, the bound of a monomial's exponent field")
+    return _reduced(algebra, terms, den)
+
+
 @lru_cache(maxsize=None)
 def merge_odd_parts(a: int, b: int):
     """Multiply two odd parts stored as bitmasks, tracking the Koszul sign.
@@ -179,32 +206,24 @@ def merge_odd_parts(a: int, b: int):
     return -1 if swaps & 1 else 1, union
 
 
-def _merge_even(a: tuple, b: tuple) -> tuple:
-    exps: dict[str, int] = dict(a)
-    for name, e in b:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def _accumulate(terms: dict, left: dict, right: dict, scale: int) -> None:
+def _accumulate(terms: dict, left: dict, right: dict, scale: int, odd: int) -> None:
     """Add scale * left * right (numerator dicts) into `terms`, dropping sums
-    that cancel.  A pair sharing an odd generator dies before the sign rule;
-    a side with no odd (or no even) factors needs no merge.  The sign rule is
-    the module's `merge_odd_parts` at call time, so a replaced one skips the memo."""
+    that cancel; `odd` masks the algebra's odd key bits.  A pair sharing an
+    odd generator dies before the sign rule, and a live pair's key is ka + kb.
+    The sign rule is the module's `merge_odd_parts` at call time, so a
+    replaced one skips the memo."""
     merge = merge_odd_parts
-    for (ea, oa), ca in left.items():
+    for ka, ca in left.items():
         ca *= scale
-        for (eb, ob), cb in right.items():
+        oa = ka & odd
+        for kb, cb in right.items():
+            ob = kb & odd
             if oa & ob:
                 continue
             p = ca * cb
-            if oa and ob:
-                sign, odd = merge(oa, ob)
-                if sign < 0:
-                    p = -p
-            else:
-                odd = oa | ob
-            key = (_merge_even(ea, eb) if ea and eb else ea or eb, odd)
+            if oa and ob and merge(oa, ob)[0] < 0:
+                p = -p
+            key = ka + kb
             s = terms.get(key, 0) + p
             if s:
                 terms[key] = s
@@ -233,31 +252,32 @@ def sum_of_products(zero, pairs):
     den = lcm(*(a._den * b._den for a, b in pairs))
     terms: dict = {}
     for a, b in pairs:
-        _accumulate(terms, a._terms, b._terms, den // (a._den * b._den))
-    return _reduced(algebra, terms, den)
+        _accumulate(terms, a._terms, b._terms, den // (a._den * b._den), algebra._odd)
+    return _reduced_product(algebra, terms, den)
 
 
 def odd_degree_parts(p: "SuperPoly") -> dict:
     """{d: the part of p whose monomials have d odd factors}, nonzero parts only."""
     parts: dict = {}
+    odd = p.algebra._odd
     for key, c in p._terms.items():
-        parts.setdefault(key[1].bit_count(), {})[key] = c
+        parts.setdefault((key & odd).bit_count(), {})[key] = c
     return {d: _reduced(p.algebra, terms, p._den) for d, terms in parts.items()}
 
 
-_ONE = ((), 0)  # the key of the constant monomial
+_ONE = 0  # the key of the constant monomial
 
 
 class SuperPoly:
     """Element of a free supercommutative Q-algebra, in normal form.
 
-    Terms map (even_part, odd_part) -> nonzero int numerator, all over one
-    positive denominator `_den`, kept reduced: gcd(_den, *numerators) == 1,
-    and _den == 1 for zero.  even_part is a sorted tuple of (generator,
-    exponent) and odd_part an int bitmask of odd generators, the monomial
-    being their product in bit (declaration) order.  `terms`, `coefficient`,
-    `str` and the term serialization show odd parts as name-sorted tuples
-    with the sign of name order.  Instances are treated as immutable.
+    Terms map monomial key -> nonzero int numerator, all over one positive
+    denominator `_den`, kept reduced: gcd(_den, *numerators) == 1, and
+    _den == 1 for zero.  A key is an int with one bit per odd generator and
+    one exponent field per even one (see `Algebra.declare`), the monomial
+    being their product in declaration order; 0 is the constant.  `terms`,
+    `coefficient`, `str` and the term serialization show name-sorted even and
+    odd parts, with the sign of name order.  Instances are treated as immutable.
     """
 
     __slots__ = ("algebra", "_terms", "_den")
@@ -282,23 +302,24 @@ class SuperPoly:
         return [(k, c // den if c % den == 0 else Fraction(c, den)) for k, c in self._terms.items()]
 
     def terms(self):
-        """Deterministically ordered (even, odd, coefficient) triples, odd a
-        name-sorted tuple of generator names."""
-        shown = [(e, self.algebra._odd_names(o), c) for (e, o), c in self._coefficients()]
-        return sorted((e, names, sign * c) for e, (sign, names), c in shown)
+        """Deterministically ordered (even, odd, coefficient) triples: name-sorted
+        tuples of (generator, exponent) pairs and of odd generator names."""
+        shown = [(self.algebra._factors(key), c) for key, c in self._coefficients()]
+        return sorted((even, odd, sign * c) for (sign, even, odd, _), c in shown)
 
     def coefficient(self, key) -> Fraction:
-        """Coefficient of the monomial key (even_part, odd_part), odd_part a
-        name-sorted tuple of names; 0 if absent."""
-        sign, mask = self.algebra._odd_mask(key[1])
-        return Fraction(sign * self._terms.get((key[0], mask), 0), self._den)
+        """Coefficient of the monomial key (even_part, odd_part), both
+        name-sorted tuples as `terms` shows them; 0 if absent."""
+        sign, packed = self.algebra._key(*key)
+        return Fraction(sign * self._terms.get(packed, 0), self._den)
 
     def constant_term(self) -> Fraction:
         return Fraction(self._terms.get(_ONE, 0), self._den)
 
     def parity(self):
         """Parity if homogeneous (0, 1, or 0 for the zero poly); None if mixed."""
-        parities = {o.bit_count() % 2 for (_, o) in self._terms}
+        odd = self.algebra._odd
+        parities = {(key & odd).bit_count() % 2 for key in self._terms}
         if not parities:
             return Parity.EVEN
         if len(parities) > 1:
@@ -309,8 +330,9 @@ class SuperPoly:
         """Pair (even_part, odd_part) of this polynomial."""
         even = {}
         odd = {}
+        odd_bits = self.algebra._odd
         for key, c in self._terms.items():
-            (odd if key[1].bit_count() % 2 else even)[key] = c
+            (odd if (key & odd_bits).bit_count() % 2 else even)[key] = c
         return _reduced(self.algebra, even, self._den), _reduced(self.algebra, odd, self._den)
 
     # -- ring operations -------------------------------------------------------
@@ -370,8 +392,8 @@ class SuperPoly:
                 return SuperPoly(self.algebra, left, den)
             return _reduced(self.algebra, {k: c * num for k, c in left.items()}, den * scale)
         terms: dict = {}
-        _accumulate(terms, left, right, 1)
-        return _reduced(self.algebra, terms, den * other._den)
+        _accumulate(terms, left, right, 1, self.algebra._odd)
+        return _reduced_product(self.algebra, terms, den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -379,12 +401,13 @@ class SuperPoly:
         return NotImplemented
 
     def __pow__(self, k: int):
+        """By repeated squaring, so an exponent past the bound raises within 2 log2(k) products."""
         if k < 0:
             raise SuperRingError("negative powers are not defined")
-        out = self.algebra.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return self.algebra.one()
+        half = self ** (k >> 1)
+        return half * half * self if k & 1 else half * half
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -430,18 +453,18 @@ class SuperPoly:
             return prefixes[factors]
 
         images_of_terms = []
-        odd_names = self.algebra._odd_names
-        for (even, odd), c in self._terms.items():
-            sign, names = odd_names(odd)
-            factors = (*even, *((name, 1) for name in names))
+        factors_of = self.algebra._factors
+        for key, c in self._terms.items():
+            sign, _, _, factors = factors_of(key)
             head = prefix(factors[:-1])
             if not head.is_zero:
                 images_of_terms.append((sign * c, head, power(*factors[-1]) if factors else head))
         den = lcm(*(head._den * last._den for _, head, last in images_of_terms))
         terms: dict = {}
         for c, head, last in images_of_terms:
-            _accumulate(terms, head._terms, last._terms, c * (den // (head._den * last._den)))
-        return _reduced(target, terms, self._den * den)
+            scale = c * (den // (head._den * last._den))
+            _accumulate(terms, head._terms, last._terms, scale, target._odd)
+        return _reduced_product(target, terms, self._den * den)
 
     # -- inverses ----------------------------------------------------------------
 
@@ -455,11 +478,11 @@ class SuperPoly:
         if body == 0:
             raise NotInvertibleError("constant term is zero")
         soul = self - body
-        odd_bits = 0
-        for _, o in soul._terms:
-            if not o:
+        odd, odd_bits = self.algebra._odd, 0
+        for key in soul._terms:
+            if not key & odd:
                 raise NotInvertibleError("soul contains a non-nilpotent term")
-            odd_bits |= o
+            odd_bits |= key & odd
         inv_body = Fraction(1) / body
         out = self.algebra.scalar(inv_body)
         power = self.algebra.one()
@@ -777,17 +800,19 @@ def poly_to_terms(p: SuperPoly) -> list[dict]:
 
 
 def poly_from_terms(algebra: Algebra, terms: Iterable[Mapping]) -> SuperPoly:
+    """The inverse of `poly_to_terms`; a term off the normal form raises SuperRingError."""
     out = algebra.zero()
     for t in terms:
-        even = tuple(sorted((name, int(exp)) for name, exp in t.get("even", [])))
+        even = t.get("even", [])
         odd = tuple(t.get("odd", []))
         for parity, names in ((Parity.EVEN, [name for name, _ in even]), (Parity.ODD, odd)):
             for name in names:
                 if name not in algebra or algebra.parity_of(name) != parity:
                     raise SuperRingError(f"{name!r} is not an {parity.name.lower()} generator")
-        sign, mask = algebra._odd_mask(odd)
+        sign, key = algebra._key(sorted(even, key=lambda pair: pair[0]), odd)
         if not sign:
-            raise SuperRingError("odd part must list distinct generators in name order")
-        term = _monomial(algebra, (even, mask), t["coefficient"])
+            raise SuperRingError("a term must list distinct generators, the odd ones in name order, "
+                                 f"with exponents in 1..{_EXP_LIMIT - 1}")
+        term = _monomial(algebra, key, t["coefficient"])
         out = out + (term if sign > 0 else -term)
     return out

@@ -704,3 +704,102 @@ def test_memoized_sign_counts_the_crossing_pairs(a, b):
     want = (0, 0) if a & b else ((-1) ** crossings, a | b)
     assert merge_odd_parts(a, b) == want
     assert merge_odd_parts(a, b) == want
+
+
+# -- packed monomial keys ------------------------------------------------------
+#
+# A key holds one bit per odd generator and a 32-bit exponent field per even
+# generator, in declaration order; exponents stay below 2**31, the guard bit.
+
+BOUND = 1 << 31
+
+
+def test_poly_from_terms_rejects_exponents_off_the_normal_form(mixed):
+    """x^0, a repeated even name, a negative, non-int or too large exponent
+    would each build a monomial outside the normal form."""
+    alg, x, *_ = mixed
+    for even in ([["x", 0]], [["x", 1], ["x", 2]], [["x", -2]], [["x", BOUND]], [["x", "2"]],
+                 [["x", 2.0]], [["x", True]], [["y", 1], ["x", 1], ["y", 1]]):
+        with pytest.raises(SuperRingError):
+            poly_from_terms(alg, [{"coefficient": 1, "even": even}])
+    top = poly_from_terms(alg, [{"coefficient": 1, "even": [["x", BOUND - 1]]}])
+    assert top.terms() == [((("x", BOUND - 1),), (), 1)]
+
+
+def test_powers_reach_the_exponent_bound_and_refuse_to_pass_it(mixed):
+    alg, x, y, t1, t2, t3 = mixed
+    assert (x ** (BOUND - 1)).terms() == [((("x", BOUND - 1),), (), 1)]
+    assert x ** (1 << 30) * x ** ((1 << 30) - 1) == x ** (BOUND - 1)
+    # x's field lies just below y's, so a carry would show up as a y factor
+    for too_big in (lambda: x ** BOUND, lambda: x ** (1 << 30) * x ** (1 << 30),
+                    lambda: x ** (BOUND - 1) * x ** (BOUND - 1) * y,
+                    lambda: sum_of_products(alg.zero(), [(x ** (1 << 30), x ** (1 << 30)), (y, t1)]),
+                    lambda: (x * x).substitute({"x": x ** (1 << 30)}, alg)):
+        with pytest.raises(SuperRingError, match="exponent"):
+            too_big()
+    with pytest.raises(SuperRingError):
+        x ** -1
+
+
+@given(poly_pair(), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_power_equals_the_repeated_product(data, k):
+    alg, a, *_ = data
+    product = alg.one()
+    for _ in range(k):
+        product = product * a
+    assert a ** k == product
+
+
+def test_coefficient_of_a_monomial_off_the_algebra_is_zero(mixed):
+    alg, x, y, t1, t2, t3 = mixed
+    p = 3 * x * t1 + 5 * t1 + 7
+    assert p.coefficient(((("x", 1),), ("t1",))) == 3 and p.coefficient(((), ())) == 7
+    assert p.coefficient(([["x", 1]], ["t1"])) == 3  # the lists of poly_to_terms name the same monomial
+    for key in (((("zz", 1),), ()), ((), ("qq",)), ((("x", 1),), ("qq",)), ((("zz", 1),), ("t1",)),
+                ((("t1", 1),), ()), ((), ("x",)), ((("x", 0),), ("t1",)), ((), ("t1", "t1"))):
+        assert p.coefficient(key) == 0
+
+
+def test_algebras_declaring_even_generators_in_different_orders_are_not_compatible():
+    a, b = Algebra("xy"), Algebra("yx")
+    a.even("x", "y")
+    b.even("y", "x")
+    for alg in (a, b):
+        alg.odd("t")
+    assert not a.compatible(b) and not b.compatible(a)
+    p = a.gen("x") * a.gen("x") * a.gen("t") - 2 * a.gen("y")
+    with pytest.raises(AlgebraMismatchError):
+        p + b.gen("x")
+    q = poly_from_terms(b, poly_to_terms(p))
+    assert q.algebra is b and poly_to_terms(q) == poly_to_terms(p) and str(q) == str(p)
+
+
+MIXED_EVEN = ("x", "y", "z")
+big_monomials = st.tuples(
+    st.lists(st.tuples(st.sampled_from(MIXED_EVEN), st.integers(1, 1 << 30)),
+             unique_by=lambda pair: pair[0], max_size=3).map(lambda pairs: tuple(sorted(pairs))),
+    monomials.map(lambda key: key[1]),
+)
+
+
+@given(st.permutations(MIXED_EVEN + ODD_GENS), raw_polys(keys=big_monomials), raw_polys(keys=big_monomials))
+@settings(max_examples=200, deadline=None)
+def test_terms_round_trip_over_mixed_declaration_orders(order, raw_a, raw_b):
+    """Even and odd generators interleaved in any declaration order, exponents
+    up to 2**30: terms survive poly_to_terms/poly_from_terms, and a product
+    matches the reference, or raises where one of its exponents reaches 2**31."""
+    alg = Algebra("interleaved")
+    for name in order:
+        alg.declare(name, Parity.EVEN if name in MIXED_EVEN else Parity.ODD)
+    a, b = (poly_from_terms(alg, _as_terms(raw)) for raw in (raw_a, raw_b))
+    _assert_matches(a, _ref(raw_a))
+    assert poly_from_terms(alg, poly_to_terms(a)) == a
+    for key, c in _ref(raw_a).items():
+        assert a.coefficient(key) == c
+    product = _ref_mul(_ref(raw_a), _ref(raw_b))
+    if any(exp >= BOUND for even, _ in product for _, exp in even):
+        with pytest.raises(SuperRingError, match="exponent"):
+            a * b
+    else:
+        _assert_matches(a * b, product)

@@ -21,9 +21,9 @@ GRID = [
     ("vanishing", 1, 1, 4, {}),
     ("vanishing", 1, 2, 4, {}),
     ("vanishing", 2, 1, 4, {}),
-    ("kostant", 1, 1, 3, {}),
+    ("kostant", 1, 1, 4, {}),
     ("kostant", 2, 1, 3, {}),
-    ("schur-weyl", 1, 1, 3, {}),
+    ("schur-weyl", 1, 1, 4, {}),
     ("schur-weyl", 2, 1, 3, {}),
     ("littlewood1", 1, 1, 2, {}),
     ("littlewood1", 2, 1, 3, {}),

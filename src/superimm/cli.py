@@ -106,7 +106,8 @@ def _cmd_check(args) -> int:
         for rep in reports:
             status = "FAIL" if not rep.passed else "vacuous" if rep.vacuous else "pass"
             detail = {k: v for k, v in rep.params.items() if k != "identity"}
-            print(f"{rep.name:<{width}}  {status:<7}  cases={rep.cases:<5d} {detail}")
+            print(f"{rep.name:<{width}}  {status:<7}  cases={rep.cases:<5d} {detail}  "
+                  f"{rep.seconds:.3f}s")
             if not rep.passed:
                 print(f"  witness: {rep.witness}")
         summary = f"{len(reports) - failures - vacuous}/{len(reports)} checks passed"

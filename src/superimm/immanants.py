@@ -47,6 +47,7 @@ from superimm.tensorspace import (
     action_sign,
     apply_group_algebra_to_state,
     apply_matrix_at_slot,
+    arrangements,
     bilinear_form,
     composed_tuple,
     composition_to_multiset,
@@ -56,6 +57,8 @@ from superimm.tensorspace import (
     parity_weight,
     repetition_factor,
     sorted_multisets,
+    state_add,
+    tensor_weight,
 )
 
 
@@ -272,18 +275,11 @@ def chain_coefficient_slotwise(x: SuperMatrix, out_indices, in_indices) -> Super
     return x.algebra.zero() if value is None else value
 
 
-def chain_state(x: SuperMatrix, in_indices, weight) -> dict:
+def chain_state(x: SuperMatrix, in_indices) -> dict:
     """The column of chain coefficients out of one basis tensor, restricted
-    to outputs with the given index multiplicities."""
-    r = len(in_indices)
+    to outputs in its weight slice."""
     out = {}
-    want = tuple(weight)
-    for key in product(range(1, x.size + 1), repeat=r):
-        counts = [0] * x.size
-        for i in key:
-            counts[i - 1] += 1
-        if tuple(counts) != want:
-            continue
+    for key in arrangements(in_indices):
         c = chain_coefficient(x, key, in_indices)
         if not c.is_zero:
             out[key] = c
@@ -345,45 +341,37 @@ def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> Super
     return -acc if immanant_prefactor(row_indices, col_indices, x.m) < 0 else acc
 
 
-def _idempotent_diagonal_coefficient(e: GroupAlgebraElement, x: SuperMatrix, j) -> SuperPoly:
-    """Bra-ket coefficient <J| E X_1...X_r |J> for a group-algebra element E."""
-    return _koszul_sum(x, e.terms.items(), j, j)
+def _idempotent_weight_trace(e: GroupAlgebraElement, x: SuperMatrix, multiset) -> SuperPoly:
+    """Supertrace of E X_1...X_r on one weight slice: the bra-ket coefficients
+    <K| E X_1...X_r |K> summed over the arrangements K of the multiset, times
+    the slice's weight."""
+    acc = x.algebra.zero()
+    for k in arrangements(multiset):
+        acc = acc + _koszul_sum(x, e.terms.items(), k, k)
+    return -acc if tensor_weight(multiset, x.m) < 0 else acc
 
 
 def immanant_via_idempotent(shape, x: SuperMatrix, indices, tab=None) -> SuperPoly:
-    """The same immanant from one primitive idempotent: the symmetrized sum of
-    diagonal coefficients against E_T.  Requires a sorted index tuple."""
+    """The same immanant from one primitive idempotent: I! times the
+    supertrace of E_T X_1...X_r on the weight slice of I.  Requires a sorted
+    index tuple."""
     indices = tuple(indices)
     _check_indices(x.size, indices)
     if list(indices) != sorted(indices):
         raise SuperMatrixError("index tuple must be non-decreasing")
     shape = normalize_partition(shape)
-    r = len(indices)
-    if sum(shape) != r:
+    if sum(shape) != len(indices):
         raise SuperMatrixError("shape size must match the index length")
-    if tab is None:
-        tab = row_reading_tableau(shape)
-    e = primitive_idempotent(tab)
-    acc = x.algebra.zero()
-    for perm in symmetric_group(r):
-        acc = acc + _idempotent_diagonal_coefficient(e, x, composed_tuple(indices, perm))
-    sign = 1
-    for i in indices:
-        sign *= parity_weight(i, x.m)
-    return -acc if sign < 0 else acc
+    e = primitive_idempotent(row_reading_tableau(shape) if tab is None else tab)
+    return _idempotent_weight_trace(e, x, indices) * repetition_factor(indices)
 
 
 def idempotent_chain_supertrace(e: GroupAlgebraElement, x: SuperMatrix, r: int) -> SuperPoly:
-    """Full supertrace of E X_1...X_r over the r-fold tensor space."""
+    """Full supertrace of E X_1...X_r over the r-fold tensor space, one weight
+    slice at a time."""
     acc = x.algebra.zero()
-    for j in product(range(1, x.size + 1), repeat=r):
-        term = _idempotent_diagonal_coefficient(e, x, j)
-        if term.is_zero:
-            continue
-        w = 1
-        for i in j:
-            w *= parity_weight(i, x.m)
-        acc = acc + (term if w > 0 else -term)
+    for multiset in sorted_multisets(x.m, x.n, r):
+        acc = acc + _idempotent_weight_trace(e, x, multiset)
     return acc
 
 
@@ -722,24 +710,16 @@ def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
     basis, so this route never goes through the immanant formula.
     """
     shape = normalize_partition(shape)
-    weight = tuple(weight)
-    r = sum(weight)
-    if sum(shape) != r:
+    if sum(shape) != sum(weight):
         raise SuperMatrixError("shape size and weight size differ")
+    if len(weight) != x.size:
+        raise SuperMatrixError(f"weight needs one multiplicity per index, {x.size} in all")
     m = x.m
     multiset = composition_to_multiset(weight)
-    sign = 1
-    for i in multiset:
-        sign *= parity_weight(i, m)
 
     e = primitive_idempotent(row_reading_tableau(shape))
-    keys = [
-        key
-        for key in product(range(1, x.size + 1), repeat=r)
-        if tuple(sorted(key)) == multiset
-    ]
     vectors = []
-    for key in keys:
+    for key in arrangements(multiset):
         vec = apply_group_algebra_to_state(e, {key: Fraction(1)}, m)
         if vec:
             vectors.append(vec)
@@ -755,14 +735,13 @@ def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
     gram = [[Fraction(bilinear_form(v, w)) for w in basis] for v in basis]
     gram_inv = ratlinalg.inv(gram)
 
+    block = {key: chain_state(x, key) for key in {k for v in basis for k in v}}
     images = []
     for v in basis:
         image: dict = {}
         for key, coeff in v.items():
-            for out_key, value in chain_state(x, key, weight).items():
-                poly = value * coeff
-                prev = image.get(out_key)
-                image[out_key] = poly if prev is None else prev + poly
+            for out_key, value in block[key].items():
+                state_add(image, out_key, value * coeff)
         images.append(image)
     acc = x.algebra.zero()
     for k_idx in range(len(basis)):
@@ -773,7 +752,7 @@ def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
             pairing = bilinear_form(images[k_idx], basis[j_idx])
             if isinstance(pairing, SuperPoly):
                 acc = acc + pairing * factor
-    return -acc if sign < 0 else acc
+    return -acc if tensor_weight(multiset, m) < 0 else acc
 
 
 def schur_weyl_norm_report(tab, weight, m: int, n: int) -> dict:

@@ -83,10 +83,13 @@ def jacobi_trudi_grid(shape, entry) -> list[list]:
 
 
 def schur_super(shape, m: int, n: int) -> SuperPoly:
-    """Jacobi-Trudi determinant in the generating coefficients; vanishes
-    exactly off the (m,n) hook."""
-    grid = jacobi_trudi_grid(shape, lambda k: complete_super(k, m, n))
-    return commuting_determinant(grid, sym_algebra(m, n).one())
+    """Jacobi-Trudi determinant in the generating coefficients, all read off
+    one series; vanishes exactly off the (m,n) hook."""
+    shape = normalize_partition(shape)
+    series = _generating_series(m, n, shape[0] + len(shape) - 1 if shape else 0)
+    alg = sym_algebra(m, n)
+    grid = jacobi_trudi_grid(shape, lambda k: series.coefficient(k) if k >= 0 else alg.zero())
+    return commuting_determinant(grid, alg.one())
 
 
 def _swap_generators(f: SuperPoly, a: str, b: str) -> SuperPoly:

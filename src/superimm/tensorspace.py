@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 
 from superimm.superring import SuperPoly
 from superimm.symgroup import GroupAlgebraElement, Permutation
@@ -33,6 +33,11 @@ def tuple_parities(indices, m: int) -> tuple[int, ...]:
 def parity_weight(i: int, m: int) -> int:
     """Supertrace weight (-1)^parity of a single index."""
     return -1 if i > m else 1
+
+
+def tensor_weight(indices, m: int) -> int:
+    """Supertrace weight of a basis tensor: the product of its indices' weights."""
+    return prod(parity_weight(i, m) for i in indices)
 
 
 def action_sign(indices, m: int, perm: Permutation) -> int:
@@ -104,21 +109,25 @@ def sorted_multisets(m: int, n: int, r: int):
     return tuple(combinations_with_replacement(range(1, m + n + 1), r))
 
 
-def weak_compositions(r: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to r."""
-    if parts == 0:
-        return ((),) if r == 0 else ()
+def arrangements(multiset) -> tuple[tuple[int, ...], ...]:
+    """The distinct orderings of a multiset of indices, in lexicographic order:
+    the basis tensors of its weight slice."""
+    if not multiset:
+        return ((),)
     out = []
-
-    def grow(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for a in range(remaining + 1):
-            grow(prefix + (a,), remaining - a, slots - 1)
-
-    grow((), r, parts)
+    for i in sorted(set(multiset)):
+        rest = list(multiset)
+        rest.remove(i)
+        out.extend((i,) + tail for tail in arrangements(rest))
     return tuple(out)
+
+
+def weak_compositions(r: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to r, in
+    lexicographic order: the weights of the multisets of size r."""
+    labels = range(1, parts + 1)
+    return tuple(sorted(tuple(c.count(i) for i in labels)
+                        for c in combinations_with_replacement(labels, r)))
 
 
 def composition_to_multiset(comp) -> tuple[int, ...]:

@@ -75,6 +75,16 @@ def test_check_writes_report_and_exit_codes(tmp_path, capsys):
     assert data[0]["params"]["identity"] == "kostant"
 
 
+def test_check_out_is_byte_identical_across_runs(tmp_path, capsys):
+    # timing goes to stdout only, so two runs write the same bytes
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        assert main(["check", "macmahon", "--m", "1", "--n", "1", "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    fields = capsys.readouterr().out.splitlines()[0].split()
+    assert fields[2].startswith("cases=") and float(fields[-1].removesuffix("s")) >= 0
+
+
 def test_check_all_exits_zero(capsys):
     assert main(["check", "all", "--m", "1", "--n", "1", "--max-r", "2", "--order", "2",
                  "--trials", "1"]) == 0

@@ -77,6 +77,7 @@ UNREACHED_BY_DESIGN = {
     "transposition_relation": "test oracle: the Jucys-Murphy transposition relation",
     "lr_coefficient": "public API: one Littlewood-Richardson coefficient, both oracles agreeing",
     "check_classical_degeneration": "test oracle: classical immanants at n = 0, no odd block",
+    "complete_super": "test oracle: one Jacobi-Trudi entry from a series of its own order",
     "GroupAlgebraElement.star": "public API: the inversion anti-involution of the group algebra",
     "GroupAlgebraElement.conjugate_by": "test oracle: centrality of idempotents under conjugation",
 }

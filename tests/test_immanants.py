@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -37,6 +37,7 @@ from superimm.superring import Algebra, GrassmannPoint, TruncatedSeries, grassma
 from superimm.symgroup import Permutation, primitive_idempotent
 from superimm.tableaux import hook_product, partitions, row_reading_tableau, standard_tableaux
 from superimm.tensorspace import (
+    apply_group_algebra_to_state,
     composition_to_multiset,
     repetition_factor,
     sorted_multisets,
@@ -383,6 +384,33 @@ def test_weight_space_supertrace_off_hook_shape():
     x = generator_matrix(1, 1)
     for weight in weak_compositions(4, 2):
         assert weight_space_supertrace((2, 2), weight, x).is_zero
+
+
+def test_weight_space_supertrace_rejects_a_weight_of_the_wrong_length():
+    x = generator_matrix(1, 1)
+    for weight in [(3,), (3, 0, 0)]:
+        with pytest.raises(SuperMatrixError):
+            weight_space_supertrace((2, 1), weight, x)
+
+
+def test_weight_space_supertrace_builds_each_chain_state_once(monkeypatch):
+    # at (2|1) the weight (1,1,1) meets the (2,1) copy in a 2-dimensional
+    # space, so two basis vectors share keys
+    x = generator_matrix(2, 1)
+    e = primitive_idempotent(row_reading_tableau((2, 1)))
+    support = {key for start in permutations((1, 2, 3))
+               for key in apply_group_algebra_to_state(e, {start: Fraction(1)}, 2)}
+    calls = []
+    original = immanants.chain_state
+
+    def spy(x, in_indices, *rest):
+        calls.append(tuple(in_indices))
+        return original(x, in_indices, *rest)
+
+    monkeypatch.setattr(immanants, "chain_state", spy)
+    value = weight_space_supertrace((2, 1), (1, 1, 1), x)
+    assert value == super_immanant((2, 1), x, (1, 2, 3))
+    assert sorted(calls) == sorted(support)
 
 
 def test_diagonalize_with_mixed_body():

@@ -16,6 +16,7 @@ from superimm.supersym import (
     sym_algebra,
 )
 from superimm.superring import grassmann_algebra
+from superimm.symgroup import commuting_determinant
 from superimm.tableaux import (
     hook_partitions,
     in_hook,
@@ -109,6 +110,25 @@ def test_schur_super_values():
     assert schur_super((2,), 1, 1) == complete_super(2, 1, 1)
     assert schur_super((1, 1), 1, 1) == y * (x + y)
     assert schur_super((2, 2), 1, 1).is_zero
+
+
+def test_schur_super_reads_its_entries_off_one_series(monkeypatch):
+    from superimm import supersym
+
+    orders = []
+    original = supersym._generating_series
+
+    def spy(m, n, order):
+        orders.append(order)
+        return original(m, n, order)
+
+    monkeypatch.setattr(supersym, "_generating_series", spy)
+    for lam, largest in [((3, 1), 4), ((1, 1, 1), 3), ((2,), 2), ((), 0)]:
+        orders.clear()
+        value = schur_super(lam, 2, 1)
+        assert orders == [largest]
+        grid = jacobi_trudi_grid(lam, lambda k: complete_super(k, 2, 1))
+        assert value == commuting_determinant(grid, sym_algebra(2, 1).one())
 
 
 def test_schur_super_vanishes_exactly_off_hook():

@@ -9,6 +9,7 @@ from superimm.symgroup import GroupAlgebraElement, Permutation, symmetric_group
 from superimm.tensorspace import (
     action_sign,
     apply_group_algebra_to_state,
+    arrangements,
     bilinear_form,
     composed_tuple,
     composition_to_multiset,
@@ -19,6 +20,7 @@ from superimm.tensorspace import (
     repetition_factor,
     sorted_multisets,
     state_add,
+    tensor_weight,
     tuple_parities,
     weak_compositions,
 )
@@ -151,3 +153,29 @@ def test_index_helpers():
     assert len(sorted_multisets(1, 1, 3)) == 4
     assert len(weak_compositions(3, 2)) == 4
     assert composition_to_multiset((2, 0, 1)) == (1, 1, 3)
+
+
+def test_arrangements_are_the_sorted_filter_of_all_tuples():
+    assert arrangements(()) == ((),)
+    for size in (1, 2, 3):
+        for r in range(1, 5):
+            for multiset in sorted_multisets(size, 0, r):
+                want = tuple(key for key in product(range(1, size + 1), repeat=r)
+                             if tuple(sorted(key)) == multiset)
+                assert arrangements(multiset) == want, multiset
+                assert arrangements(multiset[::-1]) == want, multiset
+
+
+def test_weak_compositions_are_the_weights_of_the_multisets():
+    assert weak_compositions(0, 0) == ((),) and weak_compositions(2, 0) == ()
+    for parts in range(1, 4):
+        for r in range(5):
+            want = tuple(comp for comp in product(range(r + 1), repeat=parts) if sum(comp) == r)
+            assert weak_compositions(r, parts) == want, (r, parts)
+
+
+def test_tensor_weight_counts_odd_indices():
+    assert tensor_weight((), 1) == 1
+    assert tensor_weight((1, 2, 3), 1) == 1
+    assert tensor_weight((1, 2, 1), 1) == -1
+    assert tensor_weight((3, 1), 2) == parity_weight(3, 2) == -1

@@ -328,16 +328,30 @@ def _koszul_sum(x: SuperMatrix, weighted, row_indices, col_indices) -> SuperPoly
     return acc
 
 
+@lru_cache(maxsize=None)
+def _signed_class_table(row_indices, m: int, sign) -> tuple:
+    """(K, ((mu, C_mu(K)), ...)) per K = I o perm, in first-appearance order: C_mu(K) sums
+    sign(K, m, perm) over its perms of cycle type mu, zeros left out.  `sign` is in the key."""
+    counts: dict = {}
+    for perm, ct in _typed_permutations(len(row_indices)):
+        k = composed_tuple(row_indices, perm)
+        by_type = counts.setdefault(k, {})
+        by_type[ct] = by_type.get(ct, 0) + sign(k, m, perm)
+    return tuple((k, tuple((ct, c) for ct, c in t.items() if c)) for k, t in counts.items())
+
+
 def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> SuperPoly:
     """Character-weighted, Koszul-signed permutation sum over a generalized
     submatrix.  `char` is a partition or a {cycle_type: value} dict."""
     row_indices = tuple(row_indices)
     col_indices = row_indices if col_indices is None else tuple(col_indices)
     _check_indices(x.size, row_indices, col_indices)
-    r = len(row_indices)
-    chi = _as_class_function(char, r)
-    weighted = ((perm, chi[ct]) for perm, ct in _typed_permutations(r))
-    acc = _koszul_sum(x, weighted, row_indices, col_indices)
+    chi = _as_class_function(char, len(row_indices))
+    acc = x.algebra.zero()
+    for k, counts in _signed_class_table(row_indices, x.m, action_sign):
+        total = sum(chi[ct] * c for ct, c in counts)
+        if total != 0:
+            acc = acc + chain_coefficient(x, k, col_indices) * total
     return -acc if immanant_prefactor(row_indices, col_indices, x.m) < 0 else acc
 
 
@@ -700,14 +714,15 @@ def diagonalize(x: SuperMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
+def weight_space_supertrace(shape, weight, x: SuperMatrix, states=None) -> SuperPoly:
     """Supertrace of (P_w x 1) . Delta . P_w on the copy of the irreducible
     carved out of the tensor space by the primitive idempotent of the
     row-reading tableau.
 
     The subspace is the idempotent's image of the weight slice; the trace is
     taken against the Gram matrix of the product-delta form on an explicit
-    basis, so this route never goes through the immanant formula.
+    basis, so this route never goes through the immanant formula.  `states`,
+    a dict of chain states by key, fills on first use; calls at one x may share it.
     """
     shape = normalize_partition(shape)
     if sum(shape) != sum(weight):
@@ -735,12 +750,13 @@ def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
     gram = [[Fraction(bilinear_form(v, w)) for w in basis] for v in basis]
     gram_inv = ratlinalg.inv(gram)
 
-    block = {key: chain_state(x, key) for key in {k for v in basis for k in v}}
+    states = {} if states is None else states
+    states.update({k: chain_state(x, k) for k in {k for v in basis for k in v} - states.keys()})
     images = []
     for v in basis:
         image: dict = {}
         for key, coeff in v.items():
-            for out_key, value in block[key].items():
+            for out_key, value in states[key].items():
                 state_add(image, out_key, value * coeff)
         images.append(image)
     acc = x.algebra.zero()

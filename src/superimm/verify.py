@@ -491,13 +491,14 @@ def check_kostant(m: int, n: int, r: int) -> CheckReport:
     weights of one degree (shapes off the hook must give zero on both sides)."""
     params = {"identity": "kostant", "m": m, "n": n, "r": r}
     x = generator_matrix(m, n)
+    states: dict = {}  # chain states by key, shared by the shapes of one weight
 
     def comparisons():
         for lam in partitions(r):
             for weight in weak_compositions(r, m + n):
                 indices = composition_to_multiset(weight)
                 lhs = super_immanant(lam, x, indices) * Fraction(1, repetition_factor(indices))
-                rhs = weight_space_supertrace(lam, weight, x)
+                rhs = weight_space_supertrace(lam, weight, x, states)
                 yield (f"lambda={list(lam)}, weight={list(weight)}", lhs, rhs)
 
     return _run("kostant", params, comparisons())

@@ -39,6 +39,7 @@ from superimm.tableaux import hook_product, partitions, row_reading_tableau, sta
 from superimm.tensorspace import (
     apply_group_algebra_to_state,
     composition_to_multiset,
+    immanant_prefactor,
     repetition_factor,
     sorted_multisets,
     weak_compositions,
@@ -518,3 +519,49 @@ def test_super_immanant_reads_cycle_types_from_one_table_per_degree(monkeypatch)
     super_immanant((2, 1), x, (1, 1, 2))
     super_immanant((3,), x, (1, 2, 2))
     assert len(calls) <= 6
+
+
+def _permutation_sum(char, x, rows, cols):
+    """The immanant as the prefactor times the Koszul sum over all of S_r."""
+    chi = immanants._as_class_function(char, len(rows))
+    weighted = [(perm, chi[ct]) for perm, ct in immanants._typed_permutations(len(rows))]
+    value = immanants._koszul_sum(x, weighted, rows, cols)
+    return -value if immanant_prefactor(rows, cols, x.m) < 0 else value
+
+
+def test_super_immanant_table_route_matches_the_permutation_sum():
+    for m, n in [(1, 1), (2, 1), (1, 2)]:
+        x = generator_matrix(m, n)
+        for r in range(1, 5):
+            dict_char = {ct: Fraction(k - 2, 3) for k, ct in enumerate(partitions(r))}
+            for rows in sorted_multisets(m, n, r):
+                cols = tuple(reversed(rows))  # non-principal unless rows is a palindrome
+                for char in [*partitions(r), dict_char]:
+                    assert super_immanant(char, x, rows) == _permutation_sum(char, x, rows, rows)
+                assert super_immanant((r,), x, rows, cols) == _permutation_sum((r,), x, rows, cols)
+                assert super_immanant(dict_char, x, rows, cols) == \
+                    _permutation_sum(dict_char, x, rows, cols)
+
+
+def test_signed_class_table_is_built_once_per_index_tuple(monkeypatch):
+    """A second shape at the same I reads the cached table and makes no sign
+    call; a sign seam replaced after the cache is warm still reaches the sum."""
+    x = generator_matrix(1, 1)
+    rows = (1, 2, 2)
+    calls = []
+    original = immanants.action_sign
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(immanants, "action_sign", spy)
+    first = super_immanant((2, 1), x, rows)
+    assert len(calls) == 6
+    super_immanant((3,), x, rows)
+    super_immanant((1, 1, 1), x, rows)
+    assert len(calls) == 6
+    assert first == _permutation_sum((2, 1), x, rows, rows)
+
+    monkeypatch.setattr(immanants, "action_sign", lambda *a: 1)
+    assert super_immanant((2, 1), x, rows) != first

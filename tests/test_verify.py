@@ -562,20 +562,37 @@ def test_littlewood_2_wrong_immanant_fails_only_its_reports(monkeypatch):
 
 
 def test_grouping_by_rearrangement_is_watched(monkeypatch):
-    """Keeping one permutation per rearrangement, rather than the signed sum
-    of all of them, breaks Kostant's identity: its other side, the
-    weight-space supertrace, does not run through the Koszul sum."""
+    """Keeping one permutation per rearrangement in the signed class table,
+    rather than the signed counts of all of them, breaks Kostant's identity:
+    its other side, the weight-space supertrace, does not read the table."""
     import superimm.immanants as immanants
     from superimm.tensorspace import composed_tuple
 
     _assert_pass(check_kostant(1, 1, 3))
-    original = immanants._koszul_sum
 
-    def first_of_each(x, weighted, row_indices, col_indices):
+    def first_of_each(row_indices, m, sign):
         kept = {}
-        for perm, c in weighted:
-            kept.setdefault(composed_tuple(row_indices, perm), (perm, c))
-        return original(x, kept.values(), row_indices, col_indices)
+        for perm, ct in immanants._typed_permutations(len(row_indices)):
+            k = composed_tuple(row_indices, perm)
+            kept.setdefault(k, ((ct, sign(k, m, perm)),))
+        return tuple(kept.items())
 
-    monkeypatch.setattr(immanants, "_koszul_sum", first_of_each)
+    monkeypatch.setattr(immanants, "_signed_class_table", first_of_each)
     assert not check_kostant(1, 1, 3).passed
+
+
+def test_kostant_builds_each_chain_state_once(monkeypatch):
+    """The shapes of one weight share its chain states: one `chain_state`
+    call per distinct key over the whole check."""
+    import superimm.immanants as immanants
+
+    calls = []
+    original = immanants.chain_state
+
+    def spy(x, in_indices):
+        calls.append(tuple(in_indices))
+        return original(x, in_indices)
+
+    monkeypatch.setattr(immanants, "chain_state", spy)
+    _assert_pass(check_kostant(2, 1, 4))
+    assert calls and len(calls) == len(set(calls))

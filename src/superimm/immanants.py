@@ -57,7 +57,6 @@ from superimm.tensorspace import (
     parity_weight,
     repetition_factor,
     sorted_multisets,
-    state_add,
     tensor_weight,
 )
 
@@ -273,17 +272,6 @@ def chain_coefficient_slotwise(x: SuperMatrix, out_indices, in_indices) -> Super
                  if key[slot - 1] == out_indices[slot - 1]}
     value = state.get(out_indices)
     return x.algebra.zero() if value is None else value
-
-
-def chain_state(x: SuperMatrix, in_indices) -> dict:
-    """The column of chain coefficients out of one basis tensor, restricted
-    to outputs in its weight slice."""
-    out = {}
-    for key in arrangements(in_indices):
-        c = chain_coefficient(x, key, in_indices)
-        if not c.is_zero:
-            out[key] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -714,21 +702,25 @@ def diagonalize(x: SuperMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def weight_space_supertrace(shape, weight, x: SuperMatrix, states=None) -> SuperPoly:
+def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
     """Supertrace of (P_w x 1) . Delta . P_w on the copy of the irreducible
     carved out of the tensor space by the primitive idempotent of the
     row-reading tableau.
 
-    The subspace is the idempotent's image of the weight slice; the trace is
-    taken against the Gram matrix of the product-delta form on an explicit
-    basis, so this route never goes through the immanant formula.  `states`,
-    a dict of chain states by key, fills on first use; calls at one x may share it.
+    The subspace is the idempotent's image of the weight slice, in the
+    reduced echelon basis of its spanning vectors.  X_1...X_r maps that image
+    into itself and each basis vector is 1 at its own pivot and 0 at the
+    others, so the trace is the sum over basis vectors v of the pivot
+    coordinate of X_1...X_r v.  This route never goes through the immanant
+    formula.
     """
     shape = normalize_partition(shape)
-    if sum(shape) != sum(weight):
-        raise SuperMatrixError("shape size and weight size differ")
     if len(weight) != x.size:
         raise SuperMatrixError(f"weight needs one multiplicity per index, {x.size} in all")
+    if any(a.__class__ is not int or a < 0 for a in weight):
+        raise SuperMatrixError("weight entries must be non-negative integers")
+    if sum(shape) != sum(weight):
+        raise SuperMatrixError("shape size and weight size differ")
     m = x.m
     multiset = composition_to_multiset(weight)
 
@@ -743,31 +735,11 @@ def weight_space_supertrace(shape, weight, x: SuperMatrix, states=None) -> Super
     coords = sorted({k for vec in vectors for k in vec})
     rows = [[vec.get(k, Fraction(0)) for k in coords] for vec in vectors]
     red, pivots = ratlinalg.rref(rows)
-    basis = [
-        {coords[i]: row[i] for i in range(len(coords)) if row[i]}
-        for row in red[: len(pivots)]
-    ]
-    gram = [[Fraction(bilinear_form(v, w)) for w in basis] for v in basis]
-    gram_inv = ratlinalg.inv(gram)
-
-    states = {} if states is None else states
-    states.update({k: chain_state(x, k) for k in {k for v in basis for k in v} - states.keys()})
-    images = []
-    for v in basis:
-        image: dict = {}
-        for key, coeff in v.items():
-            for out_key, value in states[key].items():
-                state_add(image, out_key, value * coeff)
-        images.append(image)
     acc = x.algebra.zero()
-    for k_idx in range(len(basis)):
-        for j_idx in range(len(basis)):
-            factor = gram_inv[j_idx][k_idx]
-            if factor == 0:
-                continue
-            pairing = bilinear_form(images[k_idx], basis[j_idx])
-            if isinstance(pairing, SuperPoly):
-                acc = acc + pairing * factor
+    for row, pivot in zip(red, pivots):
+        for key, c in zip(coords, row):
+            if c:
+                acc = acc + chain_coefficient(x, coords[pivot], key) * c
     return -acc if tensor_weight(multiset, m) < 0 else acc
 
 

@@ -87,6 +87,10 @@ class Permutation:
 
 @lru_cache(maxsize=None)
 def symmetric_group(r: int) -> tuple[Permutation, ...]:
+    # S_9 alone has 362880 elements and the cache keeps every degree it
+    # builds, so a larger degree would exhaust memory before its sums finish
+    if r > 8:
+        raise SymGroupError(f"S_{r} is too large to enumerate: degrees above 8 are refused")
     return tuple(Permutation(p) for p in iter_permutations(range(1, r + 1)))
 
 

@@ -162,6 +162,17 @@ def test_non_object_matrix_document_is_a_package_error(tmp_path, capsys):
     assert capsys.readouterr().err == "superimm: error: matrix document must be a JSON object\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["berezinian", "--m", "9", "--n", "0", "--order", "0"],
+    ["imm", "--lambda", "9", "--rows", "1,1,1,1,1,1,1,1,1", "--m", "1", "--n", "0"],
+])
+def test_a_permutation_sum_beyond_degree_eight_is_a_package_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("superimm: error: ") and captured.err.count("\n") == 1
+
+
 _GOOD_DOC = {
     "m": 1,
     "n": 1,

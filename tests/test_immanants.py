@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import prod
 
 import pytest
@@ -37,7 +37,6 @@ from superimm.superring import Algebra, GrassmannPoint, TruncatedSeries, grassma
 from superimm.symgroup import Permutation, primitive_idempotent
 from superimm.tableaux import hook_product, partitions, row_reading_tableau, standard_tableaux
 from superimm.tensorspace import (
-    apply_group_algebra_to_state,
     composition_to_multiset,
     immanant_prefactor,
     repetition_factor,
@@ -363,7 +362,11 @@ def test_diagonalize_solves_at_other_unit_counts(m, n, n_units):
 
 
 def test_weight_space_supertrace_matches_immanants():
-    for m, n, r in [(1, 1, 1), (1, 1, 2), (1, 1, 3), (2, 1, 1), (2, 1, 2)]:
+    # at (2|1) r = 3 the weight (1,1,1) meets the (2,1) copy in a
+    # two-dimensional space
+    cases = [(1, 1, 1), (1, 1, 2), (1, 1, 3), (2, 1, 1), (2, 1, 2), (2, 1, 3),
+             (1, 2, 1), (1, 2, 2), (1, 2, 3), (2, 2, 1), (2, 2, 2)]
+    for m, n, r in cases:
         x = generator_matrix(m, n)
         for lam in partitions(r):
             for weight in weak_compositions(r, m + n):
@@ -387,31 +390,22 @@ def test_weight_space_supertrace_off_hook_shape():
         assert weight_space_supertrace((2, 2), weight, x).is_zero
 
 
-def test_weight_space_supertrace_rejects_a_weight_of_the_wrong_length():
+def test_weight_space_supertrace_rejects_a_malformed_weight():
     x = generator_matrix(1, 1)
-    for weight in [(3,), (3, 0, 0)]:
+    for shape, weight in [((2, 1), (3,)), ((2, 1), (3, 0, 0)), ((1,), (-1, 2)),
+                          ((2, 1), (-1, 4)), ((2, 1), (True, 2))]:
         with pytest.raises(SuperMatrixError):
-            weight_space_supertrace((2, 1), weight, x)
+            weight_space_supertrace(shape, weight, x)
 
 
-def test_weight_space_supertrace_builds_each_chain_state_once(monkeypatch):
-    # at (2|1) the weight (1,1,1) meets the (2,1) copy in a 2-dimensional
-    # space, so two basis vectors share keys
+def test_weight_space_supertrace_never_inverts_a_matrix(monkeypatch):
+    """The trace is read off the echelon basis: no Gram matrix is inverted."""
+    def refuse(mat):
+        raise AssertionError("ratlinalg.inv called")
+
+    monkeypatch.setattr(immanants.ratlinalg, "inv", refuse)
     x = generator_matrix(2, 1)
-    e = primitive_idempotent(row_reading_tableau((2, 1)))
-    support = {key for start in permutations((1, 2, 3))
-               for key in apply_group_algebra_to_state(e, {start: Fraction(1)}, 2)}
-    calls = []
-    original = immanants.chain_state
-
-    def spy(x, in_indices, *rest):
-        calls.append(tuple(in_indices))
-        return original(x, in_indices, *rest)
-
-    monkeypatch.setattr(immanants, "chain_state", spy)
-    value = weight_space_supertrace((2, 1), (1, 1, 1), x)
-    assert value == super_immanant((2, 1), x, (1, 2, 3))
-    assert sorted(calls) == sorted(support)
+    assert weight_space_supertrace((2, 1), (1, 1, 1), x) == super_immanant((2, 1), x, (1, 2, 3))
 
 
 def test_diagonalize_with_mixed_body():

@@ -168,3 +168,8 @@ def test_equal_elements_hash_equal():
 def test_jm_range_errors():
     with pytest.raises(SymGroupError):
         jucys_murphy(4, 3)
+
+
+def test_symmetric_group_refuses_a_degree_above_eight():
+    with pytest.raises(SymGroupError):
+        symmetric_group(9)

@@ -52,7 +52,7 @@ def test_lr_against_known_table():
         assert lr_coefficient((2, 1), (2, 1), lam) == want.get(lam, 0)
 
 
-@pytest.mark.parametrize("route", ["_lr_by_characters", "_lr_by_schur_multiplication"])
+@pytest.mark.parametrize("route", ["_lr_by_characters", "_lr_by_kostka"])
 def test_each_lr_route_is_watched(monkeypatch, route):
     import superimm.verify as verify
 
@@ -70,6 +70,19 @@ def test_each_lr_route_is_watched(monkeypatch, route):
             lr_coefficient((2, 1), (1,), (3, 1))
     finally:
         verify._lr_table.cache_clear()
+
+
+def test_lr_routes_agree_through_degree_six():
+    """The Kostka route and the character route give the same table for every
+    pair (mu, nu) with |mu| + |nu| <= 6, empty factors included."""
+    import superimm.verify as verify
+
+    pairs = [(mu, nu) for a in range(7) for b in range(7 - a)
+             for mu in partitions(a) for nu in partitions(b)]
+    assert len(pairs) == 139
+    for mu, nu in pairs:
+        r = sum(mu) + sum(nu)
+        assert verify._lr_by_kostka(mu, nu, r) == verify._lr_by_characters(mu, nu, r), (mu, nu)
 
 
 def test_littlewood_2_builds_each_table_entry_once(monkeypatch):
@@ -579,20 +592,3 @@ def test_grouping_by_rearrangement_is_watched(monkeypatch):
 
     monkeypatch.setattr(immanants, "_signed_class_table", first_of_each)
     assert not check_kostant(1, 1, 3).passed
-
-
-def test_kostant_builds_each_chain_state_once(monkeypatch):
-    """The shapes of one weight share its chain states: one `chain_state`
-    call per distinct key over the whole check."""
-    import superimm.immanants as immanants
-
-    calls = []
-    original = immanants.chain_state
-
-    def spy(x, in_indices):
-        calls.append(tuple(in_indices))
-        return original(x, in_indices)
-
-    monkeypatch.setattr(immanants, "chain_state", spy)
-    _assert_pass(check_kostant(2, 1, 4))
-    assert calls and len(calls) == len(set(calls))

@@ -298,24 +298,6 @@ def _typed_permutations(r: int) -> tuple:
     return tuple((perm, perm.cycle_type()) for perm in symmetric_group(r))
 
 
-def _koszul_sum(x: SuperMatrix, weighted, row_indices, col_indices) -> SuperPoly:
-    """Sum of c * action sign * chain coefficient over the (permutation, c) pairs
-    of `weighted`, the signed weights added up first per rearranged row tuple
-    K = I o perm, so that each K with a non-zero total costs one coefficient."""
-    totals: dict = {}
-    for perm, c in weighted:
-        if c:
-            k = composed_tuple(row_indices, perm)
-            totals[k] = totals.get(k, 0) + c * action_sign(k, x.m, perm)
-    acc = x.algebra.zero()
-    for k, total in totals.items():
-        if total != 0:
-            term = chain_coefficient(x, k, col_indices)
-            if not term.is_zero:
-                acc = acc + term * total
-    return acc
-
-
 @lru_cache(maxsize=None)
 def _signed_class_table(row_indices, m: int, sign) -> tuple:
     """(K, ((mu, C_mu(K)), ...)) per K = I o perm, in first-appearance order: C_mu(K) sums
@@ -343,20 +325,10 @@ def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> Super
     return -acc if immanant_prefactor(row_indices, col_indices, x.m) < 0 else acc
 
 
-def _idempotent_weight_trace(e: GroupAlgebraElement, x: SuperMatrix, multiset) -> SuperPoly:
-    """Supertrace of E X_1...X_r on one weight slice: the bra-ket coefficients
-    <K| E X_1...X_r |K> summed over the arrangements K of the multiset, times
-    the slice's weight."""
-    acc = x.algebra.zero()
-    for k in arrangements(multiset):
-        acc = acc + _koszul_sum(x, e.terms.items(), k, k)
-    return -acc if tensor_weight(multiset, x.m) < 0 else acc
-
-
 def immanant_via_idempotent(shape, x: SuperMatrix, indices, tab=None) -> SuperPoly:
     """The same immanant from one primitive idempotent: I! times the
-    supertrace of E_T X_1...X_r on the weight slice of I.  Requires a sorted
-    index tuple."""
+    supertrace of X_1...X_r on the image of E_T in the weight slice of I.
+    Requires a sorted index tuple and a tableau of the given shape."""
     indices = tuple(indices)
     _check_indices(x.size, indices)
     if list(indices) != sorted(indices):
@@ -364,16 +336,20 @@ def immanant_via_idempotent(shape, x: SuperMatrix, indices, tab=None) -> SuperPo
     shape = normalize_partition(shape)
     if sum(shape) != len(indices):
         raise SuperMatrixError("shape size must match the index length")
-    e = primitive_idempotent(row_reading_tableau(shape) if tab is None else tab)
-    return _idempotent_weight_trace(e, x, indices) * repetition_factor(indices)
+    if tab is None:
+        tab = row_reading_tableau(shape)
+    elif tab.shape != shape:
+        raise SuperMatrixError(f"tableau has shape {tab.shape}, not {shape}")
+    return _image_trace(primitive_idempotent(tab), x, indices) * repetition_factor(indices)
 
 
-def idempotent_chain_supertrace(e: GroupAlgebraElement, x: SuperMatrix, r: int) -> SuperPoly:
-    """Full supertrace of E X_1...X_r over the r-fold tensor space, one weight
-    slice at a time."""
+def idempotent_chain_supertrace(e: GroupAlgebraElement, x: SuperMatrix) -> SuperPoly:
+    """Full supertrace of E X_1...X_r over the r-fold tensor space, r being
+    e's degree, one weight slice at a time.  e must be an idempotent: the
+    trace is then that of X_1...X_r on e's image (`_image_trace`)."""
     acc = x.algebra.zero()
-    for multiset in sorted_multisets(x.m, x.n, r):
-        acc = acc + _idempotent_weight_trace(e, x, multiset)
+    for multiset in sorted_multisets(x.m, x.n, e.degree):
+        acc = acc + _image_trace(e, x, multiset)
     return acc
 
 
@@ -702,32 +678,20 @@ def diagonalize(x: SuperMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
-    """Supertrace of (P_w x 1) . Delta . P_w on the copy of the irreducible
-    carved out of the tensor space by the primitive idempotent of the
-    row-reading tableau.
+def _image_trace(e: GroupAlgebraElement, x: SuperMatrix, multiset) -> SuperPoly:
+    """Supertrace of X_1...X_r on the image of the idempotent e in the weight
+    slice of `multiset`.
 
-    The subspace is the idempotent's image of the weight slice, in the
-    reduced echelon basis of its spanning vectors.  X_1...X_r maps that image
-    into itself and each basis vector is 1 at its own pivot and 0 at the
-    others, so the trace is the sum over basis vectors v of the pivot
-    coordinate of X_1...X_r v.  This route never goes through the immanant
-    formula.
+    The image is spanned by the e|K> over the arrangements K of the multiset
+    and kept in the reduced echelon basis of those vectors.  X_1...X_r
+    commutes with the S_r action, so it maps the image into itself, and each
+    basis vector is 1 at its own pivot and 0 at the others: the trace is the
+    sum over basis vectors v of the pivot coordinate of X_1...X_r v, times
+    the slice's weight.  This route never goes through the immanant formula.
     """
-    shape = normalize_partition(shape)
-    if len(weight) != x.size:
-        raise SuperMatrixError(f"weight needs one multiplicity per index, {x.size} in all")
-    if any(a.__class__ is not int or a < 0 for a in weight):
-        raise SuperMatrixError("weight entries must be non-negative integers")
-    if sum(shape) != sum(weight):
-        raise SuperMatrixError("shape size and weight size differ")
-    m = x.m
-    multiset = composition_to_multiset(weight)
-
-    e = primitive_idempotent(row_reading_tableau(shape))
     vectors = []
     for key in arrangements(multiset):
-        vec = apply_group_algebra_to_state(e, {key: Fraction(1)}, m)
+        vec = apply_group_algebra_to_state(e, {key: Fraction(1)}, x.m)
         if vec:
             vectors.append(vec)
     if not vectors:
@@ -740,7 +704,23 @@ def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
         for key, c in zip(coords, row):
             if c:
                 acc = acc + chain_coefficient(x, coords[pivot], key) * c
-    return -acc if tensor_weight(multiset, m) < 0 else acc
+    return -acc if tensor_weight(multiset, x.m) < 0 else acc
+
+
+def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
+    """Supertrace of (P_w x 1) . Delta . P_w on the copy of the irreducible
+    carved out of the tensor space by the primitive idempotent of the
+    row-reading tableau, read off the reduced echelon basis of its image in
+    the weight slice (`_image_trace`)."""
+    shape = normalize_partition(shape)
+    if len(weight) != x.size:
+        raise SuperMatrixError(f"weight needs one multiplicity per index, {x.size} in all")
+    if any(a.__class__ is not int or a < 0 for a in weight):
+        raise SuperMatrixError("weight entries must be non-negative integers")
+    if sum(shape) != sum(weight):
+        raise SuperMatrixError("shape size and weight size differ")
+    e = primitive_idempotent(row_reading_tableau(shape))
+    return _image_trace(e, x, composition_to_multiset(weight))
 
 
 def schur_weyl_norm_report(tab, weight, m: int, n: int) -> dict:

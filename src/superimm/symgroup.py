@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
+from math import factorial
 
 from superimm import tableaux
 from superimm.tableaux import StandardTableau, addable_contents, character, hook_product
@@ -314,8 +315,6 @@ def character_element(shape) -> GroupAlgebraElement:
 
 def central_idempotent(shape) -> GroupAlgebraElement:
     """(dim/r!) times the character element; squares to itself."""
-    from math import factorial
-
     shape = tableaux.normalize_partition(shape)
     r = sum(shape)
     return character_element(shape) * Fraction(tableaux.dimension(shape), factorial(r))

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 from superimm import ratlinalg
@@ -59,12 +59,14 @@ from superimm.tableaux import (
     standard_tableaux,
 )
 from superimm.tensorspace import (
+    bilinear_form,
     composition_to_multiset,
     repetition_factor,
     sorted_multisets,
     weak_compositions,
 )
 from superimm.supersym import (
+    diagonal_specialization,
     evaluate_two_alphabets,
     jacobi_trudi_grid,
     power_sum,
@@ -411,9 +413,7 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
             for _, shape, table in sides
         ]
         imm_sum = normalized_immanant_sum(lam, x)
-        trace_form = idempotent_chain_supertrace(
-            primitive_idempotent(row_reading_tableau(lam)), x, r
-        )
+        trace_form = idempotent_chain_supertrace(primitive_idempotent(row_reading_tableau(lam)), x)
         for (label, _, _), det in zip(sides, dets):
             yield (f"det({label}-JT) = normalized immanant sum", det, imm_sum)
         yield ("idempotent supertrace = normalized immanant sum", trace_form, imm_sum)
@@ -512,8 +512,6 @@ def check_schur_weyl(m: int, n: int, r: int) -> CheckReport:
     params = {"identity": "schur-weyl", "m": m, "n": n, "r": r}
 
     def comparisons():
-        from superimm.tensorspace import bilinear_form
-
         for lam in partitions(r):
             h = hook_product(lam)
             tabs = standard_tableaux(lam)
@@ -687,8 +685,6 @@ def check_littlewood_3(lam, m: int, n: int, point: GrassmannPoint,
 def check_phi_isomorphism(m: int, n: int, max_size: int) -> CheckReport:
     """The diagonal specialization carries each normalized immanant sum to the
     Schur supersymmetric polynomial, and the images stay linearly independent."""
-    from superimm.supersym import diagonal_specialization
-
     params = {"identity": "phi-isomorphism", "m": m, "n": n, "max_size": max_size}
     x = generator_matrix(m, n)
 
@@ -726,15 +722,13 @@ def check_classical_degeneration(m: int, max_r: int) -> CheckReport:
 
 def check_chain_oracle(m: int, n: int, max_r: int) -> CheckReport:
     """Closed-form chain coefficients against the slot-by-slot oracle."""
-    from itertools import product as iproduct
-
     params = {"identity": "chain-oracle", "m": m, "n": n, "max_r": max_r}
     x = generator_matrix(m, n)
 
     def comparisons():
         for r in range(1, max_r + 1):
-            for out_indices in iproduct(range(1, m + n + 1), repeat=r):
-                for in_indices in iproduct(range(1, m + n + 1), repeat=r):
+            for out_indices in product(range(1, m + n + 1), repeat=r):
+                for in_indices in product(range(1, m + n + 1), repeat=r):
                     yield (
                         f"I={list(out_indices)}, J={list(in_indices)}",
                         chain_coefficient(x, out_indices, in_indices),

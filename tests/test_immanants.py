@@ -34,9 +34,11 @@ from superimm.immanants import (
     weight_space_supertrace,
 )
 from superimm.superring import Algebra, GrassmannPoint, TruncatedSeries, grassmann_algebra
-from superimm.symgroup import Permutation, primitive_idempotent
+from superimm.symgroup import Permutation, primitive_idempotent, symmetric_group
 from superimm.tableaux import hook_product, partitions, row_reading_tableau, standard_tableaux
 from superimm.tensorspace import (
+    action_sign,
+    composed_tuple,
     composition_to_multiset,
     immanant_prefactor,
     repetition_factor,
@@ -174,6 +176,12 @@ def test_idempotent_route_requires_sorted():
         immanant_via_idempotent((1, 1), x, (2, 1))
 
 
+def test_idempotent_route_refuses_a_tableau_of_another_shape():
+    x, _ = gens(1, 1)
+    with pytest.raises(SuperMatrixError, match="shape"):
+        immanant_via_idempotent((2, 1), x, (1, 1, 2), tab=row_reading_tableau((3,)))
+
+
 def test_classical_degeneration_against_oracle():
     for m in (2, 3):
         x = generator_matrix(m, 0)
@@ -294,7 +302,7 @@ def test_characteristic_series_matches_invariants():
                 value = invariant(x, k)
                 assert value == normalized_immanant_sum(shape, x), (m, n, shape)
                 e = primitive_idempotent(row_reading_tableau(shape))
-                assert value == idempotent_chain_supertrace(e, x, k), (m, n, shape)
+                assert value == idempotent_chain_supertrace(e, x), (m, n, shape)
 
 
 def test_diagonalize_lambda2_example():
@@ -433,14 +441,28 @@ def test_schur_weyl_identity_filling():
 
 
 def test_idempotent_chain_supertrace_equals_immanant_sum():
-    for m, n in [(1, 1), (2, 1)]:
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         x = generator_matrix(m, n)
         for r in (1, 2, 3):
             for lam in partitions(r):
+                want = normalized_immanant_sum(lam, x)
                 for tab in standard_tableaux(lam):
-                    assert idempotent_chain_supertrace(
-                        primitive_idempotent(tab), x, r
-                    ) == normalized_immanant_sum(lam, x)
+                    assert idempotent_chain_supertrace(primitive_idempotent(tab), x) == want
+
+
+def test_idempotent_routes_never_regroup_permutations(monkeypatch):
+    """Both idempotent routes read the trace off the idempotent's image: they
+    share neither the rearrangement K = I o perm nor the signed class table
+    with the character route they are checked against."""
+    def refuse(*args):
+        raise AssertionError("the idempotent route regrouped permutations")
+
+    monkeypatch.setattr(immanants, "composed_tuple", refuse)
+    monkeypatch.setattr(immanants, "_signed_class_table", refuse)
+    x = generator_matrix(2, 1)
+    for tab in standard_tableaux((2, 1)):
+        idempotent_chain_supertrace(primitive_idempotent(tab), x)
+        immanant_via_idempotent((2, 1), x, (1, 2, 3), tab)
 
 
 def test_load_supermatrix_round_trip(tmp_path):
@@ -516,10 +538,15 @@ def test_super_immanant_reads_cycle_types_from_one_table_per_degree(monkeypatch)
 
 
 def _permutation_sum(char, x, rows, cols):
-    """The immanant as the prefactor times the Koszul sum over all of S_r."""
+    """The immanant as the prefactor times the literal Koszul-signed sum over
+    S_r: chi(cycle type) * action sign * chain coefficient at K = I o perm."""
     chi = immanants._as_class_function(char, len(rows))
-    weighted = [(perm, chi[ct]) for perm, ct in immanants._typed_permutations(len(rows))]
-    value = immanants._koszul_sum(x, weighted, rows, cols)
+    value = x.algebra.zero()
+    for perm in symmetric_group(len(rows)):
+        k = composed_tuple(rows, perm)
+        weight = chi[perm.cycle_type()] * action_sign(k, x.m, perm)
+        if weight:
+            value = value + chain_coefficient(x, k, cols) * weight
     return -value if immanant_prefactor(rows, cols, x.m) < 0 else value
 
 

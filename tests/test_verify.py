@@ -342,9 +342,7 @@ def test_broken_idempotent_supertrace_is_caught(monkeypatch):
     import superimm.verify as verify
 
     original = verify.idempotent_chain_supertrace
-    monkeypatch.setattr(
-        verify, "idempotent_chain_supertrace", lambda e, x, r: original(e, x, r) * 2
-    )
+    monkeypatch.setattr(verify, "idempotent_chain_supertrace", lambda e, x: original(e, x) * 2)
     for lam in [(1,), (2,), (1, 1), (2, 1)]:
         assert _failed_case(check_goulden_jackson(lam, 1, 1)) == (
             "idempotent supertrace = normalized immanant sum"

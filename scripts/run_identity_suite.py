@@ -29,8 +29,12 @@ GRID = [
     ("littlewood1", 2, 1, 3, {}),
     ("littlewood2", 1, 1, 4, {}),
     ("littlewood2", 2, 1, 4, {}),
+    ("littlewood2", 2, 2, 4, {}),
+    ("littlewood2", 3, 1, 4, {}),
     ("lmw", 1, 1, 4, {}),
     ("lmw", 2, 1, 4, {}),
+    ("lmw", 2, 2, 4, {}),
+    ("lmw", 3, 1, 4, {}),
     ("macmahon", 1, 1, 4, {"order": 4}),
     ("macmahon", 2, 1, 3, {"order": 3}),
     ("macmahon", 2, 2, 3, {"order": 3}),

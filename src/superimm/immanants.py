@@ -353,16 +353,23 @@ def idempotent_chain_supertrace(e: GroupAlgebraElement, x: SuperMatrix) -> Super
     return acc
 
 
-def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
-    """Sum over non-decreasing multisets of the immanant divided by the
-    repetition factor of the multiset."""
+def normalized_immanant_table(shape, x: SuperMatrix) -> dict:
+    """{I: immanant(shape, I) / I!} over the non-decreasing multisets I of
+    size |shape|, zero entries left out: Littlewood's correspondence read
+    multiset by multiset."""
     shape = normalize_partition(shape)
-    acc = x.algebra.zero()
+    table = {}
     for indices in sorted_multisets(x.m, x.n, sum(shape)):
         value = super_immanant(shape, x, indices)
         if not value.is_zero:
-            acc = acc + value * Fraction(1, repetition_factor(indices))
-    return acc
+            table[indices] = value * Fraction(1, repetition_factor(indices))
+    return table
+
+
+def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
+    """Sum over non-decreasing multisets of the immanant divided by the
+    repetition factor of the multiset."""
+    return sum(normalized_immanant_table(shape, x).values(), x.algebra.zero())
 
 
 def classical_immanant(entries, char, indices=None):

@@ -29,6 +29,7 @@ from superimm.immanants import (
     generator_matrix,
     idempotent_chain_supertrace,
     normalized_immanant_sum,
+    normalized_immanant_table,
     power_trace,
     schur_weyl_norm_report,
     super_immanant,
@@ -218,19 +219,8 @@ def lr_coefficient(mu, nu, lam) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tables of normalized immanants over multisets
+# Products of normalized immanant tables
 # ---------------------------------------------------------------------------
-
-
-def _immanant_table(shape, x: SuperMatrix) -> dict:
-    """immanant(shape, I) / I! for each sorted multiset I of size |shape|;
-    zero entries are left out."""
-    table = {}
-    for indices in sorted_multisets(x.m, x.n, sum(shape)):
-        value = super_immanant(shape, x, indices)
-        if not value.is_zero:
-            table[indices] = value * Fraction(1, repetition_factor(indices))
-    return table
 
 
 def _table_product(tables, one) -> dict:
@@ -287,29 +277,30 @@ def check_littlewood_1(mu, nu, m: int, n: int) -> CheckReport:
     return _run("littlewood1", params, comparisons())
 
 
-def check_littlewood_2(mu, nu, m: int, n: int, factors: dict | None = None,
-                       weighted: dict | None = None) -> CheckReport:
+def check_littlewood_2(mu, nu, m: int, n: int, memo: dict | None = None) -> CheckReport:
     """Normalized immanant products over multiset splittings equal the
-    LR-weighted normalized immanant, multiset by multiset.  A sweep shares two
-    dicts that fill on first use: the product side's factor tables by shape
-    (`factors`), the LR-weighted side's immanants by (lambda, I) (`weighted`)."""
+    LR-weighted normalized immanant, multiset by multiset.  Both sides read
+    normalized immanant tables; a sweep shares them through `memo`, keyed by
+    (m, n, shape) and filled on first use."""
     mu, nu = normalize_partition(mu), normalize_partition(nu)
     params = {"identity": "littlewood2", "m": m, "n": n, "mu": list(mu), "nu": list(nu)}
     r = sum(mu) + sum(nu)
     x = generator_matrix(m, n)
-    table = _lr_table(mu, nu)
-    factors, weighted = ({} if memo is None else memo for memo in (factors, weighted))
+    lr = _lr_table(mu, nu)
+    memo = {} if memo is None else memo
+
+    def table(shape):
+        return _once(memo, (m, n, shape), lambda: normalized_immanant_table(shape, x))
 
     def comparisons():
         zero = x.algebra.zero()
-        tables = [_once(factors, shape, lambda: _immanant_table(shape, x)) for shape in (mu, nu)]
-        product = _table_product(tables, x.algebra.one())
+        product = _table_product([table(mu), table(nu)], x.algebra.one())
+        weighted = [(table(lam), c) for lam, c in lr.items()]
         for indices in sorted_multisets(m, n, r):
             rhs = zero
-            for lam, c in table.items():
-                value = _once(weighted, (lam, indices), lambda: super_immanant(lam, x, indices))
-                if not value.is_zero:
-                    rhs = rhs + value * Fraction(c, repetition_factor(indices))
+            for entries, c in weighted:
+                if indices in entries:
+                    rhs = rhs + entries[indices] * c
             yield (f"I={list(indices)}", product.get(indices, zero), rhs)
 
     return _run("littlewood2", params, comparisons())
@@ -329,7 +320,8 @@ def check_lmw(lam, m: int, n: int) -> CheckReport:
         zero = x.algebra.zero()
         columns = [(1,) * part for part in lam]
         rows = [(part,) for part in lam]
-        tables = {shape: _immanant_table(shape, x) for shape in dict.fromkeys(columns + rows)}
+        tables = {shape: normalized_immanant_table(shape, x)
+                  for shape in dict.fromkeys(columns + rows)}
         column_product, row_product = (
             _table_product([tables[shape] for shape in shapes], x.algebra.one())
             for shapes in (columns, rows)
@@ -475,10 +467,11 @@ def check_kostant(m: int, n: int, r: int) -> CheckReport:
     x = generator_matrix(m, n)
 
     def comparisons():
+        zero = x.algebra.zero()
         for lam in partitions(r):
+            table = normalized_immanant_table(lam, x)
             for weight in weak_compositions(r, m + n):
-                indices = composition_to_multiset(weight)
-                lhs = super_immanant(lam, x, indices) * Fraction(1, repetition_factor(indices))
+                lhs = table.get(composition_to_multiset(weight), zero)
                 rhs = weight_space_supertrace(lam, weight, x)
                 yield (f"lambda={list(lam)}, weight={list(weight)}", lhs, rhs)
 
@@ -641,21 +634,20 @@ def check_berezinian_series(m: int, n: int, order: int, seed: int, trials: int) 
 
 
 def check_littlewood_3(lam, m: int, n: int, point: GrassmannPoint,
-                       symbolic: dict | None = None, at_point: dict | None = None) -> CheckReport:
+                       memo: dict | None = None) -> CheckReport:
     """Evaluate the normalized immanant sum at a Grassmann point and compare
     with the Schur supersymmetric polynomial at the eigenvalues of the
     transposed point matrix; the diagonalization must be exact.  A sweep
-    shares work between its reports through two dicts that fill on first use:
-    `symbolic` across the points of one (m, n), `at_point` across the shapes
-    at one point."""
+    shares work between its reports through `memo`, which fills on first
+    use: symbolic sides keyed by (m, n, side), the diagonalization and the
+    evaluated pairs by (point, m, n, ...)."""
     lam = normalize_partition(lam)
     if not lam:
         raise VerifyError("littlewood3 needs a nonempty shape")
     params = {"identity": "littlewood3", "m": m, "n": n, "lambda": list(lam)}
     r = sum(lam)
     x = generator_matrix(m, n)
-    symbolic = {} if symbolic is None else symbolic
-    at_point = {} if at_point is None else at_point
+    memo = {} if memo is None else memo
     # case label -> (key, left side in x), (key, right side in the two alphabets)
     sides = {
         f"lambda={list(lam)}": ((("immanant sum", lam), lambda: normalized_immanant_sum(lam, x)),
@@ -668,16 +660,20 @@ def check_littlewood_3(lam, m: int, n: int, point: GrassmannPoint,
                                     (("schur", (r,)), lambda: schur_super((r,), m, n))),
     }
 
+    def symbolic(key, compute):
+        return _once(memo, (m, n) + key, compute)
+
     def comparisons():
-        eigen = _once(at_point, "eigen", lambda: diagonalize(x.evaluate(point).transpose()))
+        eigen = _once(memo, (point, m, n, "eigen"),
+                      lambda: diagonalize(x.evaluate(point).transpose()))
         yield ("diagonalization residual", eigen["residual_zero"], True)
         alphabets = (eigen["even_eigenvalues"], [-w for w in eigen["odd_eigenvalues"]],
                      grassmann_algebra(point.n_units))
         for label, (left, right) in sides.items():
             def evaluate():
-                return (point.evaluate(_once(symbolic, *left)),
-                        evaluate_two_alphabets(_once(symbolic, *right), *alphabets))
-            yield (label,) + _once(at_point, (label, r), evaluate)
+                return (point.evaluate(symbolic(*left)),
+                        evaluate_two_alphabets(symbolic(*right), *alphabets))
+            yield (label,) + _once(memo, (point, m, n, label, r), evaluate)
 
     return _run("littlewood3", params, comparisons())
 
@@ -796,17 +792,12 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
         return [single[name]()]
     if name == "littlewood1":
         return [check_littlewood_1(mu, nu, m, n) for mu, nu in _partition_pairs(m + n, m + n)]
+    memo: dict = {}
     if name == "littlewood2":
-        shared: tuple = ({}, {})  # factor tables, LR-weighted immanants
-        return [check_littlewood_2(mu, nu, m, n, *shared) for mu, nu in _partition_pairs(1, max_r)]
+        return [check_littlewood_2(mu, nu, m, n, memo) for mu, nu in _partition_pairs(1, max_r)]
     if name == "littlewood3":
-        symbolic: dict = {}
-        reports = []
-        for t in range(trials):
-            point = random_grassmann_point(m, n, seed + t)
-            at_point: dict = {}
-            reports += [check_littlewood_3(lam, m, n, point, symbolic, at_point) for lam in shapes]
-        return reports
+        points = [random_grassmann_point(m, n, seed + t) for t in range(trials)]
+        return [check_littlewood_3(lam, m, n, point, memo) for point in points for lam in shapes]
     if name == "all":
         return [report for sub in CHECK_FAMILIES
                 for report in sweep(sub, m, n, max_r, order=order, seed=seed, trials=trials)]

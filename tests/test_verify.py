@@ -86,21 +86,28 @@ def test_lr_routes_agree_through_degree_six():
 
 
 def test_littlewood_2_builds_each_table_entry_once(monkeypatch):
-    import superimm.verify as verify
+    import superimm.immanants as immanants
 
     calls = []
-    original = verify.super_immanant
+    original = immanants.super_immanant
 
     def spy(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "super_immanant", spy)
+    monkeypatch.setattr(immanants, "super_immanant", spy)
     report = check_littlewood_2((1,), (1,), 2, 1)
     assert report.passed and report.cases == 6
     # 3 entries of the one (1,) factor table, then the LR-weighted side
     # (2 shapes x 6 multisets)
     assert len(calls) == 15
+
+
+def test_littlewood_2_memo_is_keyed_by_block_size():
+    memo: dict = {}
+    assert check_littlewood_2((1,), (1,), 2, 1, memo).passed
+    report = check_littlewood_2((1,), (1,), 1, 2, memo)
+    assert report.passed and report.cases == 6, report.witness
 
 
 def _assert_pass(report: CheckReport):
@@ -472,6 +479,39 @@ def test_littlewood_3_sweep_shares_its_work(monkeypatch):
                      "elementary_invariant": 3, "complete_invariant": 3}
 
 
+def test_littlewood_3_memo_is_keyed_by_point(monkeypatch):
+    import superimm.verify as verify
+
+    calls = {}
+    _spy(monkeypatch, verify, "diagonalize", calls)
+    memo: dict = {}
+    for seed in (1, 2):
+        report = check_littlewood_3((1,), 2, 1, random_grassmann_point(2, 1, seed), memo=memo)
+        assert report.passed and report.cases == 5, report.witness
+    assert calls == {"diagonalize": 2}
+
+
+def test_wrong_normalized_immanant_table_is_caught(monkeypatch):
+    """Adding one to the entries of one shape's table turns every family that
+    reads the table red: (1, 1) is a Kostant shape at r = 2, an LR term of
+    (1) x (1) and the column factor of lmw at (2)."""
+    import superimm.immanants as immanants
+    import superimm.verify as verify
+
+    original = immanants.normalized_immanant_table
+
+    def off_by_one(shape, x):
+        table = original(shape, x)
+        if tuple(shape) != (1, 1):
+            return table
+        return {indices: value + x.algebra.one() for indices, value in table.items()}
+
+    for module in (immanants, verify):
+        monkeypatch.setattr(module, "normalized_immanant_table", off_by_one)
+    for family in ("kostant", "littlewood2", "lmw"):
+        assert not all(r.passed for r in sweep(family, 2, 1, 3)), family
+
+
 def test_littlewood_3_failure_at_one_point_stays_with_its_reports(monkeypatch):
     import superimm.verify as verify
     from superimm.immanants import DegenerateSpectrumError
@@ -522,42 +562,37 @@ def test_vacuous_reports_keep_their_json():
 
 
 def test_littlewood_2_sweep_computes_each_immanant_once_per_side(monkeypatch):
+    """Both sides of every report read one table per shape, so across a sweep
+    each (lambda, I) is computed once, whichever module calls it."""
+    import superimm.immanants as immanants
     import superimm.verify as verify
 
     calls = Counter()
-    side = ["weighted"]
-    immanant, table = verify.super_immanant, verify._immanant_table
+    immanant = immanants.super_immanant
 
-    def immanant_spy(lam, x, indices):
-        calls[side[0], tuple(lam), tuple(indices)] += 1
+    def spy(lam, x, indices):
+        calls[tuple(lam), tuple(indices)] += 1
         return immanant(lam, x, indices)
 
-    def table_spy(shape, x):
-        side[0] = "factors"
-        try:
-            return table(shape, x)
-        finally:
-            side[0] = "weighted"
-
-    monkeypatch.setattr(verify, "super_immanant", immanant_spy)
-    monkeypatch.setattr(verify, "_immanant_table", table_spy)
+    for module in (immanants, verify):
+        monkeypatch.setattr(module, "super_immanant", spy)
     reports = sweep("littlewood2", 2, 1, 4)
     assert reports and all(r.passed for r in reports)
-    assert set(calls.values()) == {1}
-    assert {key[0] for key in calls} == {"factors", "weighted"}
+    assert calls and set(calls.values()) == {1}
 
 
 def test_littlewood_2_wrong_immanant_fails_only_its_reports(monkeypatch):
+    import superimm.immanants as immanants
     import superimm.verify as verify
 
-    original = verify.super_immanant
+    original = immanants.super_immanant
     bad = (2, 1)
 
     def off_by_one(lam, x, indices):
         value = original(lam, x, indices)
         return value + x.algebra.one() if tuple(lam) == bad else value
 
-    monkeypatch.setattr(verify, "super_immanant", off_by_one)
+    monkeypatch.setattr(immanants, "super_immanant", off_by_one)
     reports = sweep("littlewood2", 2, 1, 4)
     failed, touched = set(), set()
     for report in reports:

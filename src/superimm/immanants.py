@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from superimm import ratlinalg
+from superimm import ratlinalg, superring
 from superimm.superring import (
     Algebra,
     GrassmannPoint,
@@ -22,6 +22,7 @@ from superimm.superring import (
     Parity,
     SuperPoly,
     TruncatedSeries,
+    linear_combination,
     odd_degree_parts,
     parse_poly,
     sum_of_products,
@@ -95,9 +96,10 @@ def _blocks(grid, m: int):
 
 class SuperMatrix:
     """(m+n)x(m+n) matrix over SuperPolys with block parity structure:
-    entry (i,j) must be homogeneous of parity par(i)+par(j)."""
+    entry (i,j) must be homogeneous of parity par(i)+par(j).  `_chains`, set
+    on first use by `super_immanant`, memoizes its chain coefficients."""
 
-    __slots__ = ("m", "n", "entries", "algebra")
+    __slots__ = ("m", "n", "entries", "algebra", "_chains")
 
     def __init__(self, m: int, n: int, entries, validate: bool = True):
         if m < 0 or n < 0 or m + n == 0:
@@ -312,16 +314,27 @@ def _signed_class_table(row_indices, m: int, sign) -> tuple:
 
 def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> SuperPoly:
     """Character-weighted, Koszul-signed permutation sum over a generalized
-    submatrix.  `char` is a partition or a {cycle_type: value} dict."""
+    submatrix.  `char` is a partition or a {cycle_type: value} dict.  Each chain
+    coefficient is memoized on x, keyed by (K, J) and the sign seams at call time."""
     row_indices = tuple(row_indices)
     col_indices = row_indices if col_indices is None else tuple(col_indices)
     _check_indices(x.size, row_indices, col_indices)
     chi = _as_class_function(char, len(row_indices))
-    acc = x.algebra.zero()
+    try:
+        memo = x._chains
+    except AttributeError:
+        memo = x._chains = {}
+    seams = (col_indices, comodule_sign, superring.merge_odd_parts)
+    pairs = []
     for k, counts in _signed_class_table(row_indices, x.m, action_sign):
         total = sum(chi[ct] * c for ct, c in counts)
         if total != 0:
-            acc = acc + chain_coefficient(x, k, col_indices) * total
+            key = (k,) + seams
+            chain = memo.get(key)
+            if chain is None:
+                chain = memo[key] = chain_coefficient(x, k, col_indices)
+            pairs.append((total, chain))
+    acc = linear_combination(x.algebra, pairs)
     return -acc if immanant_prefactor(row_indices, col_indices, x.m) < 0 else acc
 
 
@@ -347,10 +360,8 @@ def idempotent_chain_supertrace(e: GroupAlgebraElement, x: SuperMatrix) -> Super
     """Full supertrace of E X_1...X_r over the r-fold tensor space, r being
     e's degree, one weight slice at a time.  e must be an idempotent: the
     trace is then that of X_1...X_r on e's image (`_image_trace`)."""
-    acc = x.algebra.zero()
-    for multiset in sorted_multisets(x.m, x.n, e.degree):
-        acc = acc + _image_trace(e, x, multiset)
-    return acc
+    multisets = sorted_multisets(x.m, x.n, e.degree)
+    return linear_combination(x.algebra, ((1, _image_trace(e, x, ms)) for ms in multisets))
 
 
 def normalized_immanant_table(shape, x: SuperMatrix) -> dict:
@@ -369,7 +380,8 @@ def normalized_immanant_table(shape, x: SuperMatrix) -> dict:
 def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
     """Sum over non-decreasing multisets of the immanant divided by the
     repetition factor of the multiset."""
-    return sum(normalized_immanant_table(shape, x).values(), x.algebra.zero())
+    table = normalized_immanant_table(shape, x)
+    return linear_combination(x.algebra, ((1, value) for value in table.values()))
 
 
 def classical_immanant(entries, char, indices=None):
@@ -706,11 +718,9 @@ def _image_trace(e: GroupAlgebraElement, x: SuperMatrix, multiset) -> SuperPoly:
     coords = sorted({k for vec in vectors for k in vec})
     rows = [[vec.get(k, Fraction(0)) for k in coords] for vec in vectors]
     red, pivots = ratlinalg.rref(rows)
-    acc = x.algebra.zero()
-    for row, pivot in zip(red, pivots):
-        for key, c in zip(coords, row):
-            if c:
-                acc = acc + chain_coefficient(x, coords[pivot], key) * c
+    acc = linear_combination(x.algebra, ((c, chain_coefficient(x, coords[pivot], key))
+                                         for row, pivot in zip(red, pivots)
+                                         for key, c in zip(coords, row) if c))
     return -acc if tensor_weight(multiset, x.m) < 0 else acc
 
 

@@ -256,6 +256,21 @@ def sum_of_products(zero, pairs):
     return _reduced_product(algebra, terms, den)
 
 
+def linear_combination(algebra: Algebra, pairs) -> "SuperPoly":
+    """The sum of c * p over the (c, p) pairs of a rational c and a SuperPoly p
+    of `algebra`, in one pass over one common denominator, reduced once."""
+    pairs = [(c, p) for c, p in pairs if c and p._terms]
+    if not all(algebra.compatible(p.algebra) for _, p in pairs):
+        raise AlgebraMismatchError("operands come from different algebras")
+    den = lcm(*(c.denominator * p._den for c, p in pairs))
+    terms: dict = {}
+    for c, p in pairs:
+        scale = c.numerator * (den // (c.denominator * p._den))
+        for key, v in p._terms.items():
+            terms[key] = terms.get(key, 0) + v * scale
+    return _reduced(algebra, {key: v for key, v in terms.items() if v}, den)
+
+
 def odd_degree_parts(p: "SuperPoly") -> dict:
     """{d: the part of p whose monomials have d odd factors}, nonzero parts only."""
     parts: dict = {}

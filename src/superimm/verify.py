@@ -248,6 +248,12 @@ def _once(memo: dict, key, compute):
     return memo[key]
 
 
+def _table(memo: dict, shape, x: SuperMatrix) -> dict:
+    """The normalized immanant table of `shape` at x, shared through `memo`
+    under the key (m, n, shape)."""
+    return _once(memo, (x.m, x.n, shape), lambda: normalized_immanant_table(shape, x))
+
+
 # ---------------------------------------------------------------------------
 # The identity catalog
 # ---------------------------------------------------------------------------
@@ -289,13 +295,10 @@ def check_littlewood_2(mu, nu, m: int, n: int, memo: dict | None = None) -> Chec
     lr = _lr_table(mu, nu)
     memo = {} if memo is None else memo
 
-    def table(shape):
-        return _once(memo, (m, n, shape), lambda: normalized_immanant_table(shape, x))
-
     def comparisons():
         zero = x.algebra.zero()
-        product = _table_product([table(mu), table(nu)], x.algebra.one())
-        weighted = [(table(lam), c) for lam, c in lr.items()]
+        product = _table_product([_table(memo, mu, x), _table(memo, nu, x)], x.algebra.one())
+        weighted = [(_table(memo, lam, x), c) for lam, c in lr.items()]
         for indices in sorted_multisets(m, n, r):
             rhs = zero
             for entries, c in weighted:
@@ -306,24 +309,24 @@ def check_littlewood_2(mu, nu, m: int, n: int, memo: dict | None = None) -> Chec
     return _run("littlewood2", params, comparisons())
 
 
-def check_lmw(lam, m: int, n: int) -> CheckReport:
+def check_lmw(lam, m: int, n: int, memo: dict | None = None) -> CheckReport:
     """Both induced-character immanant expansions: the sign-induced character
-    against column shapes and the trivial-induced character against rows."""
+    against column shapes and the trivial-induced character against rows.  A
+    sweep shares the row and column tables through `memo` (see `_table`)."""
     lam = normalize_partition(lam)
     params = {"identity": "lmw", "m": m, "n": n, "lambda": list(lam)}
     r = sum(lam)
     x = generator_matrix(m, n)
     psi = induced_sign_character(lam)
     phi = induced_trivial_character(lam)
+    memo = {} if memo is None else memo
 
     def comparisons():
         zero = x.algebra.zero()
         columns = [(1,) * part for part in lam]
         rows = [(part,) for part in lam]
-        tables = {shape: normalized_immanant_table(shape, x)
-                  for shape in dict.fromkeys(columns + rows)}
         column_product, row_product = (
-            _table_product([tables[shape] for shape in shapes], x.algebra.one())
+            _table_product([_table(memo, shape, x) for shape in shapes], x.algebra.one())
             for shapes in (columns, rows)
         )
         for indices in sorted_multisets(m, n, r):
@@ -775,8 +778,7 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
     shapes = [lam for r in degrees for lam in partitions(r)]
     per_degree = {"vanishing": check_vanishing, "kostant": check_kostant,
                   "schur-weyl": check_schur_weyl}
-    per_shape = {"lmw": check_lmw, "goulden-jackson": check_goulden_jackson,
-                 "hessenberg": check_hessenberg}
+    per_shape = {"goulden-jackson": check_goulden_jackson, "hessenberg": check_hessenberg}
     single = {
         "macmahon": lambda: check_macmahon(m, n, order),
         "newton": lambda: check_newton(m, n, order),
@@ -793,6 +795,8 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
     if name == "littlewood1":
         return [check_littlewood_1(mu, nu, m, n) for mu, nu in _partition_pairs(m + n, m + n)]
     memo: dict = {}
+    if name == "lmw":
+        return [check_lmw(lam, m, n, memo) for lam in shapes]
     if name == "littlewood2":
         return [check_littlewood_2(mu, nu, m, n, memo) for mu, nu in _partition_pairs(1, max_r)]
     if name == "littlewood3":

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from superimm import immanants
+from superimm import immanants, superring
 from superimm.immanants import (
     DegenerateSpectrumError,
     SuperMatrix,
@@ -550,12 +550,25 @@ def _permutation_sum(char, x, rows, cols):
     return -value if immanant_prefactor(rows, cols, x.m) < 0 else value
 
 
+def _loaded_matrix():
+    """A (2|1) matrix with rational entries, repeated across positions, so that
+    chain coefficients of distinct K coincide and cancel in the sum."""
+    doc = {
+        "m": 2,
+        "n": 1,
+        "generators": {"a": "even", "b": "even", "beta": "odd", "gamma": "odd"},
+        "entries": [["1/2*a", "1/2*a", "1/3*beta"],
+                    ["1/2*a", "1/2*a", "beta"],
+                    ["1/2*gamma", "beta", "b - 1/3"]],
+    }
+    return load_supermatrix(json.dumps(doc))
+
+
 def test_super_immanant_table_route_matches_the_permutation_sum():
-    for m, n in [(1, 1), (2, 1), (1, 2)]:
-        x = generator_matrix(m, n)
+    for x in [*(generator_matrix(m, n) for m, n in [(1, 1), (2, 1), (1, 2)]), _loaded_matrix()]:
         for r in range(1, 5):
             dict_char = {ct: Fraction(k - 2, 3) for k, ct in enumerate(partitions(r))}
-            for rows in sorted_multisets(m, n, r):
+            for rows in sorted_multisets(x.m, x.n, r):
                 cols = tuple(reversed(rows))  # non-principal unless rows is a palindrome
                 for char in [*partitions(r), dict_char]:
                     assert super_immanant(char, x, rows) == _permutation_sum(char, x, rows, rows)
@@ -586,3 +599,39 @@ def test_signed_class_table_is_built_once_per_index_tuple(monkeypatch):
 
     monkeypatch.setattr(immanants, "action_sign", lambda *a: 1)
     assert super_immanant((2, 1), x, rows) != first
+
+
+@pytest.mark.parametrize("module, seam",
+                         [(immanants, "comodule_sign"), (superring, "merge_odd_parts")])
+def test_chain_memo_is_keyed_by_the_sign_seams(monkeypatch, module, seam):
+    """A sign seam replaced after the memo is warm still reaches the sum."""
+    x = generator_matrix(1, 1)
+    rows = (1, 2, 2)
+    first = super_immanant((2, 1), x, rows)
+    assert super_immanant((2, 1), x, rows) == first
+    original = getattr(module, seam)
+    mutants = {"comodule_sign": lambda *args: 1,
+               "merge_odd_parts": lambda a, b: (1, original(a, b)[1])}
+    monkeypatch.setattr(module, seam, mutants[seam])
+    assert super_immanant((2, 1), x, rows) != first
+
+
+def test_chain_memo_is_shared_across_shapes_not_across_matrices(monkeypatch):
+    """A second shape at the same (I, J) reads the chains the first one stored;
+    an equal matrix built apart, or a different one, fills its own memo."""
+    calls = []
+    original = immanants.chain_coefficient
+    monkeypatch.setattr(immanants, "chain_coefficient",
+                        lambda *args: calls.append(args) or original(*args))
+    rows = (1, 2, 2)
+    x = SuperMatrix(1, 1, generator_matrix(1, 1).entries)
+    first = super_immanant((2, 1), x, rows)
+    assert len(calls) == 3
+    for shape in [(3,), (1, 1, 1), (2, 1)]:
+        super_immanant(shape, x, rows)
+    assert len(calls) == 3
+    twin = SuperMatrix(1, 1, x.entries)
+    assert super_immanant((2, 1), twin, rows) == first and len(calls) == 6
+    other = SuperMatrix(1, 1, [[e * 2 for e in row] for row in x.entries])
+    assert super_immanant((2, 1), other, rows) == first * 8 and len(calls) == 9
+    assert len({id(y._chains) for y in (x, twin, other)}) == 3

@@ -15,6 +15,7 @@ from superimm.superring import (
     SuperRingError,
     TruncatedSeries,
     grassmann_algebra,
+    linear_combination,
     merge_odd_parts,
     parse_poly,
     poly_from_terms,
@@ -675,6 +676,34 @@ def test_every_result_is_stored_over_one_reduced_denominator(raw_a, raw_b, raw_c
     ]:
         assert p == q and hash(p) == hash(q)
     assert hash(alg.scalar(s)) == hash(s)
+
+
+@given(st.lists(st.tuples(rationals, raw_polys()), max_size=4), st.booleans())
+@example(pairs=[(Fraction(1, 2), {((), ("th1",)): Fraction(2, 3)})], cancel=True)
+@example(pairs=[(Fraction(3, 2), {((), ()): Fraction(1, 3)}), (2, {((), ()): Fraction(-1, 4)})],
+         cancel=False)
+@settings(max_examples=200, deadline=None)
+def test_linear_combination_equals_the_left_fold(pairs, cancel):
+    """One pass over one denominator gives the fold's sum, reduced, and zero over
+    denominator 1; with `cancel` every pair is repeated with -c, so the sum is 0."""
+    alg = _kernel_algebra()
+    pairs = [(c, poly_from_terms(alg, _as_terms(raw))) for c, raw in pairs]
+    if cancel:
+        pairs += [(-c, p) for c, p in pairs]
+    folded = alg.zero()
+    for c, p in pairs:
+        folded = folded + p * c
+    result = linear_combination(alg, pairs)
+    _assert_canonical(result)
+    assert result == folded and poly_to_terms(result) == poly_to_terms(folded)
+    assert not cancel or (result.is_zero and result._den == 1)
+
+
+def test_linear_combination_rejects_a_foreign_algebra(mixed):
+    alg, x, *_ = mixed
+    other = Algebra("other")
+    with pytest.raises(AlgebraMismatchError):
+        linear_combination(alg, [(1, x), (2, other.even("x"))])
 
 
 def test_products_read_the_sign_rule_past_its_memo(monkeypatch):

@@ -491,6 +491,20 @@ def test_littlewood_3_memo_is_keyed_by_point(monkeypatch):
     assert calls == {"diagonalize": 2}
 
 
+def test_lmw_sweep_builds_each_table_once(monkeypatch):
+    """An lmw sweep at (2|2), r <= 4, reads its 7 distinct row and column
+    tables from one memo, and reports exactly what unshared checks report."""
+    import superimm.verify as verify
+
+    calls = {}
+    _spy(monkeypatch, verify, "normalized_immanant_table", calls)
+    reports = sweep("lmw", 2, 2, 4)
+    assert calls == {"normalized_immanant_table": 7}
+    alone = [check_lmw(lam, 2, 2) for r in range(1, 5) for lam in partitions(r)]
+    assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == \
+        [json.dumps(r.to_dict(), sort_keys=True) for r in alone]
+
+
 def test_wrong_normalized_immanant_table_is_caught(monkeypatch):
     """Adding one to the entries of one shape's table turns every family that
     reads the table red: (1, 1) is a Kostant shape at r = 2, an LR term of

@@ -154,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--n", type=_int_at_least(0), required=True)
     p_check.add_argument("--max-r", type=_int_at_least(1), default=3)
     p_check.add_argument("--order", type=_int_at_least(1), default=3)
-    p_check.add_argument("--seed", type=int, default=20240613)
-    p_check.add_argument("--trials", type=_int_at_least(1), default=10)
+    p_check.add_argument("--seed", type=int, default=20240613,
+                         help="seed of the first Littlewood III point")
+    p_check.add_argument("--trials", type=_int_at_least(1), default=10,
+                         help="number of Littlewood III points")
     p_check.add_argument("--out", default=None, help="write all reports as JSON")
     p_check.set_defaults(func=_cmd_check)
     return parser

@@ -7,7 +7,6 @@ inverse, and irreducible symmetric-group characters via the border-strip
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -54,12 +53,9 @@ def part(shape, i: int) -> int:
     return shape[i - 1] if 1 <= i <= len(shape) else 0
 
 
-def in_hook(shape, m: int, n: int, r: int | None = None) -> bool:
-    """Whether the shape lies in the (m,n) fat hook (and has size r if given)."""
-    shape = tuple(shape)
-    if r is not None and sum(shape) != r:
-        return False
-    return part(shape, m + 1) <= n
+def in_hook(shape, m: int, n: int) -> bool:
+    """Whether the shape lies in the (m,n) fat hook."""
+    return part(tuple(shape), m + 1) <= n
 
 
 def hook_partitions(m: int, n: int, r: int) -> tuple[tuple[int, ...], ...]:
@@ -305,25 +301,20 @@ def _inverse_kostka_table(r: int) -> dict:
     """Inverse of the Kostka matrix over partitions of r.
 
     Partitions are listed in reverse lexicographic order, which refines
-    dominance, so the matrix is unitriangular and inverts by back
-    substitution.
+    dominance, so the matrix is unitriangular with integer entries and
+    inverts in integers by back substitution.
     """
     plist = partitions(r)
     size = len(plist)
     K = [[kostka(plist[i], plist[j]) for j in range(size)] for i in range(size)]
-    inv = [[Fraction(0)] * size for _ in range(size)]
+    inv = [[0] * size for _ in range(size)]
     for j in range(size):
-        for i in range(j, -1, -1):
-            if i == j:
-                acc = Fraction(1)
-            else:
-                acc = Fraction(0)
-            acc -= sum((Fraction(K[i][t]) * inv[t][j] for t in range(i + 1, j + 1)), Fraction(0))
-            inv[i][j] = acc  # K[i][i] == 1
+        for i in range(j, -1, -1):  # K[i][i] == 1
+            inv[i][j] = int(i == j) - sum(K[i][t] * inv[t][j] for t in range(i + 1, j + 1))
     return {(plist[i], plist[j]): inv[i][j] for i in range(size) for j in range(size)}
 
 
-def inverse_kostka(lam, mu) -> Fraction:
+def inverse_kostka(lam, mu) -> int:
     """Entry (lam, mu) of the inverse Kostka matrix: sum_nu K[lam,nu] Kinv[nu,mu] = delta."""
     lam, mu = normalize_partition(lam), normalize_partition(mu)
     if sum(lam) != sum(mu):

@@ -135,7 +135,7 @@ def test_criterion_07_littlewood_3():
             for r in range(1, 4):
                 for lam in partitions(r):
                     reports.append(check_littlewood_3(lam, m, n, point))
-        reports.append(check_berezinian_series(m, n, 3, SEED, 10))
+        reports.append(check_berezinian_series(m, n, 3))
     cases = _all_pass(reports)
     print(f"ACCEPTANCE 7: eigenvalue correspondence at Grassmann points, {cases} cases ... PASS")
 

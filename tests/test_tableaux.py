@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import product
 from math import factorial
 
@@ -38,10 +37,9 @@ def test_conjugate_involution():
 
 
 def test_in_hook():
-    assert not in_hook((2, 2), 1, 1, 4)
-    assert in_hook((5,), 1, 1, 5)
-    assert in_hook((2, 1), 1, 1, 3)
-    assert not in_hook((2, 1), 1, 1, 4)  # wrong size
+    assert not in_hook((2, 2), 1, 1)
+    assert in_hook((5,), 1, 1)
+    assert in_hook((2, 1), 1, 1)
 
 
 def test_standard_tableaux_counts():
@@ -123,9 +121,8 @@ def test_inverse_kostka_is_inverse():
     for r in range(1, 7):
         for lam in partitions(r):
             for mu in partitions(r):
-                total = sum(
-                    Fraction(kostka(lam, nu)) * inverse_kostka(nu, mu) for nu in partitions(r)
-                )
+                assert type(inverse_kostka(lam, mu)) is int
+                total = sum(kostka(lam, nu) * inverse_kostka(nu, mu) for nu in partitions(r))
                 assert total == (1 if lam == mu else 0)
 
 

@@ -192,7 +192,7 @@ def test_littlewood_3_and_berezinian():
     pt = random_grassmann_point(1, 1, 99)
     _assert_pass(check_littlewood_3((2,), 1, 1, pt))
     _assert_pass(check_littlewood_3((1, 1), 1, 1, pt))
-    _assert_pass(check_berezinian_series(1, 1, 3, 99, 2))
+    _assert_pass(check_berezinian_series(1, 1, 3))
 
 
 def test_littlewood_3_canonical_two_unit_point():
@@ -327,7 +327,7 @@ def test_broken_characteristic_series_is_caught(monkeypatch):
     broken = _double_linear_coefficient(immanants.characteristic_series)
     for module in (immanants, verify):  # goulden-jackson reads the series directly
         monkeypatch.setattr(module, "characteristic_series", broken)
-    assert _failed_case(check_berezinian_series(1, 1, 2, 99, 1)) == "symbolic coefficient k=1"
+    assert _failed_case(check_berezinian_series(1, 1, 2)) == "symbolic coefficient k=1"
     assert _failed_case(check_goulden_jackson((2, 1), 1, 1)).startswith("det(alpha-JT)")
 
 
@@ -342,7 +342,38 @@ def test_broken_column_immanant_sums_are_caught(monkeypatch):
 
     monkeypatch.setattr(verify, "normalized_immanant_sum", broken)
     assert _failed_case(check_macmahon(1, 1, 2)) == "lambda(-t) sigma(t) = 1"
-    assert _failed_case(check_berezinian_series(1, 1, 2, 99, 1)) == "symbolic coefficient k=1"
+    assert _failed_case(check_berezinian_series(1, 1, 2)) == "symbolic coefficient k=1"
+
+
+def test_berezinian_sweep_draws_no_grassmann_point(monkeypatch):
+    import superimm.verify as verify
+
+    def no_point(*args):
+        raise AssertionError("the Berezinian series drew a Grassmann point")
+
+    monkeypatch.setattr(verify, "random_grassmann_point", no_point)
+    order = 3
+    reports = sweep("berezinian", 2, 1, 3, order=order)
+    assert reports
+    for report in reports:
+        _assert_pass(report)
+        assert report.cases == order + 1
+        assert set(report.params) == {"identity", "m", "n", "order"}
+
+
+@pytest.mark.parametrize("k", range(4))  # every coefficient of an order-3 series
+def test_every_berezinian_coefficient_is_compared(monkeypatch, k):
+    import superimm.verify as verify
+
+    original = verify.characteristic_coefficients
+
+    def shifted(x, order):
+        coeffs = original(x, order)
+        coeffs[k] = coeffs[k] + 1
+        return coeffs
+
+    monkeypatch.setattr(verify, "characteristic_coefficients", shifted)
+    assert _failed_case(check_berezinian_series(1, 1, 3)) == f"symbolic coefficient k={k}"
 
 
 def test_broken_idempotent_supertrace_is_caught(monkeypatch):
@@ -363,7 +394,7 @@ def test_negated_adjugate_is_caught(monkeypatch):
     monkeypatch.setattr(
         immanants, "_adjugate", lambda d, one: [[-e for e in row] for row in original(d, one)]
     )
-    assert _failed_case(check_berezinian_series(1, 1, 3, 99, 1)) == "symbolic coefficient k=2"
+    assert _failed_case(check_berezinian_series(1, 1, 3)) == "symbolic coefficient k=2"
     # diagonalize does not use the adjugate; the characteristic series behind
     # elementary_invariant does
     point = random_grassmann_point(2, 1, 99)
@@ -378,7 +409,7 @@ def test_transposed_adjugate_is_caught(monkeypatch):
     monkeypatch.setattr(
         immanants, "_adjugate", lambda d, one: [list(col) for col in zip(*original(d, one))]
     )
-    assert _failed_case(check_berezinian_series(1, 2, 3, 99, 1)) == "symbolic coefficient k=3"
+    assert _failed_case(check_berezinian_series(1, 2, 3)) == "symbolic coefficient k=3"
     assert _failed_case(check_goulden_jackson((2, 1), 1, 2)).startswith("det(alpha-JT)")
 
 
@@ -414,7 +445,7 @@ def test_exception_witness_names_the_raising_frame(monkeypatch):
     [
         (lambda order: check_newton(1, 1, order), 1),
         (lambda order: check_macmahon(1, 1, order), 0),
-        (lambda order: check_berezinian_series(1, 1, order, seed=7, trials=1), 0),
+        (lambda order: check_berezinian_series(1, 1, order), 0),
     ],
     ids=["newton", "macmahon", "berezinian-series"],
 )

@@ -23,8 +23,12 @@ GRID = [
     ("vanishing", 2, 1, 4, {}),
     ("kostant", 1, 1, 4, {}),
     ("kostant", 2, 1, 3, {}),
+    ("kostant", 2, 2, 4, {}),
+    ("kostant", 3, 1, 4, {}),
     ("schur-weyl", 1, 1, 4, {}),
     ("schur-weyl", 2, 1, 3, {}),
+    ("schur-weyl", 2, 2, 4, {}),
+    ("schur-weyl", 3, 1, 4, {}),
     ("littlewood1", 1, 1, 2, {}),
     ("littlewood1", 2, 1, 3, {}),
     ("littlewood2", 1, 1, 4, {}),
@@ -43,6 +47,8 @@ GRID = [
     ("newton", 2, 2, 3, {"order": 3}),
     ("goulden-jackson", 1, 1, 4, {}),
     ("goulden-jackson", 2, 1, 3, {}),
+    ("goulden-jackson", 2, 2, 4, {}),
+    ("goulden-jackson", 3, 1, 4, {}),
     ("berezinian", 1, 1, 3, {"order": 3}),
     ("berezinian", 2, 1, 3, {"order": 3}),
     ("berezinian", 1, 2, 3, {"order": 3}),

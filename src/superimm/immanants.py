@@ -708,15 +708,16 @@ def _image_trace(e: GroupAlgebraElement, x: SuperMatrix, multiset) -> SuperPoly:
     sum over basis vectors v of the pivot coordinate of X_1...X_r v, times
     the slice's weight.  This route never goes through the immanant formula.
     """
+    whole = e.integer_multiple()  # the same image, int vectors
     vectors = []
     for key in arrangements(multiset):
-        vec = apply_group_algebra_to_state(e, {key: Fraction(1)}, x.m)
+        vec = apply_group_algebra_to_state(whole, {key: 1}, x.m)
         if vec:
             vectors.append(vec)
     if not vectors:
         return x.algebra.zero()
     coords = sorted({k for vec in vectors for k in vec})
-    rows = [[vec.get(k, Fraction(0)) for k in coords] for vec in vectors]
+    rows = [[vec.get(k, 0) for k in coords] for vec in vectors]
     red, pivots = ratlinalg.rref(rows)
     acc = linear_combination(x.algebra, ((c, chain_coefficient(x, coords[pivot], key))
                                          for row, pivot in zip(red, pivots)
@@ -746,7 +747,7 @@ def schur_weyl_norm_report(tab, weight, m: int, n: int) -> dict:
     weight = tuple(weight)
     multiset = composition_to_multiset(weight)
     e = primitive_idempotent(tab)
-    vec = apply_group_algebra_to_state(e, {multiset: Fraction(1)}, m)
+    vec = apply_group_algebra_to_state(e, {multiset: 1}, m)
     norm = Fraction(bilinear_form(vec, vec)) if vec else Fraction(0)
     filling = relabel_by_weight(tab, weight)
     return {

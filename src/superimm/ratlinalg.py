@@ -1,58 +1,56 @@
 """Small exact linear algebra helpers over Fraction matrices.
 
-Matrices are lists of lists of Fractions (or ints).  Sizes here are tiny
-(at most 5 or so), so everything is plain Gaussian elimination, except the
-characteristic polynomial, which takes the library's determinant kernel, and
-its rational roots, found by the rational root test in integers.
+Matrices are lists of lists of Fractions (or ints), row-reduced fraction-free.
+The characteristic polynomial takes the library's determinant kernel, and its
+rational roots come from the rational root test in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from superimm.superring import Algebra, TruncatedSeries
 from superimm.symgroup import commuting_determinant
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def rref(mat):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [[Fraction(x) for x in row] for row in mat]
+    """Reduced row echelon form; returns (rows, pivot column indices).  Fraction-free (after
+    Bareiss, Math. Comp. 22 (1968)): primitive int rows, each divided by its pivot at the end."""
+    rows = [_primitive(row) for row in mat]
     pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = _primitive([p * x - f * y for x, y in zip(row, top)])
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    return red + [[Fraction(0)] * len(row) for row in rows[len(pivots):]], pivots
+
+
+def _primitive(row) -> list:
+    """A rational row scaled to coprime ints."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return ints if g in (0, 1) else [x // g for x in ints]
 
 
 def rank(mat) -> int:
-    if not mat:
-        return 0
     return len(rref(mat)[1])
 
 
 def inv(mat):
     """Inverse of a square Fraction matrix; raises ZeroDivisionError if singular."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + identity(n)[i] for i in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")

@@ -1,4 +1,4 @@
-"""The rational group algebra of S_r.
+"""The rational group algebra of S_r, stored as int numerators over one denominator.
 
 Permutation arithmetic, Jucys-Murphy elements, the primitive idempotents
 attached to standard tableaux (built by spectral projection on the
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from superimm import tableaux
 from superimm.tableaux import StandardTableau, addable_contents, character, hook_product
@@ -50,6 +50,7 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition acting left: (s*t)(k) = s(t(k))."""
+        _check_degree(other, self.degree)
         return Permutation(tuple(self.images[j - 1] for j in other.images))
 
     def inverse(self) -> "Permutation":
@@ -86,6 +87,11 @@ class Permutation:
         return f"Perm{self.images}"
 
 
+def _check_degree(perm, degree: int):
+    if not isinstance(perm, Permutation) or perm.degree != degree:
+        raise SymGroupError(f"{perm!r} is not a permutation of degree {degree}")
+
+
 @lru_cache(maxsize=None)
 def symmetric_group(r: int) -> tuple[Permutation, ...]:
     # S_9 alone has 362880 elements and the cache keeps every degree it
@@ -93,6 +99,12 @@ def symmetric_group(r: int) -> tuple[Permutation, ...]:
     if r > 8:
         raise SymGroupError(f"S_{r} is too large to enumerate: degrees above 8 are refused")
     return tuple(Permutation(p) for p in iter_permutations(range(1, r + 1)))
+
+
+@lru_cache(maxsize=None)
+def _group_index(r: int) -> dict:
+    """images -> permutation over S_r: a product looks its result up, unvalidated."""
+    return {p.images: p for p in symmetric_group(r)}
 
 
 def permutation_sum(entries, coefficient, one):
@@ -120,25 +132,38 @@ def commuting_determinant(entries, one):
 
 
 class GroupAlgebraElement:
-    """Q-linear combination of permutations of a fixed degree."""
+    """Q-linear combination of permutations of a fixed degree: nonzero int `numerators`
+    over one positive `denominator`, reduced (1 for zero); `terms` shows Fractions."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "numerators", "denominator")
 
     def __init__(self, degree: int, terms: dict | None = None):
-        self.degree = degree
-        self.terms = {p: Fraction(c) for p, c in (terms or {}).items() if c}
+        for p in terms or ():
+            _check_degree(p, degree)
+        coeffs = {p: Fraction(c) for p, c in (terms or {}).items() if c}
+        den = lcm(*(c.denominator for c in coeffs.values()))  # so already reduced
+        self.degree, self.denominator = degree, den
+        self.numerators = {p: c.numerator * (den // c.denominator) for p, c in coeffs.items()}
 
     @staticmethod
     def one(degree: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(degree, {Permutation.identity(degree): Fraction(1)})
+        return GroupAlgebraElement(degree, {Permutation.identity(degree): 1})
 
     @staticmethod
     def of(perm: Permutation) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(perm.degree, {perm: Fraction(1)})
+        return GroupAlgebraElement(perm.degree, {perm: 1})
+
+    def integer_multiple(self) -> "GroupAlgebraElement":
+        """denominator * self, unvalidated."""
+        return _reduced(self.degree, self.numerators, 1)
 
     def _check(self, other):
         if self.degree != other.degree:
             raise SymGroupError("mixed degrees")
+
+    @property
+    def terms(self) -> dict:
+        return {p: Fraction(c, self.denominator) for p, c in self.numerators.items()}
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -146,19 +171,17 @@ class GroupAlgebraElement:
         elif not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            s = terms.get(p, Fraction(0)) + c
-            if s:
-                terms[p] = s
-            elif p in terms:
-                del terms[p]
-        return GroupAlgebraElement(self.degree, terms)
+        den = lcm(self.denominator, other.denominator)
+        scale, other_scale = den // self.denominator, den // other.denominator
+        nums = {p: c * scale for p, c in self.numerators.items()}
+        for p, c in other.numerators.items():
+            nums[p] = nums.get(p, 0) + c * other_scale
+        return _reduced(self.degree, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupAlgebraElement(self.degree, {p: -c for p, c in self.terms.items()})
+        return _reduced(self.degree, {p: -c for p, c in self.numerators.items()}, self.denominator)
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, GroupAlgebraElement)):
@@ -170,66 +193,70 @@ class GroupAlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GroupAlgebraElement(self.degree, {p: c * other for p, c in self.terms.items()})
+            nums = {p: c * other.numerator for p, c in self.numerators.items()}
+            return _reduced(self.degree, nums, self.denominator * other.denominator)
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check(other)
-        terms: dict = {}
-        for p, cp in self.terms.items():
-            for q, cq in other.terms.items():
-                pq = p * q
-                s = terms.get(pq, Fraction(0)) + cp * cq
-                if s:
-                    terms[pq] = s
-                elif pq in terms:
-                    del terms[pq]
-        return GroupAlgebraElement(self.degree, terms)
+        right = [(tuple(j - 1 for j in q.images), c) for q, c in other.numerators.items()]
+        acc: dict = {}
+        for p, cp in self.numerators.items():
+            image = p.images.__getitem__
+            for slots, cq in right:
+                pq = tuple(map(image, slots))
+                acc[pq] = acc.get(pq, 0) + cp * cq
+        index = _group_index(self.degree)
+        nums = {index[pq]: c for pq, c in acc.items()}
+        return _reduced(self.degree, nums, self.denominator * other.denominator)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a non-element left operand
 
     def conjugate_by(self, s: Permutation) -> "GroupAlgebraElement":
         s_inv = s.inverse()
-        return GroupAlgebraElement(
-            self.degree, {s * p * s_inv: c for p, c in self.terms.items()}
-        )
+        nums = {s * p * s_inv: c for p, c in self.numerators.items()}
+        return _reduced(self.degree, nums, self.denominator)
 
     def star(self) -> "GroupAlgebraElement":
         """The involution sending each permutation to its inverse."""
-        return GroupAlgebraElement(self.degree, {p.inverse(): c for p, c in self.terms.items()})
+        nums = {p.inverse(): c for p, c in self.numerators.items()}
+        return _reduced(self.degree, nums, self.denominator)
 
     def coefficient(self, p: Permutation) -> Fraction:
-        return self.terms.get(p, Fraction(0))
+        return Fraction(self.numerators.get(p, 0), self.denominator)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
+        return isinstance(other, GroupAlgebraElement) and (
+            (self.degree, self.denominator, self.numerators)
+            == (other.degree, other.denominator, other.numerators))
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
+        return hash((self.degree, self.denominator, frozenset(self.numerators.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.numerators:
             return "0"
         bits = [f"{c}*{p.images}" for p, c in sorted(self.terms.items(), key=lambda t: t[0].images)]
         return " + ".join(bits)
+
+
+def _reduced(degree: int, nums: dict, den: int) -> GroupAlgebraElement:
+    """int numerators `nums` over the positive `den`, zeros and common factor dropped."""
+    g = gcd(den, *nums.values())  # den itself for zero
+    elem = object.__new__(GroupAlgebraElement)
+    elem.degree, elem.denominator = degree, den // g
+    elem.numerators = {p: c // g for p, c in nums.items() if c}
+    return elem
 
 
 def jucys_murphy(k: int, r: int) -> GroupAlgebraElement:
     """y_k = sum of the transpositions (a,k) for a < k; y_1 = 0."""
     if not 1 <= k <= r:
         raise SymGroupError(f"k={k} out of range for degree {r}")
-    terms = {Permutation.transposition(a, k, r): Fraction(1) for a in range(1, k)}
-    return GroupAlgebraElement(r, terms)
+    return GroupAlgebraElement(r, {Permutation.transposition(a, k, r): 1 for a in range(1, k)})
 
 
 @lru_cache(maxsize=None)
@@ -305,12 +332,7 @@ def character_element(shape) -> GroupAlgebraElement:
     """Sum of chi(s) * s over the group."""
     shape = tableaux.normalize_partition(shape)
     r = sum(shape)
-    terms = {}
-    for p in symmetric_group(r):
-        c = character(shape, p.cycle_type())
-        if c:
-            terms[p] = Fraction(c)
-    return GroupAlgebraElement(r, terms)
+    return GroupAlgebraElement(r, {p: character(shape, p.cycle_type()) for p in symmetric_group(r)})
 
 
 def central_idempotent(shape) -> GroupAlgebraElement:

@@ -10,11 +10,12 @@ perturb one convention at a time.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, prod
 
 from superimm.superring import SuperPoly
-from superimm.symgroup import GroupAlgebraElement, Permutation
+from superimm.symgroup import GroupAlgebraElement, Permutation, SymGroupError
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +179,31 @@ def state_add(state: dict, key, value):
         state[key] = s
 
 
+# (key parity pattern, action_sign seam) -> {perm images: (sign, source slots)}
+_ACTION_TABLES: dict = {}
+
+
 def apply_group_algebra_to_state(elem: GroupAlgebraElement, state: dict, m: int) -> dict:
+    """elem's int numerators act on a state over any coefficient ring, then its
+    denominator divides each output entry; signs come from `_ACTION_TABLES`."""
+    seam, r = action_sign, elem.degree
     out: dict = {}
-    for perm, coeff in elem.terms.items():
-        for key, c in state.items():
-            sign = action_sign(key, m, perm)
-            state_add(out, permuted_tuple(key, perm), (coeff * sign) * c)
-    return out
+    for key, c in state.items():
+        if len(key) != r:
+            raise SymGroupError(f"basis tensor {key} has {len(key)} slots, not {r}")
+        table = _ACTION_TABLES.setdefault((tuple_parities(key, m), seam), {})
+        slot = key.__getitem__
+        for perm, num in elem.numerators.items():
+            move = table.get(perm.images)
+            if move is None:  # the seam in force, on a real key of this pattern
+                move = table[perm.images] = (seam(key, m, perm), permuted_tuple(range(r), perm))
+            sign, sources = move
+            target = tuple(map(slot, sources))
+            value = c * (num * sign)
+            old = out.get(target)
+            out[target] = value if old is None else old + value
+    scale = Fraction(1, elem.denominator)
+    return {key: c if scale == 1 else c * scale for key, c in out.items() if not _is_zero(c)}
 
 
 def apply_matrix_at_slot(state: dict, columns, slot: int, m: int) -> dict:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superimm import ratlinalg
 
@@ -60,3 +60,67 @@ def test_rational_roots_recovers_the_linear_factors(roots, lead, irrational):
     found, fully_split = ratlinalg.rational_roots(poly)
     assert sorted(found) == sorted(roots)
     assert fully_split is not irrational
+
+
+def _fraction_gauss_jordan(mat):
+    """Reduced row echelon form by Gauss-Jordan over Fractions, pivot rows
+    scaled to 1 as they are found; (rows, pivot columns), zero rows last."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+@st.composite
+def _matrices(draw):
+    """Rational rows, some followed by combinations of earlier rows (which
+    eliminate to zero), and some zero rows; ints and Fractions mixed."""
+    ncols = draw(st.integers(0, 5))
+    row = st.lists(_small_rationals, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows and draw(st.booleans()):
+            a, b = draw(_small_rationals), draw(_small_rationals)
+            first, second = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * x + b * y for x, y in zip(first, second)])
+        else:
+            rows.append([0] * ncols)
+    order = draw(st.permutations(range(len(rows))))
+    as_ints = draw(st.booleans())
+    return [[int(x) if as_ints and x.denominator == 1 else Fraction(x) for x in rows[i]]
+            for i in order]
+
+
+@given(_matrices())
+@example([])
+@example([[]])
+@example([[0, 0, 0]])
+@example([[0, 0], [0, 0]])
+@example([[Fraction(-3, 2), 4, 0, Fraction(1, 3)]])
+@example([[-2, 4], [1, -2]])
+@example([[0, -3, 6], [0, 2, -4], [-5, 1, 0]])
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_rref_matches_fraction_gauss_jordan(mat):
+    """Same rows, all Fractions, and same pivots as Gauss-Jordan over
+    Fractions: random rows, rows that are or become zero, negative pivots, a
+    1 x n matrix, all-zero and empty matrices."""
+    rows, pivots = ratlinalg.rref(mat)
+    assert (rows, pivots) == _fraction_gauss_jordan(mat)
+    assert all(type(x) is Fraction for row in rows for x in row)
+    assert ratlinalg.rank(mat) == len(pivots)

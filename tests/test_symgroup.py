@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superimm.symgroup import (
     GroupAlgebraElement,
@@ -173,3 +175,100 @@ def test_jm_range_errors():
 def test_symmetric_group_refuses_a_degree_above_eight():
     with pytest.raises(SymGroupError):
         symmetric_group(9)
+
+
+def test_bad_group_algebra_input_raises_one_typed_error():
+    """A key that is not a permutation of the element's degree, and factors of
+    mixed degrees, fail with a one-line SymGroupError, never a wrong result."""
+    s3, s2 = Permutation((2, 1, 3)), Permutation((2, 1))
+    bad = [
+        lambda: GroupAlgebraElement(3, {s2: 1}),
+        lambda: GroupAlgebraElement(2, {(2, 1): 1}),
+        lambda: GroupAlgebraElement(2, {s2: 1, "swap": 0}),
+        lambda: s3 * s2,
+        lambda: s2 * (2, 1),
+        lambda: GroupAlgebraElement.one(3) * GroupAlgebraElement.one(2),
+        lambda: GroupAlgebraElement.one(3) + GroupAlgebraElement.one(2),
+        lambda: GroupAlgebraElement.one(3).conjugate_by(s2),
+    ]
+    for make in bad:
+        with pytest.raises(SymGroupError) as info:
+            make()
+        assert "\n" not in str(info.value)
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def _raw_elements(r):
+    return st.dictionaries(st.sampled_from(symmetric_group(r)), _rationals, max_size=6)
+
+
+_cases = st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.just(r), _raw_elements(r), _raw_elements(r), st.sampled_from(symmetric_group(r))))
+
+
+def _reference_sum(*scaled_terms):
+    """Sum of c * terms over (c, {perm: Fraction}) pairs, zeros left out."""
+    out: dict = {}
+    for c, terms in scaled_terms:
+        for p, v in terms.items():
+            out[p] = out.get(p, 0) + c * v
+    return {p: v for p, v in out.items() if v}
+
+
+def _reference_product(a, b):
+    out: dict = {}
+    for p, cp in a.items():
+        for q, cq in b.items():
+            pq = Permutation(tuple(p.images[j - 1] for j in q.images))
+            out[pq] = out.get(pq, 0) + cp * cq
+    return {p: v for p, v in out.items() if v}
+
+
+def _assert_canonical(e):
+    """Stored as nonzero int numerators over one reduced positive denominator."""
+    nums = list(e.numerators.values())
+    assert all(type(c) is int and c != 0 for c in nums)
+    assert type(e.denominator) is int and e.denominator >= 1
+    assert gcd(e.denominator, *nums) == 1
+    assert nums or e.denominator == 1
+
+
+@given(_cases, _rationals)
+@example(case=(2, {Permutation((2, 1)): Fraction(1, 2)}, {Permutation((2, 1)): Fraction(1, 2)},
+               Permutation((2, 1))), s=Fraction(0))
+@settings(max_examples=200, deadline=None)
+def test_every_group_algebra_result_is_stored_over_one_reduced_denominator(case, s):
+    """Each result of +, -, products, scalar multiples, star and conjugation is
+    canonical and shows the coefficients of a Fraction reference; equal
+    elements hash equal."""
+    r, raw_a, raw_b, g = case
+    a, b = GroupAlgebraElement(r, raw_a), GroupAlgebraElement(r, raw_b)
+    ref_a, ref_b = _reference_sum((1, raw_a)), _reference_sum((1, raw_b))
+    one = {Permutation.identity(r): Fraction(1)}
+    g_inv = g.inverse()
+    results = [
+        (a, ref_a),
+        (a + b, _reference_sum((1, ref_a), (1, ref_b))),
+        (a - b, _reference_sum((1, ref_a), (-1, ref_b))),
+        (a + s, _reference_sum((1, ref_a), (s, one))),
+        (s - a, _reference_sum((s, one), (-1, ref_a))),
+        (a * b, _reference_product(ref_a, ref_b)),
+        (a * s, _reference_sum((s, ref_a))),
+        (s * a, _reference_sum((s, ref_a))),
+        (a.star(), {p.inverse(): c for p, c in ref_a.items()}),
+        (a.conjugate_by(g), {g * p * g_inv: c for p, c in ref_a.items()}),
+    ]
+    for elem, ref in results:
+        _assert_canonical(elem)
+        assert elem.terms == ref
+        assert all(elem.coefficient(p) == ref.get(p, 0) for p in symmetric_group(r))
+    for p, q in [
+        (a * s + a * (1 - s), a),
+        ((a + b) - b, a),
+        (a * Fraction(1, 2) + a * Fraction(1, 2), a),
+        (a.star().star(), a),
+        (a.conjugate_by(g).conjugate_by(g_inv), a),
+    ]:
+        assert p == q and hash(p) == hash(q)

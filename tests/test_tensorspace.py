@@ -3,9 +3,19 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
+import pytest
+
+import superimm.tensorspace as tensorspace
 from superimm.immanants import SuperMatrix, star_product_slotwise
 from superimm.superring import Algebra
-from superimm.symgroup import GroupAlgebraElement, Permutation, symmetric_group
+from superimm.symgroup import (
+    GroupAlgebraElement,
+    Permutation,
+    SymGroupError,
+    primitive_idempotent,
+    symmetric_group,
+)
+from superimm.tableaux import partitions, row_reading_tableau, standard_tableaux
 from superimm.tensorspace import (
     action_sign,
     apply_group_algebra_to_state,
@@ -179,3 +189,77 @@ def test_tensor_weight_counts_odd_indices():
     assert tensor_weight((1, 2, 3), 1) == 1
     assert tensor_weight((1, 2, 1), 1) == -1
     assert tensor_weight((3, 1), 2) == parity_weight(3, 2) == -1
+
+
+def _fraction_action(elem, state, m):
+    """The slice action as first written, one Fraction term at a time: per
+    permutation, the Koszul sign, the permuted basis tensor, the sum."""
+    out: dict = {}
+    for perm, coeff in elem.terms.items():
+        for key, c in state.items():
+            sign = tensorspace.action_sign(key, m, perm)
+            state_add(out, permuted_tuple(key, perm), (coeff * sign) * c)
+    return out
+
+
+def _idempotents(r):
+    return [primitive_idempotent(tab) for lam in partitions(r) for tab in standard_tableaux(lam)]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2)])
+def test_integer_action_matches_the_fraction_loop(m, n):
+    """Every standard-tableau idempotent on every basis tensor up to degree 4,
+    and a seeded sample at degree 5."""
+    for r in range(1, 5):
+        for e in _idempotents(r):
+            for multiset in sorted_multisets(m, n, r):
+                for key in arrangements(multiset):
+                    state = {key: Fraction(1)}
+                    assert apply_group_algebra_to_state(e, state, m) == _fraction_action(e, state, m)
+    rng = random.Random(20240613)
+    idempotents = _idempotents(5)
+    for _ in range(30):
+        e = rng.choice(idempotents)
+        key = tuple(rng.randint(1, m + n) for _ in range(5))
+        assert apply_group_algebra_to_state(e, {key: 1}, m) == _fraction_action(e, {key: 1}, m)
+
+
+def test_integer_action_matches_the_fraction_loop_on_rational_and_polynomial_states():
+    """States of several basis tensors, with Fraction coefficients and with
+    SuperPoly ones (the coefficients `star_product_slotwise` acts on)."""
+    alg = Algebra("coefficients")
+    alg.even("x")
+    alg.odd("t1", "t2")
+    x, t1, t2 = alg.gen("x"), alg.gen("t1"), alg.gen("t2")
+    polys = [x * Fraction(2, 3) + t1, t1 * t2 - 1, x * x * t2, alg.one()]
+    rng = random.Random(77)
+    for m, n in [(1, 1), (2, 1), (1, 2)]:
+        for r in (2, 3, 4):
+            keys = list(product(range(1, m + n + 1), repeat=r))
+            elements = _idempotents(r) + [GroupAlgebraElement(r, {
+                rng.choice(symmetric_group(r)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(3)})]
+            for e in elements:
+                chosen = rng.sample(keys, min(4, len(keys)))
+                for state in (
+                    {key: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for key in chosen},
+                    {key: rng.choice(polys) for key in chosen},
+                ):
+                    assert apply_group_algebra_to_state(e, state, m) == _fraction_action(e, state, m)
+
+
+def test_action_table_is_keyed_by_the_sign_seam(monkeypatch):
+    """A sign seam replaced after the action's table is warm still reaches it."""
+    e = primitive_idempotent(row_reading_tableau((2, 1)))
+    state = {(2, 2, 1): 1}
+    first = apply_group_algebra_to_state(e, state, 1)
+    assert apply_group_algebra_to_state(e, state, 1) == first
+    monkeypatch.setattr(tensorspace, "action_sign", lambda *args: 1)
+    assert apply_group_algebra_to_state(e, state, 1) != first
+
+
+def test_slice_action_refuses_a_basis_tensor_of_another_degree():
+    for key in [(1, 2), (1, 2, 1, 2)]:
+        with pytest.raises(SymGroupError) as info:
+            apply_group_algebra_to_state(GroupAlgebraElement.one(3), {key: 1}, 1)
+        assert "\n" not in str(info.value)

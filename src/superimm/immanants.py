@@ -420,28 +420,27 @@ def complete_invariant(x: SuperMatrix, k: int) -> SuperPoly:
     return characteristic_series(x, k).invert().coefficient(k)
 
 
+def _star_entry(y: SuperMatrix, z: SuperMatrix, i: int, b: int) -> SuperPoly:
+    """Entry (i, b) of the star product Y * Z: the one sign formula."""
+    m = y.m
+    pi, pb = index_parity(i, m), index_parity(b, m)
+    pairs = []
+    for a in range(1, y.size + 1):
+        e1, e2 = y[i, a], z[a, b]
+        if e1.is_zero or e2.is_zero:
+            continue
+        sign = parity_weight(a, m)
+        if (pi * pb + (pi + pb) * index_parity(a, m)) % 2:
+            sign = -sign
+        pairs.append((e1, e2 if sign > 0 else -e2))
+    return sum_of_products(y.algebra.zero(), pairs)
+
+
 def star_product(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
     """Contraction of the flip against Y on slot one and Z on slot two,
     as the derived entry formula (validated by star_product_slotwise)."""
     d = y.size
-    rows = []
-    for i in range(1, d + 1):
-        row = []
-        pi = index_parity(i, y.m)
-        for b in range(1, d + 1):
-            pb = index_parity(b, y.m)
-            pairs = []
-            for a in range(1, d + 1):
-                e1, e2 = y[i, a], z[a, b]
-                if e1.is_zero or e2.is_zero:
-                    continue
-                pa = index_parity(a, y.m)
-                sign = parity_weight(a, y.m)
-                if (pi * pb + (pi + pb) * pa) % 2:
-                    sign = -sign
-                pairs.append((e1, e2 if sign > 0 else -e2))
-            row.append(sum_of_products(y.algebra.zero(), pairs))
-        rows.append(row)
+    rows = [[_star_entry(y, z, i, b) for b in range(1, d + 1)] for i in range(1, d + 1)]
     return SuperMatrix(y.m, y.n, rows, validate=False)
 
 
@@ -463,9 +462,15 @@ def star_product_slotwise(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
     return SuperMatrix(m, y.n, rows, validate=False)
 
 
-def star_power(x: SuperMatrix, k: int) -> SuperMatrix:
+def _check_exponent(k) -> None:
+    if k.__class__ is not int:
+        raise SuperMatrixError("star exponent must be an integer")
     if k < 0:
         raise SuperMatrixError("star power needs k >= 0")
+
+
+def star_power(x: SuperMatrix, k: int) -> SuperMatrix:
+    _check_exponent(k)
     if k == 0:
         return SuperMatrix.identity(x.m, x.n, x.algebra)
     out = x
@@ -475,8 +480,15 @@ def star_power(x: SuperMatrix, k: int) -> SuperMatrix:
 
 
 def power_trace(x: SuperMatrix, k: int) -> SuperPoly:
-    """Supertrace of the k-th star power."""
-    return supertrace(star_power(x, k))
+    """Supertrace of the k-th star power; for k >= 2 only the diagonal of Y * Z,
+    with Z = X^{*(k//2)} and Y = Z or Z * X (the star product is associative)."""
+    _check_exponent(k)
+    if k < 2:
+        return supertrace(star_power(x, k))
+    z = star_power(x, k // 2)
+    y = star_product(z, x) if k % 2 else z
+    diagonal = [_star_entry(y, z, i, i) for i in range(1, x.size + 1)]
+    return supertrace(SuperMatrix.diagonal(x.m, x.n, diagonal))
 
 
 # ---------------------------------------------------------------------------

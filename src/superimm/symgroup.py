@@ -115,12 +115,13 @@ def permutation_sum(entries, coefficient, one):
         c = coefficient(perm)
         if c == 0:
             continue
-        term = one
-        for i, row in enumerate(entries):
-            term = term * row[perm.images[i] - 1]
+        images = perm.images
+        term = entries[0][images[0] - 1] if entries else one
+        for i in range(1, len(entries)):
             if term.is_zero:
                 break
-        else:
+            term = term * entries[i][images[i] - 1]
+        if not term.is_zero:
             acc = acc + (term if c == 1 else -term if c == -1 else term * c)
     return acc
 

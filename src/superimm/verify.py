@@ -628,8 +628,8 @@ def check_littlewood_3(lam, m: int, n: int, point: GrassmannPoint,
     with the Schur supersymmetric polynomial at the eigenvalues of the
     transposed point matrix; the diagonalization must be exact.  A sweep
     shares work between its reports through `memo`, which fills on first
-    use: symbolic sides keyed by (m, n, side), the diagonalization and the
-    evaluated pairs by (point, m, n, ...)."""
+    use: symbolic sides keyed by (m, n, side), the diagonalization by
+    (point, m, n) and each evaluated side by (point, m, n, its polynomial)."""
     lam = normalize_partition(lam)
     if not lam:
         raise VerifyError("littlewood3 needs a nonempty shape")
@@ -658,11 +658,13 @@ def check_littlewood_3(lam, m: int, n: int, point: GrassmannPoint,
         yield ("diagonalization residual", eigen["residual_zero"], True)
         alphabets = (eigen["even_eigenvalues"], [-w for w in eigen["odd_eigenvalues"]],
                      grassmann_algebra(point.n_units))
+        def evaluated(side, poly, evaluate):
+            return _once(memo, (point, m, n, side, poly), lambda: evaluate(poly))
+
         for label, (left, right) in sides.items():
-            def evaluate():
-                return (point.evaluate(symbolic(*left)),
-                        evaluate_two_alphabets(symbolic(*right), *alphabets))
-            yield (label,) + _once(memo, (point, m, n, label, r), evaluate)
+            yield (label, evaluated("left", symbolic(*left), point.evaluate),
+                   evaluated("right", symbolic(*right),
+                             lambda poly: evaluate_two_alphabets(poly, *alphabets)))
 
     return _run("littlewood3", params, comparisons())
 

@@ -216,6 +216,75 @@ def test_star_product_against_slot_oracle():
     assert power_trace(x, 0) == 0  # supertrace of the identity at m=n
 
 
+_ROUTE_BLOCKS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
+
+
+def _generic(alg, name, m, n):
+    """A generic (m|n) supermatrix over `alg` with fresh generators name{i}_{j}."""
+    d = m + n
+    declare = {0: alg.even, 1: alg.odd}
+    return SuperMatrix(m, n, [[declare[(i > m) ^ (j > m)](f"{name}{i}_{j}") for j in range(1, d + 1)]
+                              for i in range(1, d + 1)])
+
+
+@pytest.mark.parametrize("m, n", _ROUTE_BLOCKS)
+def test_star_product_is_associative(m, n):
+    """(Y * Z) * W = Y * (Z * W) on three independent generic matrices, and the
+    two splits of the star powers that power_trace reads."""
+    alg = Algebra(f"associativity({m}|{n})")
+    y, z, w = (_generic(alg, name, m, n) for name in "yzw")
+    assert star_product(star_product(y, z), w) == star_product(y, star_product(z, w))
+    x = generator_matrix(m, n)
+    x2 = star_product(x, x)
+    x3 = star_product(x2, x)
+    assert star_product(x, x2) == x3
+    assert star_product(x2, x2) == star_product(x3, x)
+
+
+@pytest.mark.parametrize("m, n", _ROUTE_BLOCKS + [(2, 0), (0, 2)])
+def test_power_trace_is_the_supertrace_of_the_star_power(m, n):
+    x = generator_matrix(m, n)
+    for k in range(7):
+        assert power_trace(x, k) == supertrace(star_power(x, k)), k
+
+
+def _split_trace_mutant(same_halves=False, weighted=True):
+    """power_trace with the split X^{k//2} * X^{k//2} for every k, or with the
+    odd diagonal entries added unweighted."""
+    def mutant(x, k):
+        if k < 2:
+            return power_trace(x, k)
+        z = star_power(x, k // 2)
+        y = z if same_halves or k % 2 == 0 else star_product(z, x)
+        acc = x.algebra.zero()
+        for i in range(1, x.size + 1):
+            entry = immanants._star_entry(y, z, i, i)
+            acc = acc - entry if weighted and i > x.m else acc + entry
+        return acc
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", [_split_trace_mutant(same_halves=True),
+                                    _split_trace_mutant(weighted=False)],
+                         ids=["even split", "unweighted odd diagonal"])
+def test_power_trace_mutants_turn_newton_and_hessenberg_red(monkeypatch, mutant):
+    import superimm.verify as verify
+
+    families = ("newton", "hessenberg")
+    assert all(r.passed for family in families for r in verify.sweep(family, 2, 1, 3))
+    monkeypatch.setattr(verify, "power_trace", mutant)
+    for family in families:
+        assert not all(r.passed for r in verify.sweep(family, 2, 1, 3)), family
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_star_exponent_must_be_a_plain_int(k):
+    x = generator_matrix(1, 1)
+    for route in (star_power, power_trace):
+        with pytest.raises(SuperMatrixError, match="^star exponent must be an integer$"):
+            route(x, k)
+
+
 def test_berezinian_block_diagonal():
     lam = grassmann_algebra(2)
     x = SuperMatrix(1, 1, [[lam.scalar(6), lam.zero()], [lam.zero(), lam.scalar(2)]])

@@ -5,14 +5,17 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from superimm.superring import Algebra, TruncatedSeries
 from superimm.symgroup import (
     GroupAlgebraElement,
     Permutation,
     SymGroupError,
     central_idempotent,
     character_element,
+    commuting_determinant,
     fusion_idempotent,
     jucys_murphy,
+    permutation_sum,
     primitive_idempotent,
     symmetric_group,
     transposition_relation,
@@ -272,3 +275,87 @@ def test_every_group_algebra_result_is_stored_over_one_reduced_denominator(case,
         (a.conjugate_by(g).conjugate_by(g_inv), a),
     ]:
         assert p == q and hash(p) == hash(q)
+
+
+# ---------------------------------------------------------------------------
+# permutation_sum
+# ---------------------------------------------------------------------------
+
+
+def _unit_first_sum(entries, coefficient, one):
+    """The permutation sum with each term started at `one`: the oracle."""
+    acc = one * 0
+    for perm in symmetric_group(len(entries)):
+        c = coefficient(perm)
+        if c == 0:
+            continue
+        term = one
+        for i, row in enumerate(entries):
+            term = term * row[perm.images[i] - 1]
+            if term.is_zero:
+                break
+        else:
+            acc = acc + (term if c == 1 else -term if c == -1 else term * c)
+    return acc
+
+
+def _even_algebra():
+    """Two even generators and two odd ones, whose product is an even square-zero element."""
+    alg = Algebra("permutation sums")
+    a, b = alg.even("a", "b")
+    th1, th2 = alg.odd("th1", "th2")
+    return alg, [alg.zero(), alg.one(), a, b, a - 2, a * b + 3, th1 * th2, a * th1 * th2]
+
+
+def test_permutation_sum_of_the_empty_grid_is_one():
+    alg, _ = _even_algebra()
+    assert permutation_sum([], Permutation.sign, alg.one()) == alg.one()
+    one = TruncatedSeries.one(alg, 3)
+    assert commuting_determinant([], one) == one
+
+
+def test_permutation_sum_of_a_one_by_one_grid_is_its_entry():
+    alg, polys = _even_algebra()
+    for entry in polys:
+        assert commuting_determinant([[entry]], alg.one()) == entry
+
+
+def test_permutation_sum_truncates_to_the_order_of_one():
+    """Entries of a higher order than `one` still give a sum at `one`'s order."""
+    alg, (_, _, a, b, *_) = _even_algebra()
+    long = [[TruncatedSeries(alg, [a, b, a * b, a, b], 4)]]
+    one = TruncatedSeries.one(alg, 2)
+    got = commuting_determinant(long, one)
+    assert got.order == 2 and got == TruncatedSeries(alg, [a, b, a * b], 2)
+    series = TruncatedSeries.from_polys
+    grid = [[series(alg, [a, b], 5), series(alg, [b], 4)],
+            [series(alg, [alg.one(), a, b], 6), series(alg, [a], 5)]]
+    got = commuting_determinant(grid, one)
+    assert got.order == 2 and got == _unit_first_sum(grid, Permutation.sign, one)
+
+
+_COEFFICIENTS = {
+    "sign": Permutation.sign,
+    "character-like": lambda perm: {(1,): 2, (2,): 0, (3,): -1}.get(perm.cycle_type()[:1], 1),
+}
+
+
+@given(st.integers(0, 3), st.sampled_from(sorted(_COEFFICIENTS)), st.booleans(),
+       st.integers(0, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_permutation_sum_matches_the_unit_first_product(size, name, series, order, data):
+    """Over SuperPoly grids and over series grids of mixed orders, with zero
+    and square-zero entries, the sum equals the one whose terms start at `one`."""
+    alg, polys = _even_algebra()
+    poly = st.sampled_from(polys)
+    if series:
+        entry = st.integers(order, order + 2).flatmap(
+            lambda k: st.lists(poly, max_size=k + 1).map(
+                lambda cs, k=k: TruncatedSeries.from_polys(alg, cs, k)))
+        one = TruncatedSeries.one(alg, order)
+    else:
+        entry, one = poly, alg.one()
+    grid = data.draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                              min_size=size, max_size=size))
+    coefficient = _COEFFICIENTS[name]
+    assert permutation_sum(grid, coefficient, one) == _unit_first_sum(grid, coefficient, one)

@@ -498,16 +498,27 @@ def _spy(monkeypatch, module, name, calls):
 
 def test_littlewood_3_sweep_shares_its_work(monkeypatch):
     import superimm.verify as verify
+    from superimm.superring import GrassmannPoint
 
     calls = {}
     for name in ("diagonalize", "normalized_immanant_sum", "power_trace",
-                 "elementary_invariant", "complete_invariant"):
+                 "elementary_invariant", "complete_invariant", "evaluate_two_alphabets"):
         _spy(monkeypatch, verify, name, calls)
+    original = GrassmannPoint.evaluate
+
+    def evaluate(point, poly):
+        calls["GrassmannPoint.evaluate"] = calls.get("GrassmannPoint.evaluate", 0) + 1
+        return original(point, poly)
+
+    monkeypatch.setattr(GrassmannPoint, "evaluate", evaluate)
     reports = sweep("littlewood3", 2, 1, 3, trials=3)
     assert len(reports) == 3 * 6 and all(r.passed for r in reports)
-    # one diagonalization per point, the symbolic sides once per shape or degree
+    # one diagonalization per point, the symbolic sides once per shape or degree;
+    # each point evaluates the 9 entries of its matrix, then the 8 sides that
+    # differ as polynomials on each end (e_r, h_r and p_1 equal immanant sums)
     assert calls == {"diagonalize": 3, "normalized_immanant_sum": 6, "power_trace": 3,
-                     "elementary_invariant": 3, "complete_invariant": 3}
+                     "elementary_invariant": 3, "complete_invariant": 3,
+                     "evaluate_two_alphabets": 3 * 8, "GrassmannPoint.evaluate": 3 * (9 + 8)}
 
 
 def test_littlewood_3_memo_is_keyed_by_point(monkeypatch):

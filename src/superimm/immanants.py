@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import factorial
 
 from superimm import ratlinalg, superring
 from superimm.superring import (
@@ -37,6 +38,7 @@ from superimm.symgroup import (
 )
 from superimm.tableaux import (
     character,
+    class_size,
     is_semistandard_super,
     normalize_partition,
     partitions,
@@ -97,7 +99,8 @@ def _blocks(grid, m: int):
 class SuperMatrix:
     """(m+n)x(m+n) matrix over SuperPolys with block parity structure:
     entry (i,j) must be homogeneous of parity par(i)+par(j).  `_chains`, set
-    on first use by `super_immanant`, memoizes its chain coefficients."""
+    on first use by `super_immanant` or `normalized_immanant_sum`, memoizes
+    their chain coefficients and power traces."""
 
     __slots__ = ("m", "n", "entries", "algebra", "_chains")
 
@@ -312,6 +315,15 @@ def _signed_class_table(row_indices, m: int, sign) -> tuple:
     return tuple((k, tuple((ct, c) for ct, c in t.items() if c)) for k, t in counts.items())
 
 
+def _chain_memo(x: SuperMatrix) -> dict:
+    """x's memo of chain coefficients and power traces, made on first use."""
+    try:
+        return x._chains
+    except AttributeError:
+        x._chains = {}
+        return x._chains
+
+
 def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> SuperPoly:
     """Character-weighted, Koszul-signed permutation sum over a generalized
     submatrix.  `char` is a partition or a {cycle_type: value} dict.  Each chain
@@ -320,10 +332,7 @@ def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> Super
     col_indices = row_indices if col_indices is None else tuple(col_indices)
     _check_indices(x.size, row_indices, col_indices)
     chi = _as_class_function(char, len(row_indices))
-    try:
-        memo = x._chains
-    except AttributeError:
-        memo = x._chains = {}
+    memo = _chain_memo(x)
     seams = (col_indices, comodule_sign, superring.merge_odd_parts)
     pairs = []
     for k, counts in _signed_class_table(row_indices, x.m, action_sign):
@@ -378,10 +387,30 @@ def normalized_immanant_table(shape, x: SuperMatrix) -> dict:
 
 
 def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
-    """Sum over non-decreasing multisets of the immanant divided by the
-    repetition factor of the multiset."""
-    table = normalized_immanant_table(shape, x)
-    return linear_combination(x.algebra, ((1, value) for value in table.values()))
+    """Sum over non-decreasing multisets I of immanant(shape, I) / I!, by the
+    super Frobenius formula: sum over mu |- r of chi^shape(mu) / z_mu times
+    the product of the power traces p_{mu_i}.  The traces are memoized on x,
+    keyed by k and the sign seams at call time; the products are built along
+    each mu, so a prefix shared by several mu is multiplied out once."""
+    shape = normalize_partition(shape)
+    r = sum(shape)
+    memo = _chain_memo(x)
+    seams = (parity_weight, superring.merge_odd_parts)
+    prefixes = {(): x.algebra.one()}
+    pairs = []
+    for mu in partitions(r):
+        chi = character(shape, mu)
+        if chi == 0:
+            continue
+        for i in range(1, len(mu) + 1):
+            if mu[:i] not in prefixes:
+                key = ("trace", mu[i - 1]) + seams
+                trace = memo.get(key)
+                if trace is None:
+                    trace = memo[key] = power_trace(x, mu[i - 1])
+                prefixes[mu[:i]] = prefixes[mu[:i - 1]] * trace
+        pairs.append((Fraction(chi * class_size(mu), factorial(r)), prefixes[mu]))
+    return linear_combination(x.algebra, pairs)
 
 
 def classical_immanant(entries, char, indices=None):

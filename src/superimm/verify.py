@@ -40,6 +40,7 @@ from superimm.superring import (
     SuperPoly,
     TruncatedSeries,
     grassmann_algebra,
+    linear_combination,
     poly_to_terms,
 )
 from superimm.symgroup import commuting_determinant, primitive_idempotent
@@ -345,12 +346,23 @@ def check_lmw(lam, m: int, n: int, memo: dict | None = None) -> CheckReport:
     return _run("lmw", params, comparisons())
 
 
+def _immanant_sum_by_definition(shape, x: SuperMatrix) -> SuperPoly:
+    """The normalized immanant sum as its definition reads: the entries of the
+    normalized immanant table, summed.  The library's `normalized_immanant_sum`
+    is built from power traces instead, so identities whose other side is made
+    of power traces or the invariant series compare against this route."""
+    table = normalized_immanant_table(shape, x)
+    return linear_combination(x.algebra, ((1, value) for value in table.values()))
+
+
 def _invariant_series(x: SuperMatrix, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """lambda(-t) and sigma(t) by the immanant route (one-column and one-row
-    normalized immanant sums), never by the library's characteristic series."""
+    normalized immanant sums, by definition), never by the library's
+    characteristic series or power traces."""
     one = [x.algebra.one()]
-    lam_neg = one + [normalized_immanant_sum((1,) * k, x) * ((-1) ** k) for k in range(1, order + 1)]
-    sig = one + [normalized_immanant_sum((k,), x) for k in range(1, order + 1)]
+    lam_neg = one + [_immanant_sum_by_definition((1,) * k, x) * ((-1) ** k)
+                     for k in range(1, order + 1)]
+    sig = one + [_immanant_sum_by_definition((k,), x) for k in range(1, order + 1)]
     return TruncatedSeries(x.algebra, lam_neg, order), TruncatedSeries(x.algebra, sig, order)
 
 
@@ -427,18 +439,21 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
     return _run("goulden-jackson", params, comparisons())
 
 
-def check_hessenberg(lam, m: int, n: int) -> CheckReport:
+def check_hessenberg(lam, m: int, n: int, memo: dict | None = None) -> CheckReport:
     """Classical immanant of the power-trace Hessenberg matrix over r! equals
-    the normalized immanant sum; the traces must commute first."""
+    the normalized immanant sum by definition (the library's sum is itself
+    built from power traces); the traces must commute first.  A sweep shares
+    the traces through `memo`, keyed by (m, n, k) and filled on first use."""
     lam = normalize_partition(lam)
     if not lam:
         raise VerifyError("hessenberg needs a nonempty shape")
     params = {"identity": "hessenberg", "m": m, "n": n, "lambda": list(lam)}
     r = sum(lam)
     x = generator_matrix(m, n)
+    memo = {} if memo is None else memo
 
     def comparisons():
-        gammas = {k: power_trace(x, k) for k in range(1, r + 1)}
+        gammas = {k: _once(memo, (m, n, k), lambda k=k: power_trace(x, k)) for k in range(1, r + 1)}
         for i in range(1, r + 1):
             for j in range(i + 1, r + 1):
                 yield (
@@ -458,7 +473,7 @@ def check_hessenberg(lam, m: int, n: int) -> CheckReport:
                     row.append(x.algebra.zero())
             grid.append(row)
         lhs = classical_immanant(grid, lam) * Fraction(1, factorial(r))
-        yield ("Hessenberg immanant / r!", lhs, normalized_immanant_sum(lam, x))
+        yield ("Hessenberg immanant / r!", lhs, _immanant_sum_by_definition(lam, x))
 
     return _run("hessenberg", params, comparisons())
 
@@ -767,7 +782,6 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
     shapes = [lam for r in degrees for lam in partitions(r)]
     per_degree = {"vanishing": check_vanishing, "kostant": check_kostant,
                   "schur-weyl": check_schur_weyl}
-    per_shape = {"goulden-jackson": check_goulden_jackson, "hessenberg": check_hessenberg}
     single = {
         "macmahon": lambda: check_macmahon(m, n, order),
         "newton": lambda: check_newton(m, n, order),
@@ -777,8 +791,8 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
     }
     if name in per_degree:
         return [per_degree[name](m, n, r) for r in degrees]
-    if name in per_shape:
-        return [per_shape[name](lam, m, n) for lam in shapes]
+    if name == "goulden-jackson":
+        return [check_goulden_jackson(lam, m, n) for lam in shapes]
     if name in single:
         return [single[name]()]
     if name == "littlewood1":
@@ -786,6 +800,8 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
     memo: dict = {}
     if name == "lmw":
         return [check_lmw(lam, m, n, memo) for lam in shapes]
+    if name == "hessenberg":
+        return [check_hessenberg(lam, m, n, memo) for lam in shapes]
     if name == "littlewood2":
         return [check_littlewood_2(mu, nu, m, n, memo) for mu, nu in _partition_pairs(1, max_r)]
     if name == "littlewood3":

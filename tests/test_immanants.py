@@ -35,7 +35,13 @@ from superimm.immanants import (
 )
 from superimm.superring import Algebra, GrassmannPoint, TruncatedSeries, grassmann_algebra
 from superimm.symgroup import Permutation, primitive_idempotent, symmetric_group
-from superimm.tableaux import hook_product, partitions, row_reading_tableau, standard_tableaux
+from superimm.tableaux import (
+    TableauxError,
+    hook_product,
+    partitions,
+    row_reading_tableau,
+    standard_tableaux,
+)
 from superimm.tensorspace import (
     action_sign,
     composed_tuple,
@@ -704,3 +710,56 @@ def test_chain_memo_is_shared_across_shapes_not_across_matrices(monkeypatch):
     other = SuperMatrix(1, 1, [[e * 2 for e in row] for row in x.entries])
     assert super_immanant((2, 1), other, rows) == first * 8 and len(calls) == 9
     assert len({id(y._chains) for y in (x, twin, other)}) == 3
+
+
+@pytest.mark.parametrize("module, seam",
+                         [(immanants, "parity_weight"), (superring, "merge_odd_parts")])
+def test_trace_memo_is_keyed_by_the_sign_seams(monkeypatch, module, seam):
+    """A sign seam replaced after the power traces are memoized still reaches
+    the normalized immanant sum."""
+    x = generator_matrix(1, 1)
+    first = normalized_immanant_sum((2,), x)
+    assert normalized_immanant_sum((2,), x) == first
+    original = getattr(module, seam)
+    mutants = {"parity_weight": lambda i, m: 1,
+               "merge_odd_parts": lambda a, b: (1, original(a, b)[1])}
+    monkeypatch.setattr(module, seam, mutants[seam])
+    assert normalized_immanant_sum((2,), x) != first
+
+
+def test_trace_memo_is_shared_across_shapes_not_across_matrices(monkeypatch):
+    """The one-row shape needs every power trace of its degree; the other
+    shapes read them from the memo, while an equal matrix built apart fills
+    its own."""
+    calls = []
+    original = immanants.power_trace
+    monkeypatch.setattr(immanants, "power_trace",
+                        lambda x, k: calls.append(k) or original(x, k))
+    x = SuperMatrix(1, 1, generator_matrix(1, 1).entries)
+    first = normalized_immanant_sum((3,), x)
+    assert sorted(calls) == [1, 2, 3]
+    for shape in [(2, 1), (1, 1, 1), (2,), (1, 1), (1,)]:
+        normalized_immanant_sum(shape, x)
+    assert len(calls) == 3
+    twin = SuperMatrix(1, 1, x.entries)
+    assert normalized_immanant_sum((3,), twin) == first and len(calls) == 6
+
+
+@pytest.mark.parametrize("m, n, max_r", [(1, 1, 4), (2, 1, 5), (1, 2, 4), (2, 2, 4), (3, 1, 4)])
+def test_immanant_sum_by_power_traces_is_the_summed_table(m, n, max_r):
+    """The library's super Frobenius route against the definition, the
+    normalized immanant table summed, for every shape up to degree max_r."""
+    from superimm.verify import _immanant_sum_by_definition
+
+    x = generator_matrix(m, n)
+    for r in range(1, max_r + 1):
+        for lam in partitions(r):
+            assert normalized_immanant_sum(lam, x) == _immanant_sum_by_definition(lam, x), lam
+
+
+def test_immanant_sum_of_the_empty_shape_is_one():
+    x = generator_matrix(2, 1)
+    for shape in [(), (0,)]:
+        assert normalized_immanant_sum(shape, x) == x.algebra.one()
+    with pytest.raises(TableauxError):
+        normalized_immanant_sum((1, 2), x)

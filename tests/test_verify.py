@@ -332,17 +332,39 @@ def test_broken_characteristic_series_is_caught(monkeypatch):
 
 
 def test_broken_column_immanant_sums_are_caught(monkeypatch):
+    """Each route to the normalized immanant sums has its own watchers.
+    Doubling the column shapes on the definition route (the table, or the
+    helper that sums it) turns macmahon, newton and hessenberg red; doubling
+    them on the library's power-trace route turns berezinian, goulden-jackson
+    and littlewood3 red.  Either way the other three stay green."""
     import superimm.verify as verify
 
-    original = verify.normalized_immanant_sum
+    watchers = {"definition": ("macmahon", "newton", "hessenberg"),
+                "library": ("berezinian", "goulden-jackson", "littlewood3")}
 
-    def broken(shape, x):
-        value = original(shape, x)
-        return value * 2 if set(shape) == {1} else value
+    def doubled_on_columns(route):
+        def broken(shape, x):
+            value = route(shape, x)
+            if set(shape) != {1}:
+                return value
+            return {k: v * 2 for k, v in value.items()} if isinstance(value, dict) else value * 2
+        return broken
 
-    monkeypatch.setattr(verify, "normalized_immanant_sum", broken)
-    assert _failed_case(check_macmahon(1, 1, 2)) == "lambda(-t) sigma(t) = 1"
-    assert _failed_case(check_berezinian_series(1, 1, 2)) == "symbolic coefficient k=1"
+    def red(family):
+        return not all(r.passed for r in sweep(family, 1, 1, 2, order=2, trials=1))
+
+    for route, name in [("definition", "normalized_immanant_table"),
+                        ("definition", "_immanant_sum_by_definition"),
+                        ("library", "normalized_immanant_sum")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, doubled_on_columns(getattr(verify, name)))
+            for owner, families in watchers.items():
+                for family in families:
+                    assert red(family) == (owner == route), (name, family)
+            if route == "definition":
+                assert _failed_case(check_macmahon(1, 1, 2)) == "lambda(-t) sigma(t) = 1"
+            else:
+                assert _failed_case(check_berezinian_series(1, 1, 2)) == "symbolic coefficient k=1"
 
 
 def test_berezinian_sweep_draws_no_grassmann_point(monkeypatch):
@@ -543,6 +565,20 @@ def test_lmw_sweep_builds_each_table_once(monkeypatch):
     reports = sweep("lmw", 2, 2, 4)
     assert calls == {"normalized_immanant_table": 7}
     alone = [check_lmw(lam, 2, 2) for r in range(1, 5) for lam in partitions(r)]
+    assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == \
+        [json.dumps(r.to_dict(), sort_keys=True) for r in alone]
+
+
+def test_hessenberg_sweep_makes_each_power_trace_once(monkeypatch):
+    """A Hessenberg sweep at (2|2), r <= 5, reads the traces gamma_1..gamma_5
+    from one memo, and reports exactly what unshared checks report."""
+    import superimm.verify as verify
+
+    calls = {}
+    _spy(monkeypatch, verify, "power_trace", calls)
+    reports = sweep("hessenberg", 2, 2, 5)
+    assert calls == {"power_trace": 5}
+    alone = [check_hessenberg(lam, 2, 2) for r in range(1, 6) for lam in partitions(r)]
     assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == \
         [json.dumps(r.to_dict(), sort_keys=True) for r in alone]
 

@@ -136,16 +136,6 @@ class SuperMatrix:
         """The four blocks: even-even, even-odd, odd-even, odd-odd."""
         return _blocks(self.entries, self.m)
 
-    def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        if not isinstance(other, SuperMatrix):
-            return NotImplemented
-        return SuperMatrix(
-            self.m,
-            self.n,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            validate=False,
-        )
-
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         rows = _mat_mul(self.entries, other.entries, self.algebra.zero())
         return SuperMatrix(self.m, self.n, rows, validate=False)
@@ -613,10 +603,7 @@ def _rational_eigenbasis(block):
         raise DegenerateSpectrumError("block body has repeated eigenvalues")
     columns = []
     for root in roots:
-        shifted = [
-            [Fraction(block[i][j]) - (root if i == j else 0) for j in range(size)]
-            for i in range(size)
-        ]
+        shifted = [[v - root if i == j else v for j, v in enumerate(r)] for i, r in enumerate(block)]
         kernel = ratlinalg.nullspace(shifted)
         if len(kernel) != 1:
             raise DegenerateSpectrumError("eigenspace is not one-dimensional")
@@ -633,14 +620,21 @@ def _unipotent_inverse(columns, algebra):
     # rows[k]: the nonzero (e, t, N^(e)[k][t]) with e >= 1, by e and then t
     rows = [[(e, t, columns[t][k][e]) for e in range(1, top) for t in range(size)
              if not columns[t][k][e].is_zero] for k in range(size)]
-    parts = [{(k, k): algebra.scalar(1) for k in range(size)}]  # the nonzero entries of F^(d)
+    # parts[d][t]: {j: F^(d)[t][j]}, its nonzero entries
+    parts = [[{k: algebra.scalar(1)} for k in range(size)]]
     for d in range(1, top):
-        sums = {(k, j): sum_of_products(zero, [(p, parts[d - e][t, j]) for e, t, p in rows[k]
-                                               if e <= d and (t, j) in parts[d - e]])
-                for k in range(size) for j in range(size)}
-        parts.append({kj: -s for kj, s in sums.items() if not s.is_zero})
-    return [[sum((part[k, j] for part in parts if (k, j) in part), zero) for j in range(size)]
-            for k in range(size)]
+        level = []
+        for k in range(size):
+            pairs = {}  # j: the (N^(e)[k][t], F^(d-e)[t][j]) pairs
+            for e, t, p in rows[k]:
+                if e <= d:
+                    for j, f in parts[d - e][t].items():
+                        pairs.setdefault(j, []).append((p, f))
+            sums = ((j, sum_of_products(zero, ps)) for j, ps in pairs.items())
+            level.append({j: -s for j, s in sums if not s.is_zero})
+        parts.append(level)
+    return [[linear_combination(algebra, ((1, level[k][j]) for level in parts if j in level[k]))
+             for j in range(size)] for k in range(size)]
 
 
 def diagonalize(x: SuperMatrix) -> dict:
@@ -653,6 +647,8 @@ def diagonalize(x: SuperMatrix) -> dict:
     by the rational gaps b_pos - b_k between distinct bodies.  u = V Q, and
     u^-1 = Q^-1 V^-1 from the rational block inverses and Q^-1 by degree.  Both
     degree recurrences keep only the nonzero degree parts and multiply those.
+    One product W = X u gates the result: X u = u D, column by column, holds
+    exactly when X'z = omega z, as u's column is V z; and u^-1 W - D must vanish.
     """
     m, n = x.m, x.n
     algebra = x.algebra
@@ -676,8 +672,7 @@ def diagonalize(x: SuperMatrix) -> dict:
             for i, row in enumerate(values):
                 for j, value in enumerate(row):
                     grid[offset + i][offset + j] = algebra.scalar(value)
-    v_mat = SuperMatrix(m, n, v, validate=False)
-    v_inv_mat = SuperMatrix(m, n, v_inv, validate=False)
+    v_mat, v_inv_mat = (SuperMatrix(m, n, grid, validate=False) for grid in (v, v_inv))
     xp = v_inv_mat @ x @ v_mat
 
     # soul[k][t]: {e: the part of xp[k, t] - b_k [k == t] with e >= 1 odd factors}, nonzero
@@ -710,26 +705,25 @@ def diagonalize(x: SuperMatrix) -> dict:
                 if not value.is_zero:
                     z[k][d] = value * inverse_gaps[k]
         degree_parts.append([[parts.get(e, zero) for e in range(units + 1)] for parts in z])
-        z = [sum(parts.values(), zero) for parts in z]
-        omega = algebra.scalar(bodies[pos]) - sum(minus_shift.values(), zero)
-        for k in range(size):
-            lhs = sum_of_products(zero, ((xp[k + 1, t + 1], z[t]) for t in range(size)))
-            if lhs != omega * z[k]:
-                raise DegenerateSpectrumError("eigenvector solve failed its check X'z = omega z")
-        eigenvalues.append(omega)
-        columns.append(z)
+        columns.append([sum(parts.values(), zero) for parts in z])
+        eigenvalues.append(algebra.scalar(bodies[pos]) - sum(minus_shift.values(), zero))
 
-    q = [[columns[j][i] for j in range(size)] for i in range(size)]
-    u = v_mat @ SuperMatrix(m, n, q, validate=False)
+    u = v_mat @ SuperMatrix(m, n, columns, validate=False).transpose()
+    w = _mat_mul(x.entries, u.entries, zero)
+    if any(w[k][pos] != omega * u.entries[k][pos]
+           for pos, omega in enumerate(eigenvalues) for k in range(size)):
+        raise DegenerateSpectrumError("eigenvector solve failed its check X'z = omega z")
     u_inv = SuperMatrix(m, n, _unipotent_inverse(degree_parts, algebra), validate=False) @ v_inv_mat
-    residual = (u_inv @ x @ u) - SuperMatrix.diagonal(m, n, eigenvalues)
+    residual = _mat_mul(u_inv.entries, w, zero)  # u^-1 X u, less D on the diagonal
+    for k, omega in enumerate(eigenvalues):
+        residual[k][k] -= omega
     return {
         "u": u,
         "u_inv": u_inv,
         "even_eigenvalues": eigenvalues[:m],
         "odd_eigenvalues": eigenvalues[m:],
-        "residual": residual,
-        "residual_zero": all(e.is_zero for row in residual.entries for e in row),
+        "residual": SuperMatrix(m, n, residual, validate=False),
+        "residual_zero": all(e.is_zero for row in residual for e in row),
     }
 
 

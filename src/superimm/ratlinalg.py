@@ -10,8 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from superimm.superring import Algebra, TruncatedSeries
+from superimm.superring import Algebra
 from superimm.symgroup import commuting_determinant
+
+_T_RING = Algebra("t")
+_T = _T_RING.even("t")
 
 
 def rref(mat):
@@ -75,20 +78,13 @@ def nullspace(mat):
 
 
 def char_poly(mat):
-    """Coefficients of det(t*I - M), highest degree first (monic).
-
-    These are the constant terms of the u^k coefficients of det(I - uM),
-    taken by the library's one determinant kernel over truncated series in
-    a generator-free algebra.
-    """
+    """Coefficients of det(t*I - M), highest degree first (monic), taken by
+    the library's one determinant kernel over the polynomials in one even t."""
     n = len(mat)
-    ring = Algebra("Q")
-    grid = [
-        [TruncatedSeries.from_scalars(ring, [int(i == j), -mat[i][j]], n) for j in range(n)]
-        for i in range(n)
-    ]
-    det = commuting_determinant(grid, TruncatedSeries.one(ring, n))
-    return [c.constant_term() for c in det.coeffs]
+    grid = [[_T - mat[i][j] if i == j else _T_RING.scalar(-mat[i][j]) for j in range(n)]
+            for i in range(n)]
+    det = commuting_determinant(grid, _T_RING.one())
+    return [det.coefficient(((("t", k),) if k else (), ())) for k in range(n, -1, -1)]
 
 
 def rational_roots(coeffs):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -33,7 +35,13 @@ from superimm.immanants import (
     supertrace,
     weight_space_supertrace,
 )
-from superimm.superring import Algebra, GrassmannPoint, TruncatedSeries, grassmann_algebra
+from superimm.superring import (
+    Algebra,
+    GrassmannPoint,
+    TruncatedSeries,
+    grassmann_algebra,
+    poly_to_terms,
+)
 from superimm.symgroup import Permutation, primitive_idempotent, symmetric_group
 from superimm.tableaux import (
     TableauxError,
@@ -507,6 +515,107 @@ def test_diagonalize_with_mixed_body():
     assert bodies == [Fraction(-1), Fraction(2)]
     assert result["odd_eigenvalues"][0].constant_term() == 5
     assert (result["u"] @ result["u_inv"]) == SuperMatrix.identity(2, 1, lam)
+
+
+def _point_matrix(m, n, seed):
+    """The transposed generator matrix at a seeded point, as Littlewood III takes it."""
+    return generator_matrix(m, n).evaluate(random_grassmann_point(m, n, seed)).transpose()
+
+
+def _conjugated(x, seed):
+    """P X P^-1 for a seeded block-diagonal integer unimodular P: a product of
+    shears I + c E_ij, i != j in one block, so P^-1 is an integer matrix too."""
+    rng = random.Random(seed)
+    size = x.size
+    p, p_inv = ([[int(i == j) for j in range(size)] for i in range(size)] for _ in range(2))
+    blocks = [range(lo, hi) for lo, hi in ((0, x.m), (x.m, size)) if hi - lo > 1]
+    for _ in range(4):
+        i, j = rng.sample(rng.choice(blocks), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in p:  # P (I + c E_ij): column j gains c times column i
+            row[j] += c * row[i]
+        p_inv[i] = [a - c * b for a, b in zip(p_inv[i], p_inv[j])]  # (I - c E_ij) P^-1
+    lift = [SuperMatrix(x.m, x.n, [[x.algebra.scalar(v) for v in row] for row in grid])
+            for grid in (p, p_inv)]
+    assert lift[0] @ lift[1] == SuperMatrix.identity(x.m, x.n, x.algebra)
+    return lift[0] @ x @ lift[1]
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (3, 1)])
+def test_diagonalize_conjugated_points_use_a_non_identity_eigenbasis(m, n):
+    """Y = P X P^-1 moves the block bodies off the diagonal, so the rational
+    eigenbasis V is not I; Y keeps X's eigenvalues, in the same order."""
+    for seed in range(3):
+        x = _point_matrix(m, n, 500 + seed)
+        y = _conjugated(x, seed)
+        plain, result = diagonalize(x), diagonalize(y)
+        u, u_inv = result["u"], result["u_inv"]
+        assert any(u[i, j].constant_term() != (i == j)
+                   for i in range(1, m + n + 1) for j in range(1, m + n + 1))
+        assert result["residual_zero"]
+        identity = SuperMatrix.identity(m, n, x.algebra)
+        assert u @ u_inv == identity
+        assert u_inv @ u == identity
+        for side in ("even_eigenvalues", "odd_eigenvalues"):
+            assert result[side] == plain[side]
+
+
+def test_diagonalize_eigenvector_check_catches_a_corrupted_solve(monkeypatch):
+    """The solve reads the souls of X' = V^-1 X V through `odd_degree_parts`;
+    doubled degree-1 souls give the eigenvectors of another matrix, and the
+    check X u = u D refuses them before any residual is formed."""
+    original = immanants.odd_degree_parts
+
+    def doubled(p):
+        return {e: part * 2 if e == 1 else part for e, part in original(p).items()}
+
+    monkeypatch.setattr(immanants, "odd_degree_parts", doubled)
+    for m, n in [(1, 1), (2, 1), (2, 2)]:
+        with pytest.raises(DegenerateSpectrumError,
+                           match=r"^eigenvector solve failed its check X'z = omega z$"):
+            diagonalize(_point_matrix(m, n, 99))
+
+
+def _digest(polys) -> str:
+    text = json.dumps([poly_to_terms(p) for p in polys], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _diagonalize_digests(x):
+    """Digests of u, u^-1, the eigenvalues (even, then odd, in order) and the
+    residual, matrix entries row by row."""
+    result = diagonalize(x)
+    u, u_inv, residual = ([e for row in result[key].entries for e in row]
+                          for key in ("u", "u_inv", "residual"))
+    eigenvalues = result["even_eigenvalues"] + result["odd_eigenvalues"]
+    return tuple(_digest(polys) for polys in (u, u_inv, eigenvalues, residual))
+
+
+# (m, n, seed, conjugated) -> the fixed _diagonalize_digests that every
+# version of diagonalize must reproduce
+PINNED_DIAGONALIZATIONS = {
+    (2, 1, 1, False): ('ac055c02da90e79f', '0128805c15ae41f4', '052751b322c40968', '95d15e75300129c5'),
+    (2, 1, 1, True): ('8937fa5cfe91bcff', '9d69e2ebbc77c2b3', '052751b322c40968', '95d15e75300129c5'),
+    (2, 1, 2, False): ('397d9b04a3880bc7', '15a9517bb88345fe', 'bc7a9a934660de23', '95d15e75300129c5'),
+    (2, 1, 2, True): ('0abc2cf703d2f899', '76b87b02dfb64dac', 'bc7a9a934660de23', '95d15e75300129c5'),
+    (2, 2, 1, False): ('d942da8efc92d942', '89724ada7cae52fd', '6eb870b45303004c', '24c746e0ea0f7610'),
+    (2, 2, 1, True): ('da7297c28bedf426', '09b01b450c90f7b2', '6eb870b45303004c', '24c746e0ea0f7610'),
+    (2, 2, 2, False): ('fcae16c2e85b773d', 'c47a16ad1e95274c', 'b01e6f7b97cca322', '24c746e0ea0f7610'),
+    (2, 2, 2, True): ('c52d0259f074dbf0', '24b33f2bfef79578', 'b01e6f7b97cca322', '24c746e0ea0f7610'),
+    (3, 1, 1, False): ('584603a28b781610', '5326153c749d7109', '694a8ff9b496ee6b', '24c746e0ea0f7610'),
+    (3, 1, 1, True): ('76d3b628740a1cf0', '703a2a2c2a83c542', '694a8ff9b496ee6b', '24c746e0ea0f7610'),
+    (3, 1, 2, False): ('a37eaab60fb2d336', 'c3686fd95fd848f2', '9ebcf870c75e514f', '24c746e0ea0f7610'),
+    (3, 1, 2, True): ('7824b43a4ece4331', '70dff3f9defe8d5c', '9ebcf870c75e514f', '24c746e0ea0f7610'),
+}
+
+
+@pytest.mark.parametrize("m, n, seed, conjugated", sorted(PINNED_DIAGONALIZATIONS))
+def test_diagonalize_output_is_pinned(m, n, seed, conjugated):
+    """A reordered root, a permuted or rescaled eigenvector column, or another
+    normal form of u^-1 changes a digest even when every check still passes."""
+    x = _point_matrix(m, n, seed)
+    got = _diagonalize_digests(_conjugated(x, seed) if conjugated else x)
+    assert got == PINNED_DIAGONALIZATIONS[m, n, seed, conjugated]
 
 
 def test_schur_weyl_identity_filling():

@@ -99,8 +99,8 @@ def _blocks(grid, m: int):
 class SuperMatrix:
     """(m+n)x(m+n) matrix over SuperPolys with block parity structure:
     entry (i,j) must be homogeneous of parity par(i)+par(j).  `_chains`, set
-    on first use by `super_immanant` or `normalized_immanant_sum`, memoizes
-    their chain coefficients and power traces."""
+    on first use, memoizes the chain coefficients, power-trace products and
+    characteristic series (with its inverse) that the library reads off x."""
 
     __slots__ = ("m", "n", "entries", "algebra", "_chains")
 
@@ -306,7 +306,7 @@ def _signed_class_table(row_indices, m: int, sign) -> tuple:
 
 
 def _chain_memo(x: SuperMatrix) -> dict:
-    """x's memo of chain coefficients and power traces, made on first use."""
+    """x's memo of chain coefficients, power products and series, made on first use."""
     try:
         return x._chains
     except AttributeError:
@@ -379,27 +379,26 @@ def normalized_immanant_table(shape, x: SuperMatrix) -> dict:
 def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
     """Sum over non-decreasing multisets I of immanant(shape, I) / I!, by the
     super Frobenius formula: sum over mu |- r of chi^shape(mu) / z_mu times
-    the product of the power traces p_{mu_i}.  The traces are memoized on x,
-    keyed by k and the sign seams at call time; the products are built along
-    each mu, so a prefix shared by several mu is multiplied out once."""
+    the product p_mu of the power traces p_{mu_i}.  Each p_mu (p_(k) is the
+    trace) is memoized on x, keyed by mu and the sign seams at call time, and
+    built along mu, so a prefix shared by several mu is multiplied once per x."""
     shape = normalize_partition(shape)
     r = sum(shape)
     memo = _chain_memo(x)
     seams = (parity_weight, superring.merge_odd_parts)
-    prefixes = {(): x.algebra.one()}
+    memo.setdefault(("p", ()) + seams, x.algebra.one())
     pairs = []
     for mu in partitions(r):
         chi = character(shape, mu)
         if chi == 0:
             continue
         for i in range(1, len(mu) + 1):
-            if mu[:i] not in prefixes:
-                key = ("trace", mu[i - 1]) + seams
-                trace = memo.get(key)
-                if trace is None:
-                    trace = memo[key] = power_trace(x, mu[i - 1])
-                prefixes[mu[:i]] = prefixes[mu[:i - 1]] * trace
-        pairs.append((Fraction(chi * class_size(mu), factorial(r)), prefixes[mu]))
+            key, trace_key = ("p", mu[:i]) + seams, ("p", mu[i - 1:i]) + seams
+            if trace_key not in memo:
+                memo[trace_key] = power_trace(x, mu[i - 1])
+            if key not in memo:
+                memo[key] = memo[("p", mu[:i - 1]) + seams] * memo[trace_key]
+        pairs.append((Fraction(chi * class_size(mu), factorial(r)), memo[("p", mu) + seams]))
     return linear_combination(x.algebra, pairs)
 
 
@@ -424,9 +423,11 @@ def elementary_invariant(x: SuperMatrix, k: int) -> SuperPoly:
     """The k-th elementary invariant (supertrace of the antisymmetrizer),
     read off the characteristic series.  The catalog checks it against the
     one-column normalized immanant sum and the idempotent supertrace."""
+    _check_order(k)
     if k < 0:
         return x.algebra.zero()
-    return characteristic_coefficients(x, k)[k]
+    c = _series_memo(x, k).coefficient(k)
+    return -c if k % 2 else c
 
 
 def complete_invariant(x: SuperMatrix, k: int) -> SuperPoly:
@@ -434,9 +435,10 @@ def complete_invariant(x: SuperMatrix, k: int) -> SuperPoly:
     coefficient of the inverted characteristic series, since that series is
     lambda(-u) and MacMahon gives sigma(u) = 1/lambda(-u).  Checked like the
     elementary invariant, against the one-row shape."""
+    _check_order(k)
     if k < 0:
         return x.algebra.zero()
-    return characteristic_series(x, k).invert().coefficient(k)
+    return _series_memo(x, k, inverted=True).coefficient(k)
 
 
 def _star_entry(y: SuperMatrix, z: SuperMatrix, i: int, b: int) -> SuperPoly:
@@ -481,9 +483,13 @@ def star_product_slotwise(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
     return SuperMatrix(m, y.n, rows, validate=False)
 
 
+def _check_order(k, what: str = "series order") -> None:
+    if k.__class__ is not int:  # bool included
+        raise SuperMatrixError(f"{what} must be an integer")
+
+
 def _check_exponent(k) -> None:
-    if k.__class__ is not int:
-        raise SuperMatrixError("star exponent must be an integer")
+    _check_order(k, "star exponent")
     if k < 0:
         raise SuperMatrixError("star power needs k >= 0")
 
@@ -563,6 +569,7 @@ def characteristic_series(x: SuperMatrix, order: int) -> TruncatedSeries:
     block algebra composes entries the other way around; on the odd-odd
     cross terms the orientations differ by a sign.
     """
+    _check_order(order)
     algebra = x.algebra
     grid = [
         [TruncatedSeries.from_polys(algebra, [algebra.scalar(int(i == j)), -e], order)
@@ -575,10 +582,24 @@ def characteristic_series(x: SuperMatrix, order: int) -> TruncatedSeries:
     )
 
 
+def _series_memo(x: SuperMatrix, order: int, inverted: bool = False) -> TruncatedSeries:
+    """x's characteristic series, or its inverse, to `order` or beyond, memoized
+    on x and keyed by the functions its route reads at call time.  A stored
+    higher order is exact mod u^(order+1); a lower one is rebuilt and replaced."""
+    memo = _chain_memo(x)
+    key = ("series", inverted, characteristic_series, _adjugate, superring.merge_odd_parts)
+    series = memo.get(key)
+    if series is None or not 0 <= order <= series.order:
+        series = _series_memo(x, order).invert() if inverted else characteristic_series(x, order)
+        memo[key] = series
+    return series
+
+
 def characteristic_coefficients(x: SuperMatrix, order: int) -> list[SuperPoly]:
     """The elementary invariants read off the characteristic series."""
-    series = characteristic_series(x, order)
-    return [-c if k % 2 else c for k, c in enumerate(series.coeffs)]
+    _check_order(order)
+    series = _series_memo(x, order)
+    return [-c if k % 2 else c for k, c in enumerate(series.coeffs[:order + 1])]
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,7 @@ class SuperPoly:
         Odd factors are substituted in name order, with the stored
         coefficient taken to that order's sign.
         """
+        # loops, not recursion: a closure reaching itself would leave a cycle per call
         powers: dict = {}
 
         def power(name, exp):  # images[name] ** exp, built once per call
@@ -452,20 +453,23 @@ class SuperPoly:
                 if name not in images:
                     raise EvaluationError(f"no value assigned to generator {name!r}")
                 value = images[name]
-                if exp > 1:
-                    value = power(name, exp - 1) * value
-                elif not target.compatible(value.algebra):
+                if not target.compatible(value.algebra):
                     raise AlgebraMismatchError(f"the image of {name!r} is not in the target algebra")
-                powers[name, exp] = value
+                for e in range(1, exp + 1):
+                    if (name, e) not in powers:
+                        powers[name, e] = value if e == 1 else powers[name, e - 1] * value
             return powers[name, exp]
 
         prefixes: dict = {(): target.one()}
 
         def prefix(factors):  # the image of the product of `factors`, built once per call
-            if factors not in prefixes:
-                head = prefix(factors[:-1])
-                prefixes[factors] = head if head.is_zero else head * power(*factors[-1])
-            return prefixes[factors]
+            i = len(factors)
+            while factors[:i] not in prefixes:
+                i -= 1
+            head = prefixes[factors[:i]]
+            for i in range(i + 1, len(factors) + 1):
+                head = prefixes[factors[:i]] = head if head.is_zero else head * power(*factors[i - 1])
+            return head
 
         images_of_terms = []
         factors_of = self.algebra._factors

@@ -17,6 +17,7 @@ from superimm.immanants import (
     chain_coefficient,
     chain_coefficient_slotwise,
     characteristic_coefficients,
+    characteristic_series,
     classical_immanant,
     complete_invariant,
     diagonalize,
@@ -210,7 +211,7 @@ def test_classical_degeneration_against_oracle():
 def test_invariants_cross_checked_and_commuting():
     x, g = gens(1, 1)
     assert elementary_invariant(x, 0) == 1
-    assert elementary_invariant(x, -2).is_zero
+    assert elementary_invariant(x, -2).is_zero and complete_invariant(x, -2).is_zero
     assert elementary_invariant(x, 1) == supertrace(x)
     assert complete_invariant(x, 1) == supertrace(x)
     alphas = [elementary_invariant(x, k) for k in range(4)]
@@ -872,3 +873,112 @@ def test_immanant_sum_of_the_empty_shape_is_one():
         assert normalized_immanant_sum(shape, x) == x.algebra.one()
     with pytest.raises(TableauxError):
         normalized_immanant_sum((1, 2), x)
+
+
+def test_power_products_are_built_once_per_matrix(monkeypatch):
+    """Across every shape of degree 4, read twice, each product p_mu of two or
+    more power traces is multiplied out once: one product per distinct prefix
+    of length >= 2 among the mu |- 4."""
+    from superimm.superring import SuperPoly
+
+    products, in_trace = [], []
+    original_mul, original_trace = SuperPoly.__mul__, immanants.power_trace
+
+    def mul(a, b):
+        if not in_trace:
+            products.append((id(a), id(b)))
+        return original_mul(a, b)
+
+    def trace(x, k):
+        in_trace.append(k)
+        try:
+            return original_trace(x, k)
+        finally:
+            in_trace.pop()
+
+    x = SuperMatrix(2, 1, generator_matrix(2, 1).entries)
+    want = {lam: normalized_immanant_sum(lam, x) for lam in partitions(4)}
+    monkeypatch.setattr(SuperPoly, "__mul__", mul)
+    monkeypatch.setattr(immanants, "power_trace", trace)
+    x = SuperMatrix(2, 1, x.entries)
+    for _ in range(2):
+        assert {lam: normalized_immanant_sum(lam, x) for lam in partitions(4)} == want
+    prefixes = {mu[:i] for mu in partitions(4) for i in range(2, len(mu) + 1)}
+    assert len(products) == len(set(products)) == len(prefixes) == 7
+
+
+BLOCKS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("m, n", BLOCKS)
+def test_series_memo_reads_equal_fresh_series_in_any_order(m, n):
+    """Orders 0..5 read ascending (every read replaces the entry), descending
+    (every read truncates it) and shuffled, on a matrix with an empty memo:
+    each read equals a fresh characteristic series and its inverse."""
+    fresh = {k: characteristic_series(generator_matrix(m, n), k) for k in range(6)}
+    inverse = {k: series.invert() for k, series in fresh.items()}
+    shuffled = list(range(6))
+    random.Random(m * 10 + n).shuffle(shuffled)
+    for orders in (range(6), range(5, -1, -1), shuffled):
+        x = SuperMatrix(m, n, generator_matrix(m, n).entries)
+        for k in orders:
+            assert immanants._series_memo(x, k).coeffs[:k + 1] == fresh[k].coeffs
+            assert immanants._series_memo(x, k, inverted=True).coeffs[:k + 1] == inverse[k].coeffs
+            assert characteristic_coefficients(x, k) == [
+                -c if i % 2 else c for i, c in enumerate(fresh[k].coeffs)]
+            assert elementary_invariant(x, k) == characteristic_coefficients(x, k)[k]
+            assert complete_invariant(x, k) == inverse[k].coefficient(k)
+
+
+@pytest.mark.parametrize("module, seam",
+                         [(immanants, "characteristic_series"), (immanants, "_adjugate"),
+                          (superring, "merge_odd_parts")])
+def test_series_memo_is_keyed_by_the_functions_it_reads(monkeypatch, module, seam):
+    """A mutant of the series route installed after the memo is warm still
+    reaches every invariant read off the series."""
+    x = generator_matrix(1, 1)
+    reads = {
+        "elementary": lambda: elementary_invariant(x, 2),
+        "complete": lambda: complete_invariant(x, 2),
+        "coefficients": lambda: characteristic_coefficients(x, 2),
+    }
+    first = {name: read() for name, read in reads.items()}
+    assert {name: read() for name, read in reads.items()} == first
+    original = getattr(module, seam)
+    mutants = {"characteristic_series": lambda x, order: original(x, order) * 2,
+               "_adjugate": lambda d, one: [[-e for e in row] for row in original(d, one)],
+               "merge_odd_parts": lambda a, b: (1, original(a, b)[1])}
+    monkeypatch.setattr(module, seam, mutants[seam])
+    for name, read in reads.items():
+        assert read() != first[name], name
+
+
+def test_series_memo_is_shared_across_reads_not_across_matrices(monkeypatch):
+    """The series built for one invariant serves the others and its inverse;
+    a higher order rebuilds it, and an equal matrix built apart fills its own."""
+    calls = []
+    original = immanants.characteristic_series
+    monkeypatch.setattr(immanants, "characteristic_series",
+                        lambda x, order: calls.append(order) or original(x, order))
+    x = SuperMatrix(2, 1, generator_matrix(2, 1).entries)
+    first = elementary_invariant(x, 3)
+    complete_invariant(x, 3)
+    characteristic_coefficients(x, 2)
+    elementary_invariant(x, 1)
+    assert calls == [3]
+    complete_invariant(x, 4)
+    assert calls == [3, 4]
+    twin = SuperMatrix(2, 1, x.entries)
+    assert elementary_invariant(twin, 3) == first and calls == [3, 4, 3]
+
+
+@pytest.mark.parametrize("order", [True, 2.0, "2", None], ids=["bool", "float", "str", "none"])
+@pytest.mark.parametrize("entry", [elementary_invariant, complete_invariant,
+                                   characteristic_coefficients, characteristic_series],
+                         ids=lambda f: f.__name__)
+def test_series_order_must_be_a_plain_int(entry, order):
+    """Checked before any memo lookup, so True is never stored as order 1."""
+    x = SuperMatrix(1, 1, generator_matrix(1, 1).entries)
+    with pytest.raises(SuperMatrixError, match="^series order must be an integer$"):
+        entry(x, order)
+    assert not hasattr(x, "_chains")

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from math import gcd
 
@@ -544,6 +545,26 @@ def test_substitute_matches_factor_by_factor_reference(odd_order, raw, evens, od
     ref_images = {g: _ref(r) for g, r in raw_images.items()}
     p = poly_from_terms(alg, _as_terms(raw))
     _assert_matches(p.substitute(images, alg), _ref_substitute(_ref(raw), ref_images))
+
+
+def test_substitute_leaves_no_reference_cycles(mixed):
+    """Each call's memos of powers and prefixes are freed on return, so
+    repeated evaluations leave nothing for the cyclic collector."""
+    alg, x, y, t1, t2, t3 = mixed
+    lam = grassmann_algebra(4)
+    th = {i: lam.gen(f"th{i}") for i in range(1, 5)}
+    pt = GrassmannPoint(alg, {"x": lam.scalar(3) + th[1] * th[2], "y": lam.scalar(Fraction(1, 2)),
+                              "t1": th[1], "t2": th[2] + th[3], "t3": th[4]})
+    p = x ** 3 * t1 * t2 + x * y ** 2 * t3 + x ** 2 * y - t1 * t3 + 5
+    first = pt.evaluate(p)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert pt.evaluate(p) == first
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_substitute_missing_generator_raises(mixed):

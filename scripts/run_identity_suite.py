@@ -6,6 +6,9 @@ identities at three block sizes, the determinant identities, the multiset
 expansion identities, ten seeded Grassmann points per block size for the
 eigenvalue correspondence, the diagonal specialization and the chain-coefficient
 oracle: every family of `verify.CHECK_FAMILIES`.
+
+`--grid frontier` runs instead the rows beyond that grid that CI checks: larger
+block sizes, degrees and orders, each row with the reason it exists.
 """
 
 import argparse
@@ -61,11 +64,46 @@ GRID = [
     ("chain-oracle", 2, 1, 3, {}),
 ]
 
+_ECHELON = ("both families read the idempotent trace off one echelon kernel; "
+            "a 2x2 odd block at degree 4, also a GRID row")
+_OFF_HOOK = ("the off-hook shape (2,2,2) first appears at (2|1) in degree 6; "
+             "both families act there through the integer slice action")
+_SERIES = ("the characteristic series against the column immanant sums "
+           "beyond GRID's order 3")
+_POWER_SUMS = ("the normalized immanant sums are built from power traces (the super "
+               "Frobenius formula); at degree 5 they meet the Jacobi-Trudi determinants, "
+               "the idempotent supertrace and the Schur polynomials")
+_POINTS = "the eigenvalue correspondence at the blocks of perfbench's points workload"
+
+# (family, m, n, max_r, extra) beyond GRID, each with the reason it is run
+FRONTIER = [
+    ("kostant", 2, 2, 4, {"reason": _ECHELON}),
+    ("goulden-jackson", 2, 2, 4, {"reason": _ECHELON}),
+    ("kostant", 2, 1, 6, {"reason": _OFF_HOOK}),
+    ("schur-weyl", 2, 1, 6, {"reason": _OFF_HOOK}),
+    ("vanishing", 2, 1, 6, {"reason": "vanishing first has cases at (2|1) for the shape "
+                                      "(2,2,2), so r runs to 6"}),
+    ("lmw", 2, 2, 5, {"reason": "lmw at (2|2) r <= 5 reads its row and column tables "
+                                "from one memo"}),
+    ("berezinian", 2, 2, 3, {"order": 5, "reason": _SERIES + ", at a 2x2 odd block"}),
+    ("berezinian", 1, 3, 3, {"order": 5, "reason": _SERIES + ", at a 1x3 odd block"}),
+    ("newton", 2, 2, 3, {"order": 6, "reason": "power traces to k = 6 at a 2x2 odd block, "
+                                               "both parities of k, on the split route that "
+                                               "reads one diagonal of Y * Z"}),
+    ("hessenberg", 2, 2, 5, {"reason": "power traces at a 2x2 odd block to k = 5; GRID "
+                                       "reaches k = 4 only at (1|1)"}),
+    ("goulden-jackson", 3, 1, 5, {"reason": _POWER_SUMS}),
+    ("phi-isomorphism", 2, 2, 5, {"reason": _POWER_SUMS}),
+    ("littlewood3", 2, 2, 3, {"reason": _POINTS}),
+    ("littlewood3", 3, 1, 3, {"reason": _POINTS}),
+]
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=20240613)
     parser.add_argument("--trials", type=int, default=10)
+    parser.add_argument("--grid", choices=("suite", "frontier"), default="suite")
     parser.add_argument("--out", default="identity_suite_report.json")
     args = parser.parse_args(argv)
     try:
@@ -83,7 +121,8 @@ def main(argv=None) -> int:
 def _run(args, out) -> int:
     all_reports = []
     start = time.perf_counter()
-    for name, m, n, max_r, extra in GRID:
+    for name, m, n, max_r, extra in GRID if args.grid == "suite" else FRONTIER:
+        row_start = time.perf_counter()
         reports = sweep(
             name, m, n, max_r,
             order=extra.get("order", 3), seed=args.seed, trials=args.trials,
@@ -93,6 +132,7 @@ def _run(args, out) -> int:
         cases = sum(r.cases for r in reports)
         flag = "FAIL" if passed < len(reports) else "vacuous" if vacuous else "ok"
         print(f"[{flag:<7}] {name:16s} (m={m}, n={n}, max_r={max_r}) "
+              f"{time.perf_counter() - row_start:6.2f}s "
               f"{passed - vacuous}/{len(reports)} checks, {vacuous} vacuous, {cases} cases")
         all_reports.extend(reports)
     elapsed = time.perf_counter() - start

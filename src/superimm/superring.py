@@ -417,6 +417,8 @@ class SuperPoly:
 
     def __pow__(self, k: int):
         """By repeated squaring, so an exponent past the bound raises within 2 log2(k) products."""
+        if k.__class__ is not int:  # bool included
+            raise SuperRingError("the exponent of a power must be an integer")
         if k < 0:
             raise SuperRingError("negative powers are not defined")
         if k == 0:
@@ -439,16 +441,19 @@ class SuperPoly:
 
     # -- substitution ----------------------------------------------------------
 
-    def substitute(self, images: Mapping[str, "SuperPoly"], target: Algebra) -> "SuperPoly":
+    def substitute(self, images: Mapping[str, "SuperPoly"], target: Algebra,
+                   memo: tuple | None = None) -> "SuperPoly":
         """Ring homomorphism determined by generator images.
 
         Odd factors are substituted in name order, with the stored
-        coefficient taken to that order's sign.
+        coefficient taken to that order's sign.  `memo`, a (powers, prefixes)
+        pair of dicts, keeps the images of generator powers and factor
+        prefixes across calls with the same images, target and sign rule.
         """
         # loops, not recursion: a closure reaching itself would leave a cycle per call
-        powers: dict = {}
+        powers, prefixes = ({}, {(): target.one()}) if memo is None else memo
 
-        def power(name, exp):  # images[name] ** exp, built once per call
+        def power(name, exp):  # images[name] ** exp, built once per memo
             if (name, exp) not in powers:
                 if name not in images:
                     raise EvaluationError(f"no value assigned to generator {name!r}")
@@ -460,9 +465,7 @@ class SuperPoly:
                         powers[name, e] = value if e == 1 else powers[name, e - 1] * value
             return powers[name, exp]
 
-        prefixes: dict = {(): target.one()}
-
-        def prefix(factors):  # the image of the product of `factors`, built once per call
+        def prefix(factors):  # the image of the product of `factors`, built once per memo
             i = len(factors)
             while factors[:i] not in prefixes:
                 i -= 1
@@ -671,9 +674,15 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def grassmann_algebra(n_units: int) -> Algebra:
     """The finite Grassmann algebra on anticommuting units th1..thN."""
+    if n_units.__class__ is not int or n_units < 0:  # bool included
+        raise SuperRingError(f"the unit count must be an integer >= 0, got {n_units!r}")
+    return _grassmann_algebra(n_units)
+
+
+@lru_cache(maxsize=None)
+def _grassmann_algebra(n_units: int) -> Algebra:
     alg = Algebra(f"Lambda_{n_units}")
     for i in range(1, n_units + 1):
         alg.declare(f"th{i}", Parity.ODD)
@@ -701,7 +710,14 @@ class GrassmannPoint:
     def evaluate(self, p: SuperPoly) -> SuperPoly:
         if not p.algebra.compatible(self.source):
             raise AlgebraMismatchError("polynomial does not belong to the point's algebra")
-        return p.substitute(self.assignment, self.target)
+        return p.substitute(self.assignment, self.target, _point_memo(self, merge_odd_parts))
+
+
+@lru_cache(maxsize=1)
+def _point_memo(point: GrassmannPoint, merge) -> tuple:
+    """The (powers, prefixes) memo of `substitute` for the last point
+    evaluated under the sign rule `merge`; one slot, freed at the next point."""
+    return {}, {(): point.target.one()}
 
 
 # ---------------------------------------------------------------------------

@@ -397,23 +397,29 @@ def check_newton(m: int, n: int, order: int) -> CheckReport:
     return _run("newton", params, comparisons())
 
 
-def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
+def check_goulden_jackson(lam, m: int, n: int, memo: dict | None = None) -> CheckReport:
     """Four-way equality: both Jacobi-Trudi determinants in the invariants,
     the idempotent supertrace, and the normalized immanant sum; plus the
-    inverse-Kostka expansions of both determinants."""
+    inverse-Kostka expansions of both determinants.  A sweep shares the
+    characteristic series and its inverse through `memo`, keyed by (m, n, r)."""
     lam = normalize_partition(lam)
     params = {"identity": "goulden-jackson", "m": m, "n": n, "lambda": list(lam)}
     r = sum(lam)
     x = generator_matrix(m, n)
+    memo = {} if memo is None else memo
+
+    def series_and_inverse():
+        series = characteristic_series(x, r)
+        return series, series.invert()
 
     def comparisons():
         zero, one = x.algebra.zero(), x.algebra.one()
         # alpha_k is (-1)^k times the u^k coefficient of the characteristic
         # series, beta_k the u^k coefficient of its inverse (MacMahon); the
         # largest Jacobi-Trudi index, lambda_1 + len(lambda) - 1, is at most r
-        series = characteristic_series(x, r)
+        series, inverse = _once(memo, (m, n, r), series_and_inverse)
         alphas = {k: -c if k % 2 else c for k, c in enumerate(series.coeffs)}
-        betas = dict(enumerate(series.invert().coeffs))
+        betas = dict(enumerate(inverse.coeffs))
         sides = [("alpha", conjugate(lam), alphas), ("beta", lam, betas)]
         dets = [
             commuting_determinant(jacobi_trudi_grid(shape, lambda k: table.get(k, zero)), one)
@@ -570,6 +576,9 @@ def check_schur_weyl(m: int, n: int, r: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+_BODY_CANDIDATES = sorted({Fraction(p, q) for q in (1, 2) for p in range(-10, 11)})  # halves in [-10, 10]
+
+
 def random_grassmann_point(m: int, n: int, seed: int, n_units: int = 4) -> GrassmannPoint:
     """Seeded evaluation point for the generator matrix: distinct rational
     bodies on the diagonal, small soul coefficients, odd blocks pure soul.
@@ -581,40 +590,28 @@ def random_grassmann_point(m: int, n: int, seed: int, n_units: int = 4) -> Grass
     lam = grassmann_algebra(n_units)
     thetas = [lam.gen(f"th{i}") for i in range(1, n_units + 1)]
     even_monomials = [thetas[a] * thetas[b] for a in range(n_units) for b in range(a + 1, n_units)]
+    triple = thetas[0] * thetas[1] * thetas[2] if n_units >= 3 else None
+    bodies = rng.sample(_BODY_CANDIDATES, d)
 
-    candidates = [Fraction(p, q) for q in (1, 2) for p in range(-10, 11) if p % q or q == 1]
-    bodies = rng.sample(sorted(set(candidates)), d)
+    def even_soul(body):  # body + a random sum of +-th_a th_b, draws in monomial order
+        pairs = [(rng.choice((-1, 0, 0, 1)), mono) for mono in even_monomials]
+        return linear_combination(lam, pairs + [(body, lam.one())])
 
-    def even_soul():
-        acc = lam.zero()
-        for mono in even_monomials:
-            c = rng.choice((-1, 0, 0, 1))
-            if c:
-                acc = acc + mono * c
-        return acc
-
-    def odd_soul():
-        acc = lam.zero()
-        for th in thetas:
-            c = rng.choice((-1, 0, 1))
-            if c:
-                acc = acc + th * c
-        if n_units >= 3 and rng.random() < 0.3:
-            acc = acc + thetas[0] * thetas[1] * thetas[2]
-        return acc
+    def odd_soul():  # a random sum of +-th_a, plus th1 th2 th3 with probability 0.3
+        pairs = [(rng.choice((-1, 0, 1)), th) for th in thetas]
+        if triple is not None and rng.random() < 0.3:
+            pairs.append((1, triple))
+        return linear_combination(lam, pairs)
 
     x = generator_matrix(m, n)
     assignment = {}
     for i in range(1, d + 1):
         for j in range(1, d + 1):
-            name = f"x{i}_{j}"
             if (i <= m) == (j <= m):
-                value = even_soul()
-                if i == j:
-                    value = value + bodies[i - 1]
+                value = even_soul(bodies[i - 1] if i == j else 0)
             else:
                 value = odd_soul()
-            assignment[name] = value
+            assignment[f"x{i}_{j}"] = value
     return GrassmannPoint(x.algebra, assignment, n_units=n_units)
 
 
@@ -791,8 +788,6 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
     }
     if name in per_degree:
         return [per_degree[name](m, n, r) for r in degrees]
-    if name == "goulden-jackson":
-        return [check_goulden_jackson(lam, m, n) for lam in shapes]
     if name in single:
         return [single[name]()]
     if name == "littlewood1":
@@ -802,6 +797,8 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
         return [check_lmw(lam, m, n, memo) for lam in shapes]
     if name == "hessenberg":
         return [check_hessenberg(lam, m, n, memo) for lam in shapes]
+    if name == "goulden-jackson":
+        return [check_goulden_jackson(lam, m, n, memo) for lam in shapes]
     if name == "littlewood2":
         return [check_littlewood_2(mu, nu, m, n, memo) for mu, nu in _partition_pairs(1, max_r)]
     if name == "littlewood3":

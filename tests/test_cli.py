@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -298,6 +299,23 @@ def test_identity_suite_script_counts_vacuous_reports(monkeypatch, tmp_path, cap
     assert lines[3].startswith("3/6 checks passed, 3 vacuous (0 cases), 0 failed in ")
     data = json.loads(out_path.read_text())
     assert [entry["passed"] for entry in data] == [True] * 6
+
+
+def test_identity_suite_frontier_rows_give_their_reasons(monkeypatch, tmp_path, capsys):
+    """Every frontier row names a known family and why it runs; --grid
+    frontier runs those rows and leaves GRID alone, with seconds per row."""
+    from superimm.verify import CHECK_FAMILIES
+
+    script = _identity_suite_script()
+    assert all(row[0] in CHECK_FAMILIES and row[4]["reason"] for row in script.FRONTIER)
+    monkeypatch.setattr(script, "GRID", [("vanishing", 1, 1, 4, {})])
+    monkeypatch.setattr(script, "FRONTIER", [("kostant", 1, 1, 2, {"reason": "a test row"})])
+    out_path = tmp_path / "report.json"
+    assert script.main(["--grid", "frontier", "--out", str(out_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"\[ok     \] kostant +\(m=1, n=1, max_r=2\) +\d+\.\d\ds "
+                        r"2/2 checks, 0 vacuous, \d+ cases", lines[0])
+    assert [entry["name"] for entry in json.loads(out_path.read_text())] == ["kostant"] * 2
 
 
 def test_identity_suite_script_rejects_zero_trials(tmp_path, capsys):

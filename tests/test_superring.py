@@ -853,3 +853,128 @@ def test_terms_round_trip_over_mixed_declaration_orders(order, raw_a, raw_b):
             a * b
     else:
         _assert_matches(a * b, product)
+
+
+# -- the point memo ------------------------------------------------------------
+#
+# GrassmannPoint.evaluate keeps the images of generator powers and factor
+# prefixes in one slot, keyed by (point, sign rule): polynomials evaluated back
+# to back at one point share them, and the next point frees them.
+
+
+def _random_point(alg, rng, n_units=4):
+    """Even generators go to a rational body plus a random even soul, odd ones
+    to a random sum of units, so prefixes take Koszul signs and cancellations."""
+    lam = grassmann_algebra(n_units)
+    units = [lam.gen(f"th{i}") for i in range(1, n_units + 1)]
+    assignment = {}
+    for g in alg.generators():
+        pairs = [(rng.choice((-1, 0, 1)), th) for th in units]
+        if g.parity is Parity.EVEN:
+            pairs = [(c, th * units[0]) for c, th in pairs[1:]]
+            pairs.append((Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)), lam.one()))
+        assignment[g.name] = linear_combination(lam, pairs)
+    return GrassmannPoint(alg, assignment, n_units=n_units)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_point_memo_agrees_with_memo_free_substitution(seed, count):
+    """A run of polynomials evaluated at points A, B, then A again gives what
+    a substitution with fresh memos gives."""
+    import random
+
+    rng = random.Random(seed)
+    alg, *_ = _mixed_algebra()
+    polys = [_random_poly(alg, rng) for _ in range(count)]
+    a, b = _random_point(alg, rng), _random_point(alg, rng)
+    for point in (a, b, a):
+        for p in polys:
+            assert point.evaluate(p) == p.substitute(point.assignment, point.target)
+
+
+def test_point_memo_is_keyed_by_the_sign_rule(monkeypatch):
+    """A sign rule installed after a warm-up at the same point gets a fresh
+    memo: the memoized prefix t1 t2 -> th2 th1 takes the new rule's sign."""
+    import superimm.superring as superring
+
+    alg, x, y, t1, t2, t3 = _mixed_algebra()
+    lam = grassmann_algebra(4)
+    th1, th2, th3 = (lam.gen(f"th{i}") for i in range(1, 4))
+    pt = GrassmannPoint(alg, {"t1": th2, "t2": th1, "t3": th3})
+    p = t1 * t2 * t3
+    assert pt.evaluate(p) == -(th1 * th2 * th3)
+    original = superring.merge_odd_parts
+    monkeypatch.setattr(superring, "merge_odd_parts", lambda a, b: (1, original(a, b)[1]))
+    assert pt.evaluate(p) == th1 * th2 * th3
+    monkeypatch.setattr(superring, "merge_odd_parts", original)
+    assert pt.evaluate(p) == -(th1 * th2 * th3)
+
+
+def test_point_memo_keeps_no_failed_image(mixed):
+    """A missing generator raises on every call, after the memo has filled
+    the prefixes before it."""
+    alg, x, y, t1, t2, t3 = mixed
+    lam = grassmann_algebra(4)
+    pt = GrassmannPoint(alg, {"x": lam.scalar(2), "t1": lam.gen("th1")})
+    for _ in range(3):
+        with pytest.raises(EvaluationError, match="no value assigned to generator 'y'"):
+            pt.evaluate(x ** 2 * y * t1)
+    assert pt.evaluate(x ** 2 * t1) == 4 * lam.gen("th1")
+
+
+def test_point_memo_frees_the_last_point_at_the_next(mixed):
+    import weakref
+
+    alg, x, y, t1, t2, t3 = mixed
+    lam = grassmann_algebra(4)
+    p = x * t1 + y
+    first = GrassmannPoint(alg, {"x": lam.scalar(2), "y": lam.scalar(3), "t1": lam.gen("th1")})
+    first.evaluate(p)
+    gone = weakref.ref(first)
+    del first
+    assert gone() is not None  # the slot holds the point it serves
+    GrassmannPoint(alg, {"x": lam.scalar(1), "y": lam.scalar(1), "t1": lam.gen("th2")}).evaluate(p)
+    assert gone() is None
+
+
+def test_point_memo_builds_each_power_and_prefix_once(monkeypatch):
+    """The six normalized immanant sums with |lambda| <= 3 at a seeded (2|2)
+    point (144 terms) take 56 products through the point's memo, 142 with a
+    fresh memo per polynomial."""
+    from superimm.immanants import generator_matrix, normalized_immanant_sum
+    from superimm.superring import SuperPoly
+    from superimm.tableaux import partitions
+    from superimm.verify import random_grassmann_point
+
+    x = generator_matrix(2, 2)
+    sums = [normalized_immanant_sum(lam, x) for r in range(1, 4) for lam in partitions(r)]
+    point = random_grassmann_point(2, 2, 20240614)
+    original, calls = SuperPoly.__mul__, []
+
+    def spy(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(SuperPoly, "__mul__", spy)
+    alone = [s.substitute(point.assignment, point.target) for s in sums]
+    assert len(calls) == 142
+    calls.clear()
+    assert [point.evaluate(s) for s in sums] == alone
+    assert len(calls) == 56
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_power_exponent_must_be_an_integer(mixed, k):
+    alg, x, *_ = mixed
+    with pytest.raises(SuperRingError, match="^the exponent of a power must be an integer$"):
+        x ** k
+
+
+@pytest.mark.parametrize("n_units", [-1, 1.5, True, "2", [2]], ids=["negative", "float", "bool", "str", "list"])
+def test_unit_count_must_be_a_non_negative_integer(mixed, n_units):
+    alg, *_ = mixed
+    grassmann_algebra(1)  # True must not read the entry for 1
+    for build in (lambda: grassmann_algebra(n_units), lambda: GrassmannPoint(alg, {}, n_units)):
+        with pytest.raises(SuperRingError, match="^the unit count must be an integer >= 0, got "):
+            build()

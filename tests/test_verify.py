@@ -583,6 +583,47 @@ def test_hessenberg_sweep_makes_each_power_trace_once(monkeypatch):
         [json.dumps(r.to_dict(), sort_keys=True) for r in alone]
 
 
+def test_goulden_jackson_sweep_builds_each_series_once(monkeypatch):
+    """The suite grid's two goulden-jackson rows read the characteristic
+    series of 7 distinct (m, n, r) from one memo per sweep, 17 shapes in all,
+    and report exactly what unshared checks report."""
+    import superimm.verify as verify
+
+    calls = {}
+    _spy(monkeypatch, verify, "characteristic_series", calls)
+    reports = sweep("goulden-jackson", 1, 1, 4) + sweep("goulden-jackson", 2, 1, 3)
+    assert calls == {"characteristic_series": 7} and len(reports) == 17
+    alone = [check_goulden_jackson(lam, m, n) for m, n, max_r in ((1, 1, 4), (2, 1, 3))
+             for r in range(1, max_r + 1) for lam in partitions(r)]
+    assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == \
+        [json.dumps(r.to_dict(), sort_keys=True) for r in alone]
+
+
+# n_units -> digest of every assignment over 40 seeds at each block size, as
+# the seeded points were first drawn; a cheaper build must draw the same points
+PINNED_POINT_DIGESTS = {2: "adb54f9d937ceb99", 3: "c8242b433b962766", 4: "a8b9f2c94d8f5abf"}
+
+
+@pytest.mark.parametrize("n_units", sorted(PINNED_POINT_DIGESTS))
+def test_random_grassmann_points_are_pinned(n_units):
+    import hashlib
+
+    from superimm.superring import poly_to_terms
+
+    text = json.dumps([[name, poly_to_terms(value)]
+                       for m, n in ((1, 1), (2, 1), (2, 2), (3, 1), (1, 2)) for seed in range(40)
+                       for name, value in random_grassmann_point(m, n, seed, n_units).assignment.items()])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_POINT_DIGESTS[n_units]
+
+
+@pytest.mark.parametrize("n_units", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_random_grassmann_point_rejects_a_bad_unit_count(n_units):
+    from superimm.superring import SuperRingError
+
+    with pytest.raises(SuperRingError, match="^the unit count must be an integer >= 0, got "):
+        random_grassmann_point(2, 1, 5, n_units=n_units)
+
+
 def test_wrong_normalized_immanant_table_is_caught(monkeypatch):
     """Adding one to the entries of one shape's table turns every family that
     reads the table red: (1, 1) is a Kostant shape at r = 2, an LR term of

@@ -64,8 +64,6 @@ GRID = [
     ("chain-oracle", 2, 1, 3, {}),
 ]
 
-_ECHELON = ("both families read the idempotent trace off one echelon kernel; "
-            "a 2x2 odd block at degree 4, also a GRID row")
 _OFF_HOOK = ("the off-hook shape (2,2,2) first appears at (2|1) in degree 6; "
              "both families act there through the integer slice action")
 _SERIES = ("the characteristic series against the column immanant sums "
@@ -75,10 +73,9 @@ _POWER_SUMS = ("the normalized immanant sums are built from power traces (the su
                "the idempotent supertrace and the Schur polynomials")
 _POINTS = "the eigenvalue correspondence at the blocks of perfbench's points workload"
 
-# (family, m, n, max_r, extra) beyond GRID, each with the reason it is run
+# (family, m, n, max_r, extra) beyond GRID, each with the reason it is run;
+# no row repeats a GRID row
 FRONTIER = [
-    ("kostant", 2, 2, 4, {"reason": _ECHELON}),
-    ("goulden-jackson", 2, 2, 4, {"reason": _ECHELON}),
     ("kostant", 2, 1, 6, {"reason": _OFF_HOOK}),
     ("schur-weyl", 2, 1, 6, {"reason": _OFF_HOOK}),
     ("vanishing", 2, 1, 6, {"reason": "vanishing first has cases at (2|1) for the shape "
@@ -97,6 +94,9 @@ FRONTIER = [
     ("littlewood3", 2, 2, 3, {"reason": _POINTS}),
     ("littlewood3", 3, 1, 3, {"reason": _POINTS}),
 ]
+
+# the families that read the order, not max_r
+BY_ORDER = ("macmahon", "newton", "berezinian")
 
 
 def main(argv=None) -> int:
@@ -123,15 +123,14 @@ def _run(args, out) -> int:
     start = time.perf_counter()
     for name, m, n, max_r, extra in GRID if args.grid == "suite" else FRONTIER:
         row_start = time.perf_counter()
-        reports = sweep(
-            name, m, n, max_r,
-            order=extra.get("order", 3), seed=args.seed, trials=args.trials,
-        )
+        order = extra.get("order", 3)
+        reports = sweep(name, m, n, max_r, order=order, seed=args.seed, trials=args.trials)
         passed = sum(r.passed for r in reports)
         vacuous = sum(r.vacuous for r in reports)
         cases = sum(r.cases for r in reports)
         flag = "FAIL" if passed < len(reports) else "vacuous" if vacuous else "ok"
-        print(f"[{flag:<7}] {name:16s} (m={m}, n={n}, max_r={max_r}) "
+        size = f"order={order}" if name in BY_ORDER else f"max_r={max_r}"
+        print(f"[{flag:<7}] {name:16s} (m={m}, n={n}, {size}) "
               f"{time.perf_counter() - row_start:6.2f}s "
               f"{passed - vacuous}/{len(reports)} checks, {vacuous} vacuous, {cases} cases")
         all_reports.extend(reports)

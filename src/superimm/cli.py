@@ -14,6 +14,7 @@ import sys
 from contextlib import nullcontext
 
 from superimm.immanants import (
+    MAX_ORDER,
     SuperMatrixError,
     characteristic_coefficients,
     generator_matrix,
@@ -27,8 +28,9 @@ from superimm.verify import CHECK_FAMILIES, sweep
 CHECK_NAMES = (*CHECK_FAMILIES, "all")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than `low`."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type: an integer no smaller than `low` and, if `high` is
+    given, no larger than it."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -36,6 +38,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -145,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ber.add_argument("--matrix", default=None, help="matrix document (JSON)")
     p_ber.add_argument("--m", type=_int_at_least(0), default=None)
     p_ber.add_argument("--n", type=_int_at_least(0), default=None)
-    p_ber.add_argument("--order", type=_int_at_least(0), required=True)
+    p_ber.add_argument("--order", type=_int_at_least(0, MAX_ORDER), required=True)
     p_ber.set_defaults(func=_cmd_berezinian)
 
     p_check = sub.add_parser("check", help="run an identity family")
@@ -153,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--m", type=_int_at_least(0), required=True)
     p_check.add_argument("--n", type=_int_at_least(0), required=True)
     p_check.add_argument("--max-r", type=_int_at_least(1), default=3)
-    p_check.add_argument("--order", type=_int_at_least(1), default=3)
+    p_check.add_argument("--order", type=_int_at_least(1, MAX_ORDER), default=3)
     p_check.add_argument("--seed", type=int, default=20240613,
                          help="seed of the first Littlewood III point")
     p_check.add_argument("--trials", type=_int_at_least(1), default=10,

@@ -99,8 +99,7 @@ def _blocks(grid, m: int):
 class SuperMatrix:
     """(m+n)x(m+n) matrix over SuperPolys with block parity structure:
     entry (i,j) must be homogeneous of parity par(i)+par(j).  `_chains`, set
-    on first use, memoizes the chain coefficients, power-trace products and
-    characteristic series (with its inverse) that the library reads off x."""
+    on first use, holds the memos of what the library reads off x (`_chain_memo`)."""
 
     __slots__ = ("m", "n", "entries", "algebra", "_chains")
 
@@ -152,17 +151,6 @@ class SuperMatrix:
             m,
             n,
             [[algebra.scalar(int(i == j)) for j in range(d)] for i in range(d)],
-            validate=False,
-        )
-
-    @staticmethod
-    def diagonal(m: int, n: int, values) -> "SuperMatrix":
-        values = list(values)
-        algebra = values[0].algebra
-        d = m + n
-        zero = algebra.zero()
-        return SuperMatrix(
-            m, n, [[values[i] if i == j else zero for j in range(d)] for i in range(d)],
             validate=False,
         )
 
@@ -306,29 +294,32 @@ def _signed_class_table(row_indices, m: int, sign) -> tuple:
 
 
 def _chain_memo(x: SuperMatrix) -> dict:
-    """x's memo of chain coefficients, power products and series, made on first use."""
+    """x's memo of chain coefficients, power traces, their products and series,
+    one per set of seams in force: the functions those values read that a test
+    may replace, looked up at call time, so a seam replaced later gets a fresh memo."""
+    seams = (comodule_sign, parity_weight, characteristic_series, _adjugate,
+             superring.merge_odd_parts)
     try:
-        return x._chains
+        chains = x._chains
     except AttributeError:
-        x._chains = {}
-        return x._chains
+        chains = x._chains = {}
+    return chains.setdefault(seams, {})
 
 
 def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> SuperPoly:
     """Character-weighted, Koszul-signed permutation sum over a generalized
     submatrix.  `char` is a partition or a {cycle_type: value} dict.  Each chain
-    coefficient is memoized on x, keyed by (K, J) and the sign seams at call time."""
+    coefficient is memoized on x under (K, J) (see `_chain_memo`)."""
     row_indices = tuple(row_indices)
     col_indices = row_indices if col_indices is None else tuple(col_indices)
     _check_indices(x.size, row_indices, col_indices)
     chi = _as_class_function(char, len(row_indices))
     memo = _chain_memo(x)
-    seams = (col_indices, comodule_sign, superring.merge_odd_parts)
     pairs = []
     for k, counts in _signed_class_table(row_indices, x.m, action_sign):
         total = sum(chi[ct] * c for ct, c in counts)
         if total != 0:
-            key = (k,) + seams
+            key = (k, col_indices)
             chain = memo.get(key)
             if chain is None:
                 chain = memo[key] = chain_coefficient(x, k, col_indices)
@@ -379,26 +370,24 @@ def normalized_immanant_table(shape, x: SuperMatrix) -> dict:
 def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
     """Sum over non-decreasing multisets I of immanant(shape, I) / I!, by the
     super Frobenius formula: sum over mu |- r of chi^shape(mu) / z_mu times
-    the product p_mu of the power traces p_{mu_i}.  Each p_mu (p_(k) is the
-    trace) is memoized on x, keyed by mu and the sign seams at call time, and
+    the product p_mu of the power traces p_{mu_i}.  Each p_mu is memoized on x
+    under ("p", mu) (see `_chain_memo`; p_(k) is `power_trace`'s own entry) and
     built along mu, so a prefix shared by several mu is multiplied once per x."""
     shape = normalize_partition(shape)
     r = sum(shape)
     memo = _chain_memo(x)
-    seams = (parity_weight, superring.merge_odd_parts)
-    memo.setdefault(("p", ()) + seams, x.algebra.one())
     pairs = []
     for mu in partitions(r):
         chi = character(shape, mu)
         if chi == 0:
             continue
-        for i in range(1, len(mu) + 1):
-            key, trace_key = ("p", mu[:i]) + seams, ("p", mu[i - 1:i]) + seams
-            if trace_key not in memo:
-                memo[trace_key] = power_trace(x, mu[i - 1])
+        product = power_trace(x, mu[0]) if mu else x.algebra.one()
+        for i in range(2, len(mu) + 1):
+            key = ("p", mu[:i])
             if key not in memo:
-                memo[key] = memo[("p", mu[:i - 1]) + seams] * memo[trace_key]
-        pairs.append((Fraction(chi * class_size(mu), factorial(r)), memo[("p", mu) + seams]))
+                memo[key] = product * power_trace(x, mu[i - 1])
+            product = memo[key]
+        pairs.append((Fraction(chi * class_size(mu), factorial(r)), product))
     return linear_combination(x.algebra, pairs)
 
 
@@ -483,9 +472,14 @@ def star_product_slotwise(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
     return SuperMatrix(m, y.n, rows, validate=False)
 
 
+MAX_ORDER = 1000  # series of a (1|1) matrix of numbers: 1.3 s at order 1000, 10 s at 2000
+
+
 def _check_order(k, what: str = "series order") -> None:
     if k.__class__ is not int:  # bool included
         raise SuperMatrixError(f"{what} must be an integer")
+    if k > MAX_ORDER:
+        raise SuperMatrixError(f"{what} must be at most {MAX_ORDER}")
 
 
 def _check_exponent(k) -> None:
@@ -505,15 +499,21 @@ def star_power(x: SuperMatrix, k: int) -> SuperMatrix:
 
 
 def power_trace(x: SuperMatrix, k: int) -> SuperPoly:
-    """Supertrace of the k-th star power; for k >= 2 only the diagonal of Y * Z,
+    """Supertrace of the k-th star power, memoized on x under ("p", (k,)) (see
+    `_chain_memo`); for k >= 2 the parity-weighted diagonal of Y * Z alone,
     with Z = X^{*(k//2)} and Y = Z or Z * X (the star product is associative)."""
     _check_exponent(k)
+    memo, key = _chain_memo(x), ("p", (k,))
+    if key in memo:
+        return memo[key]
     if k < 2:
-        return supertrace(star_power(x, k))
-    z = star_power(x, k // 2)
-    y = star_product(z, x) if k % 2 else z
-    diagonal = [_star_entry(y, z, i, i) for i in range(1, x.size + 1)]
-    return supertrace(SuperMatrix.diagonal(x.m, x.n, diagonal))
+        memo[key] = supertrace(star_power(x, k))
+    else:
+        z = star_power(x, k // 2)
+        y = star_product(z, x) if k % 2 else z
+        memo[key] = linear_combination(x.algebra, ((parity_weight(i, x.m), _star_entry(y, z, i, i))
+                                                   for i in range(1, x.size + 1)))
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +584,10 @@ def characteristic_series(x: SuperMatrix, order: int) -> TruncatedSeries:
 
 def _series_memo(x: SuperMatrix, order: int, inverted: bool = False) -> TruncatedSeries:
     """x's characteristic series, or its inverse, to `order` or beyond, memoized
-    on x and keyed by the functions its route reads at call time.  A stored
-    higher order is exact mod u^(order+1); a lower one is rebuilt and replaced."""
+    on x under ("series", inverted) (see `_chain_memo`).  A stored higher order
+    is exact mod u^(order+1); a lower one is rebuilt and replaced."""
     memo = _chain_memo(x)
-    key = ("series", inverted, characteristic_series, _adjugate, superring.merge_odd_parts)
+    key = ("series", inverted)
     series = memo.get(key)
     if series is None or not 0 <= order <= series.order:
         series = _series_memo(x, order).invert() if inverted else characteristic_series(x, order)

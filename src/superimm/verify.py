@@ -21,7 +21,6 @@ from superimm.immanants import (
     classical_immanant,
     complete_invariant,
     characteristic_coefficients,
-    characteristic_series,
     chain_coefficient,
     chain_coefficient_slotwise,
     diagonalize,
@@ -397,29 +396,21 @@ def check_newton(m: int, n: int, order: int) -> CheckReport:
     return _run("newton", params, comparisons())
 
 
-def check_goulden_jackson(lam, m: int, n: int, memo: dict | None = None) -> CheckReport:
+def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
     """Four-way equality: both Jacobi-Trudi determinants in the invariants,
     the idempotent supertrace, and the normalized immanant sum; plus the
-    inverse-Kostka expansions of both determinants.  A sweep shares the
-    characteristic series and its inverse through `memo`, keyed by (m, n, r)."""
+    inverse-Kostka expansions of both determinants."""
     lam = normalize_partition(lam)
     params = {"identity": "goulden-jackson", "m": m, "n": n, "lambda": list(lam)}
     r = sum(lam)
     x = generator_matrix(m, n)
-    memo = {} if memo is None else memo
-
-    def series_and_inverse():
-        series = characteristic_series(x, r)
-        return series, series.invert()
 
     def comparisons():
         zero, one = x.algebra.zero(), x.algebra.one()
-        # alpha_k is (-1)^k times the u^k coefficient of the characteristic
-        # series, beta_k the u^k coefficient of its inverse (MacMahon); the
+        # alpha_k and beta_k are the elementary and complete invariants; the
         # largest Jacobi-Trudi index, lambda_1 + len(lambda) - 1, is at most r
-        series, inverse = _once(memo, (m, n, r), series_and_inverse)
-        alphas = {k: -c if k % 2 else c for k, c in enumerate(series.coeffs)}
-        betas = dict(enumerate(inverse.coeffs))
+        alphas = dict(enumerate(characteristic_coefficients(x, r)))
+        betas = {k: complete_invariant(x, k) for k in range(r + 1)}
         sides = [("alpha", conjugate(lam), alphas), ("beta", lam, betas)]
         dets = [
             commuting_determinant(jacobi_trudi_grid(shape, lambda k: table.get(k, zero)), one)
@@ -445,21 +436,19 @@ def check_goulden_jackson(lam, m: int, n: int, memo: dict | None = None) -> Chec
     return _run("goulden-jackson", params, comparisons())
 
 
-def check_hessenberg(lam, m: int, n: int, memo: dict | None = None) -> CheckReport:
+def check_hessenberg(lam, m: int, n: int) -> CheckReport:
     """Classical immanant of the power-trace Hessenberg matrix over r! equals
     the normalized immanant sum by definition (the library's sum is itself
-    built from power traces); the traces must commute first.  A sweep shares
-    the traces through `memo`, keyed by (m, n, k) and filled on first use."""
+    built from power traces); the traces must commute first."""
     lam = normalize_partition(lam)
     if not lam:
         raise VerifyError("hessenberg needs a nonempty shape")
     params = {"identity": "hessenberg", "m": m, "n": n, "lambda": list(lam)}
     r = sum(lam)
     x = generator_matrix(m, n)
-    memo = {} if memo is None else memo
 
     def comparisons():
-        gammas = {k: _once(memo, (m, n, k), lambda k=k: power_trace(x, k)) for k in range(1, r + 1)}
+        gammas = {k: power_trace(x, k) for k in range(1, r + 1)}
         for i in range(1, r + 1):
             for j in range(i + 1, r + 1):
                 yield (
@@ -576,7 +565,7 @@ def check_schur_weyl(m: int, n: int, r: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-_BODY_CANDIDATES = sorted({Fraction(p, q) for q in (1, 2) for p in range(-10, 11)})  # halves in [-10, 10]
+_BODY_CANDIDATES = sorted({Fraction(p, q) for q in (1, 2) for p in range(-10, 11)})  # 31 values
 
 
 def random_grassmann_point(m: int, n: int, seed: int, n_units: int = 4) -> GrassmannPoint:
@@ -585,8 +574,11 @@ def random_grassmann_point(m: int, n: int, seed: int, n_units: int = 4) -> Grass
     Even off-diagonal entries get souls only, so the block bodies are
     diagonal, with distinct eigenvalues.
     """
-    rng = random.Random(seed)
     d = m + n
+    if d > len(_BODY_CANDIDATES):
+        raise VerifyError(f"a Grassmann point needs m + n <= {len(_BODY_CANDIDATES)}, the number "
+                          f"of distinct bodies available, got {d}")
+    rng = random.Random(seed)
     lam = grassmann_algebra(n_units)
     thetas = [lam.gen(f"th{i}") for i in range(1, n_units + 1)]
     even_monomials = [thetas[a] * thetas[b] for a in range(n_units) for b in range(a + 1, n_units)]
@@ -792,13 +784,13 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
         return [single[name]()]
     if name == "littlewood1":
         return [check_littlewood_1(mu, nu, m, n) for mu, nu in _partition_pairs(m + n, m + n)]
+    if name == "hessenberg":
+        return [check_hessenberg(lam, m, n) for lam in shapes]
+    if name == "goulden-jackson":
+        return [check_goulden_jackson(lam, m, n) for lam in shapes]
     memo: dict = {}
     if name == "lmw":
         return [check_lmw(lam, m, n, memo) for lam in shapes]
-    if name == "hessenberg":
-        return [check_hessenberg(lam, m, n, memo) for lam in shapes]
-    if name == "goulden-jackson":
-        return [check_goulden_jackson(lam, m, n, memo) for lam in shapes]
     if name == "littlewood2":
         return [check_littlewood_2(mu, nu, m, n, memo) for mu, nu in _partition_pairs(1, max_r)]
     if name == "littlewood3":

@@ -130,6 +130,10 @@ def test_check_rejects_counts_below_one(option, value, capsys):
          "superimm: error: block sizes need m + n >= 1"),
         (["berezinian", "--m", "1", "--n", "1", "--order", "-2"],
          "superimm berezinian: error: argument --order: must be at least 0, got -2"),
+        (["berezinian", "--m", "1", "--n", "1", "--order", str(10**20)],
+         f"superimm berezinian: error: argument --order: must be at most 1000, got {10**20}"),
+        (["check", "newton", "--m", "1", "--n", "1", "--order", str(10**20)],
+         f"superimm check: error: argument --order: must be at most 1000, got {10**20}"),
     ],
 )
 def test_bad_sizes_and_orders_are_parser_errors(argv, message, capsys):
@@ -316,6 +320,28 @@ def test_identity_suite_frontier_rows_give_their_reasons(monkeypatch, tmp_path, 
     assert re.fullmatch(r"\[ok     \] kostant +\(m=1, n=1, max_r=2\) +\d+\.\d\ds "
                         r"2/2 checks, 0 vacuous, \d+ cases", lines[0])
     assert [entry["name"] for entry in json.loads(out_path.read_text())] == ["kostant"] * 2
+
+
+def test_identity_suite_frontier_repeats_no_grid_row():
+    """A frontier row runs a sweep GRID does not: another block size, degree
+    or order (the families of BY_ORDER read the order, not max_r)."""
+    script = _identity_suite_script()
+
+    def sweep_args(row):
+        name, m, n, max_r, extra = row
+        return name, m, n, extra.get("order", 3) if name in script.BY_ORDER else max_r
+
+    grid = {sweep_args(row) for row in script.GRID}
+    assert [row for row in script.FRONTIER if sweep_args(row) in grid] == []
+
+
+def test_identity_suite_prints_the_order_of_the_series_families(monkeypatch, tmp_path, capsys):
+    script = _identity_suite_script()
+    monkeypatch.setattr(script, "GRID",
+                        [("newton", 1, 1, 4, {"order": 2}), ("kostant", 1, 1, 2, {})])
+    assert script.main(["--out", str(tmp_path / "report.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "(m=1, n=1, order=2)" in lines[0] and "(m=1, n=1, max_r=2)" in lines[1]
 
 
 def test_identity_suite_script_rejects_zero_trials(tmp_path, capsys):

@@ -826,33 +826,36 @@ def test_chain_memo_is_shared_across_shapes_not_across_matrices(monkeypatch):
                          [(immanants, "parity_weight"), (superring, "merge_odd_parts")])
 def test_trace_memo_is_keyed_by_the_sign_seams(monkeypatch, module, seam):
     """A sign seam replaced after the power traces are memoized still reaches
-    the normalized immanant sum."""
+    the normalized immanant sum and the trace itself."""
     x = generator_matrix(1, 1)
-    first = normalized_immanant_sum((2,), x)
-    assert normalized_immanant_sum((2,), x) == first
+    reads = {"immanant sum": lambda: normalized_immanant_sum((2,), x),
+             "power trace": lambda: power_trace(x, 2)}
+    first = {name: read() for name, read in reads.items()}
+    assert {name: read() for name, read in reads.items()} == first
     original = getattr(module, seam)
     mutants = {"parity_weight": lambda i, m: 1,
                "merge_odd_parts": lambda a, b: (1, original(a, b)[1])}
     monkeypatch.setattr(module, seam, mutants[seam])
-    assert normalized_immanant_sum((2,), x) != first
+    for name, read in reads.items():
+        assert read() != first[name], name
 
 
 def test_trace_memo_is_shared_across_shapes_not_across_matrices(monkeypatch):
     """The one-row shape needs every power trace of its degree; the other
-    shapes read them from the memo, while an equal matrix built apart fills
-    its own."""
-    calls = []
-    original = immanants.power_trace
-    monkeypatch.setattr(immanants, "power_trace",
-                        lambda x, k: calls.append(k) or original(x, k))
+    shapes and `power_trace` itself read them from the memo, while an equal
+    matrix built apart fills its own.  Each trace computed takes one star
+    power."""
+    computed = []
+    original = immanants.star_power
+    monkeypatch.setattr(immanants, "star_power", lambda y, k: computed.append(k) or original(y, k))
     x = SuperMatrix(1, 1, generator_matrix(1, 1).entries)
     first = normalized_immanant_sum((3,), x)
-    assert sorted(calls) == [1, 2, 3]
+    assert len(computed) == 3
     for shape in [(2, 1), (1, 1, 1), (2,), (1, 1), (1,)]:
         normalized_immanant_sum(shape, x)
-    assert len(calls) == 3
+    assert [power_trace(x, k) for k in (1, 2, 3)] and len(computed) == 3
     twin = SuperMatrix(1, 1, x.entries)
-    assert normalized_immanant_sum((3,), twin) == first and len(calls) == 6
+    assert normalized_immanant_sum((3,), twin) == first and len(computed) == 6
 
 
 @pytest.mark.parametrize("m, n, max_r", [(1, 1, 4), (2, 1, 5), (1, 2, 4), (2, 2, 4), (3, 1, 4)])
@@ -981,4 +984,20 @@ def test_series_order_must_be_a_plain_int(entry, order):
     x = SuperMatrix(1, 1, generator_matrix(1, 1).entries)
     with pytest.raises(SuperMatrixError, match="^series order must be an integer$"):
         entry(x, order)
+    assert not hasattr(x, "_chains")
+
+
+@pytest.mark.parametrize("entry, what", [
+    (elementary_invariant, "series order"), (complete_invariant, "series order"),
+    (characteristic_coefficients, "series order"), (characteristic_series, "series order"),
+    (power_trace, "star exponent"), (star_power, "star exponent"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_orders_above_the_bound_are_refused(entry, what):
+    """Refused before any series or star power is built: 10**20 once ended in
+    a raw OverflowError, or in star products without end.  On a numeric
+    identity, an entry that missed the bound would return at MAX_ORDER + 1."""
+    x = SuperMatrix.identity(1, 1, grassmann_algebra(0))
+    for order in (immanants.MAX_ORDER + 1, 10**20):
+        with pytest.raises(SuperMatrixError, match=f"^{what} must be at most 1000$"):
+            entry(x, order)
     assert not hasattr(x, "_chains")

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from superimm.immanants import generator_matrix, super_immanant
+from superimm.immanants import SuperMatrix, generator_matrix, super_immanant
 from superimm.superring import TruncatedSeries
 from superimm.tableaux import partitions
 from superimm.verify import (
@@ -322,11 +322,9 @@ def _failed_case(report: CheckReport) -> str:
 
 def test_broken_characteristic_series_is_caught(monkeypatch):
     import superimm.immanants as immanants
-    import superimm.verify as verify
 
-    broken = _double_linear_coefficient(immanants.characteristic_series)
-    for module in (immanants, verify):  # goulden-jackson reads the series directly
-        monkeypatch.setattr(module, "characteristic_series", broken)
+    monkeypatch.setattr(immanants, "characteristic_series",
+                        _double_linear_coefficient(immanants.characteristic_series))
     assert _failed_case(check_berezinian_series(1, 1, 2)) == "symbolic coefficient k=1"
     assert _failed_case(check_goulden_jackson((2, 1), 1, 1)).startswith("det(alpha-JT)")
 
@@ -569,30 +567,53 @@ def test_lmw_sweep_builds_each_table_once(monkeypatch):
         [json.dumps(r.to_dict(), sort_keys=True) for r in alone]
 
 
-def test_hessenberg_sweep_makes_each_power_trace_once(monkeypatch):
-    """A Hessenberg sweep at (2|2), r <= 5, reads the traces gamma_1..gamma_5
-    from one memo, and reports exactly what unshared checks report."""
+def _generator_copies(monkeypatch, shared: bool) -> None:
+    """Point verify at copies of the generator matrices whose memos start
+    empty (`generator_matrix` is process-global, so its memos may be warm):
+    one copy per block size if `shared`, else a new copy per call."""
     import superimm.verify as verify
 
+    copies = {}
+
+    def copy(m, n):
+        if not shared or (m, n) not in copies:
+            copies[m, n] = SuperMatrix(m, n, generator_matrix(m, n).entries)
+        return copies[m, n]
+
+    monkeypatch.setattr(verify, "generator_matrix", copy)
+
+
+def test_hessenberg_sweep_makes_each_power_trace_once(monkeypatch):
+    """A Hessenberg sweep at (2|2), r <= 5, computes the traces gamma_1..gamma_5
+    once each (one star power each), and reports exactly what checks on
+    matrices of their own report."""
+    import superimm.immanants as immanants
+
     calls = {}
-    _spy(monkeypatch, verify, "power_trace", calls)
+    _spy(monkeypatch, immanants, "star_power", calls)
+    _generator_copies(monkeypatch, shared=True)
     reports = sweep("hessenberg", 2, 2, 5)
-    assert calls == {"power_trace": 5}
+    assert calls == {"star_power": 5}
+    _generator_copies(monkeypatch, shared=False)
     alone = [check_hessenberg(lam, 2, 2) for r in range(1, 6) for lam in partitions(r)]
     assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == \
         [json.dumps(r.to_dict(), sort_keys=True) for r in alone]
 
 
 def test_goulden_jackson_sweep_builds_each_series_once(monkeypatch):
-    """The suite grid's two goulden-jackson rows read the characteristic
-    series of 7 distinct (m, n, r) from one memo per sweep, 17 shapes in all,
-    and report exactly what unshared checks report."""
-    import superimm.verify as verify
+    """The suite grid's two goulden-jackson rows build the characteristic
+    series of 7 distinct (m, n, r) and its inverse once each, 17 shapes in
+    all, and report exactly what checks on matrices of their own report.
+    With n = 1 each series build inverts det(D) once, so 7 + 7 inversions."""
+    import superimm.immanants as immanants
 
     calls = {}
-    _spy(monkeypatch, verify, "characteristic_series", calls)
+    _spy(monkeypatch, immanants, "characteristic_series", calls)
+    _spy(monkeypatch, TruncatedSeries, "invert", calls)
+    _generator_copies(monkeypatch, shared=True)
     reports = sweep("goulden-jackson", 1, 1, 4) + sweep("goulden-jackson", 2, 1, 3)
-    assert calls == {"characteristic_series": 7} and len(reports) == 17
+    assert calls == {"characteristic_series": 7, "invert": 14} and len(reports) == 17
+    _generator_copies(monkeypatch, shared=False)
     alone = [check_goulden_jackson(lam, m, n) for m, n, max_r in ((1, 1, 4), (2, 1, 3))
              for r in range(1, max_r + 1) for lam in partitions(r)]
     assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == \
@@ -622,6 +643,16 @@ def test_random_grassmann_point_rejects_a_bad_unit_count(n_units):
 
     with pytest.raises(SuperRingError, match="^the unit count must be an integer >= 0, got "):
         random_grassmann_point(2, 1, 5, n_units=n_units)
+
+
+@pytest.mark.parametrize("m, n", [(31, 1), (0, 32), (30, 30)])
+def test_random_grassmann_point_needs_distinct_bodies(m, n):
+    """The diagonal bodies are drawn without repeats from 31 values: the
+    integers in [-10, 10] and the halves in [-5, 5]."""
+    with pytest.raises(VerifyError, match=f"^a Grassmann point needs m \\+ n <= 31, the number "
+                                          f"of distinct bodies available, got {m + n}$"):
+        random_grassmann_point(m, n, 5)
+    assert len(random_grassmann_point(30, 1, 5).assignment) == 31 * 31
 
 
 def test_wrong_normalized_immanant_table_is_caught(monkeypatch):

@@ -8,6 +8,7 @@ import sys
 from superimm.immanants import diagonalize, generator_matrix, normalized_immanant_sum
 from superimm.superring import grassmann_algebra
 from superimm.supersym import evaluate_two_alphabets, schur_super
+from superimm.symgroup import MAX_DEGREE
 from superimm.tableaux import partitions
 from superimm.verify import random_grassmann_point
 
@@ -22,6 +23,8 @@ def main(argv=None) -> int:
     try:
         if args.max_r < 1:
             raise ValueError(f"--max-r must be at least 1, got {args.max_r}")
+        if args.max_r > MAX_DEGREE:
+            raise ValueError(f"--max-r must be at most {MAX_DEGREE}, got {args.max_r}")
         return _demo(args)
     except ValueError as exc:  # every package error is a ValueError
         print(f"diagonalize_demo: error: {exc}", file=sys.stderr)

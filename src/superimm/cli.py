@@ -14,15 +14,15 @@ import sys
 from contextlib import nullcontext
 
 from superimm.immanants import (
-    MAX_ORDER,
     SuperMatrixError,
     characteristic_coefficients,
     generator_matrix,
     load_supermatrix,
     super_immanant,
 )
-from superimm.superring import poly_to_terms
+from superimm.superring import MAX_ORDER, poly_to_terms
 from superimm.supersym import jacobi_trudi_grid, schur_super
+from superimm.symgroup import MAX_DEGREE
 from superimm.verify import CHECK_FAMILIES, sweep
 
 CHECK_NAMES = (*CHECK_FAMILIES, "all")
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("name", choices=CHECK_NAMES)
     p_check.add_argument("--m", type=_int_at_least(0), required=True)
     p_check.add_argument("--n", type=_int_at_least(0), required=True)
-    p_check.add_argument("--max-r", type=_int_at_least(1), default=3)
+    p_check.add_argument("--max-r", type=_int_at_least(1, MAX_DEGREE), default=3)
     p_check.add_argument("--order", type=_int_at_least(1, MAX_ORDER), default=3)
     p_check.add_argument("--seed", type=int, default=20240613,
                          help="seed of the first Littlewood III point")

@@ -19,6 +19,7 @@ from superimm import ratlinalg, superring
 from superimm.superring import (
     Algebra,
     GrassmannPoint,
+    MAX_ORDER,
     NotInvertibleError,
     Parity,
     SuperPoly,
@@ -470,9 +471,6 @@ def star_product_slotwise(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
                 sign = act_conversion_sign((l1, l2), (a, b), m) * parity_weight(a, m)
                 rows[l2 - 1][b - 1] = rows[l2 - 1][b - 1] + (c if sign > 0 else -c)
     return SuperMatrix(m, y.n, rows, validate=False)
-
-
-MAX_ORDER = 1000  # series of a (1|1) matrix of numbers: 1.3 s at order 1000, 10 s at 2000
 
 
 def _check_order(k, what: str = "series order") -> None:

@@ -92,12 +92,13 @@ def _check_degree(perm, degree: int):
         raise SymGroupError(f"{perm!r} is not a permutation of degree {degree}")
 
 
+MAX_DEGREE = 8  # S_9 alone has 362880 elements, and the cache keeps every degree it builds
+
+
 @lru_cache(maxsize=None)
 def symmetric_group(r: int) -> tuple[Permutation, ...]:
-    # S_9 alone has 362880 elements and the cache keeps every degree it
-    # builds, so a larger degree would exhaust memory before its sums finish
-    if r > 8:
-        raise SymGroupError(f"S_{r} is too large to enumerate: degrees above 8 are refused")
+    if r > MAX_DEGREE:
+        raise SymGroupError(f"S_{r} is too large to enumerate: degrees above {MAX_DEGREE} are refused")
     return tuple(Permutation(p) for p in iter_permutations(range(1, r + 1)))
 
 

@@ -151,26 +151,10 @@ class StandardTableau:
 
 @lru_cache(maxsize=None)
 def standard_tableaux(shape) -> tuple[StandardTableau, ...]:
-    """All standard tableaux of the given shape."""
+    """All standard tableaux of the shape: its fillings by r distinct even letters."""
     shape = normalize_partition(shape)
     r = sum(shape)
-    if r == 0:
-        return (StandardTableau(()),)
-    out = []
-
-    def grow(filling, k):
-        if k > r:
-            out.append(StandardTableau(filling))
-            return
-        for i in range(len(shape)):
-            row_len = len(filling[i])
-            if row_len < shape[i] and (i == 0 or len(filling[i - 1]) > row_len):
-                filling[i].append(k)
-                grow(filling, k + 1)
-                filling[i].pop()
-
-    grow([[] for _ in shape], 1)
-    return tuple(out)
+    return tuple(map(StandardTableau, semistandard_super_tableaux(shape, r, 0, (1,) * r)))
 
 
 def row_reading_tableau(shape) -> StandardTableau:
@@ -219,62 +203,56 @@ def is_semistandard_super(rows, m: int, n: int) -> bool:
     return True
 
 
-def tableau_weight(rows, m: int, n: int) -> tuple[int, ...]:
-    counts = [0] * (m + n)
-    for row in rows:
-        for e in row:
-            counts[e - 1] += 1
-    return tuple(counts)
-
-
-def semistandard_super_tableaux(shape, m: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All semistandard super fillings of the shape by 1..m+n."""
-    shape = normalize_partition(shape)
-    if not shape:
-        return ((),)
-    out = []
-    rows: list[list[int]] = [[] for _ in shape]
-
-    def box_candidates(i, j):
-        lo = 1
-        if j > 0:
-            left = rows[i][j - 1]
-            lo = max(lo, left)  # weak along row
-        if i > 0:
-            up = rows[i - 1][j]
-            lo = max(lo, up)
-        for e in range(lo, m + n + 1):
-            if j > 0 and e == rows[i][j - 1] and e > m:
-                continue  # odd entries strict along rows
-            if i > 0 and e == rows[i - 1][j] and e <= m:
-                continue  # even entries strict down columns
-            yield e
-
-    def grow(i, j):
-        if i == len(shape):
-            out.append(tuple(tuple(row) for row in rows))
-            return
-        ni, nj = (i, j + 1) if j + 1 < shape[i] else (i + 1, 0)
-        for e in box_candidates(i, j):
-            rows[i].append(e)
-            grow(ni, nj)
-            rows[i].pop()
-
-    grow(0, 0)
-    return tuple(out)
-
-
-def semistandard_super_tableaux_of_weight(shape, m: int, n: int, weight) -> tuple:
+def _check_weight(weight, letters: int | None = None) -> tuple[int, ...]:
+    """The weight as a tuple of non-negative ints, `letters` of them if given."""
     weight = tuple(weight)
-    return tuple(
-        t for t in semistandard_super_tableaux(shape, m, n) if tableau_weight(t, m, n) == weight
-    )
+    if any(a.__class__ is not int or a < 0 for a in weight):  # bool included
+        raise TableauxError(f"weight entries must be non-negative integers, got {weight}")
+    if letters is not None and len(weight) != letters:
+        raise TableauxError(f"weight needs one multiplicity per letter, {letters} in all")
+    return weight
+
+
+def semistandard_super_tableaux(shape, m: int, n: int, weight) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The (m|n)-semistandard super tableaux of the shape in which letter a
+    appears weight[a-1] times, filled letter by letter: an even letter
+    (a <= m) adds a horizontal strip and an odd letter a vertical strip
+    (Berele and Regev, Adv. Math. 64 (1987), section 2)."""
+    shape = normalize_partition(shape)
+    weight = _check_weight(weight, m + n)
+    r = sum(shape)
+    if sum(weight) != r:
+        raise TableauxError("weight size must match the shape")
+    rows: list[list[int]] = [[] for _ in shape]
+    out = []
+
+    def fill(a, i, left, above):
+        # `left` more boxes of letter a go into rows i, i+1, ...; row i grows to at
+        # most `above`: the row above's length before letter a if a is even, after if odd
+        if not left:
+            if a == len(weight):
+                out.append(tuple(tuple(row) for row in rows))
+            else:
+                fill(a + 1, 0, weight[a], r)
+            return
+        if i == len(shape):
+            return
+        row, odd = rows[i], a > m
+        start = len(row)
+        room = min(shape[i], above) - start
+        for k in range(min(room, 1 if odd else left), -1, -1):
+            row += [a] * k
+            fill(a, i + 1, left - k, len(row) if odd else start)
+            del row[start:]
+
+    fill(0, 0, 0, r)
+    return tuple(out)
 
 
 def relabel_by_weight(tab: StandardTableau, weight) -> tuple[tuple[int, ...], ...]:
     """Replace entry k of a standard tableau by the k-th element of the sorted
     multiset with the given multiplicities."""
-    weight = tuple(weight)
+    weight = _check_weight(weight)
     if sum(weight) != tab.size:
         raise TableauxError("weight size must match the tableau")
     multiset = [i + 1 for i, a in enumerate(weight) for _ in range(a)]
@@ -289,11 +267,7 @@ def relabel_by_weight(tab: StandardTableau, weight) -> tuple[tuple[int, ...], ..
 @lru_cache(maxsize=None)
 def kostka(lam, mu) -> int:
     """Number of classical semistandard tableaux of shape lam and weight mu."""
-    lam = normalize_partition(lam)
-    mu = tuple(int(x) for x in mu)
-    if sum(lam) != sum(mu):
-        raise TableauxError("kostka requires |lam| = |mu|")
-    return len(semistandard_super_tableaux_of_weight(lam, len(mu), 0, mu))
+    return len(semistandard_super_tableaux(lam, len(mu), 0, mu))
 
 
 @lru_cache(maxsize=None)
@@ -335,10 +309,10 @@ def character(lam, cycle_type) -> int:
     if sum(lam) != sum(cycle_type):
         raise TableauxError("character requires |lam| = |cycle type|")
     beta = tuple(lam[i] + (len(lam) - 1 - i) for i in range(len(lam)))
-    return _mn(frozenset(beta), len(lam), cycle_type)
+    return _mn(frozenset(beta), cycle_type)
 
 
-def _mn(beta: frozenset, slots: int, remaining: tuple[int, ...]) -> int:
+def _mn(beta: frozenset, remaining: tuple[int, ...]) -> int:
     if not remaining:
         return 1
     t = remaining[0]
@@ -349,7 +323,7 @@ def _mn(beta: frozenset, slots: int, remaining: tuple[int, ...]) -> int:
         if nb >= 0 and nb not in beta:
             jumped = sum(1 for x in beta if nb < x < b)
             sub = (beta - {b}) | {nb}
-            total += (-1) ** jumped * _mn(frozenset(sub), slots, rest)
+            total += (-1) ** jumped * _mn(frozenset(sub), rest)
     return total
 
 
@@ -378,8 +352,7 @@ def induced_trivial_character(mu):
     """Class function of the character induced from the trivial character of S_mu."""
     mu = normalize_partition(mu)
     r = sum(mu)
-    table = {
+    return {
         rho: sum(kostka(lam, mu) * character(lam, rho) for lam in partitions(r))
         for rho in partitions(r)
     }
-    return table

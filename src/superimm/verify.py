@@ -42,7 +42,7 @@ from superimm.superring import (
     linear_combination,
     poly_to_terms,
 )
-from superimm.symgroup import commuting_determinant, primitive_idempotent
+from superimm.symgroup import MAX_DEGREE, commuting_determinant, primitive_idempotent
 from superimm.tableaux import (
     character,
     class_size,
@@ -367,8 +367,8 @@ def _invariant_series(x: SuperMatrix, order: int) -> tuple[TruncatedSeries, Trun
 
 def check_macmahon(m: int, n: int, order: int) -> CheckReport:
     """The elementary series at -t times the complete series is one."""
-    if order < 0:
-        raise VerifyError(f"macmahon needs order >= 0, got {order}")
+    if not 0 <= order <= MAX_DEGREE:  # the immanant sums of degree k sum over S_k
+        raise VerifyError(f"macmahon needs {MAX_DEGREE} >= order >= 0, got {order}")
     params = {"identity": "macmahon", "m": m, "n": n, "order": order}
     x = generator_matrix(m, n)
 
@@ -382,8 +382,8 @@ def check_macmahon(m: int, n: int, order: int) -> CheckReport:
 def check_newton(m: int, n: int, order: int) -> CheckReport:
     """Logarithmic-derivative identities tying both invariant series to the
     power-sum traces of star powers."""
-    if order < 1:
-        raise VerifyError(f"newton needs order >= 1, got {order}")
+    if not 1 <= order <= MAX_DEGREE:
+        raise VerifyError(f"newton needs {MAX_DEGREE} >= order >= 1, got {order}")
     params = {"identity": "newton", "m": m, "n": n, "order": order}
     x = generator_matrix(m, n)
 

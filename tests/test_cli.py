@@ -134,6 +134,8 @@ def test_check_rejects_counts_below_one(option, value, capsys):
          f"superimm berezinian: error: argument --order: must be at most 1000, got {10**20}"),
         (["check", "newton", "--m", "1", "--n", "1", "--order", str(10**20)],
          f"superimm check: error: argument --order: must be at most 1000, got {10**20}"),
+        (["check", "vanishing", "--m", "1", "--n", "1", "--max-r", "9"],
+         "superimm check: error: argument --max-r: must be at most 8, got 9"),
     ],
 )
 def test_bad_sizes_and_orders_are_parser_errors(argv, message, capsys):
@@ -262,6 +264,23 @@ def test_check_leaves_no_out_file_when_the_sweep_raises(monkeypatch, tmp_path, c
     assert not path.exists()
 
 
+@pytest.mark.parametrize("name, low", [("macmahon", 0), ("newton", 1)])
+def test_check_order_above_the_degree_bound_is_a_one_line_error(name, low, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["check", name, "--m", "1", "--n", "1", "--order", "9", "--out", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"superimm: error: {name} needs 8 >= order >= {low}, got 9\n"
+    assert not path.exists()
+
+
+def test_check_berezinian_takes_orders_above_the_degree_bound(capsys):
+    # the Berezinian series sums over no symmetric group
+    assert main(["check", "berezinian", "--m", "1", "--n", "1", "--order", "9"]) == 0
+    assert "cases=10" in capsys.readouterr().out
+
+
 def test_check_labels_vacuous_reports(capsys):
     # at (1|1) the first shape off the hook has size 4
     assert main(["check", "vanishing", "--m", "1", "--n", "1", "--max-r", "4"]) == 0
@@ -376,7 +395,8 @@ def test_identity_suite_opens_out_before_the_sweep(monkeypatch, tmp_path, capsys
 @pytest.mark.parametrize("argv, message", [
     (["--m", "0", "--n", "0"], "block sizes (0|0) must be non-negative with m + n >= 1"),
     (["--max-r", "0"], "--max-r must be at least 1, got 0"),
-], ids=["empty-blocks", "max-r-zero"])
+    (["--max-r", "9"], "--max-r must be at most 8, got 9"),
+], ids=["empty-blocks", "max-r-zero", "max-r-above-the-degree-bound"])
 def test_diagonalize_demo_rejects_bad_input_in_one_line(argv, message, capsys):
     assert _load_script("diagonalize_demo").main(argv) == 2
     captured = capsys.readouterr()

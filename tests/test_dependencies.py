@@ -153,3 +153,21 @@ def test_library_code_has_a_caller():
     assert not uncalled, uncalled
     stale = sorted(UNREACHED_BY_DESIGN.keys() - unreached.keys())
     assert not stale, f"allowed as unreached, but reached or gone: {stale}"
+
+
+def test_tableau_enumerator_stands_alone():
+    """The semistandard super tableau enumerator is the oracle of the Kostka
+    and character identities, so it must not reach what they check:
+    `tableaux` imports no other superimm module, and the enumerator refers to
+    no character, induced character or Kostka number."""
+    tree = _parse(PACKAGE / "tableaux.py")
+    imported = [node.module if node.level == 0 else "superimm"  # a relative import
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert not [name for name in imported if name.split(".")[0] == "superimm"], imported
+    [enumerator] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                    and node.name == "semistandard_super_tableaux"]
+    forbidden = {"character", "_mn", "induced_sign_character", "induced_trivial_character",
+                 "kostka"}
+    assert not forbidden & set(_referenced_names(enumerator))

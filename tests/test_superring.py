@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from superimm.superring import (
+    MAX_ORDER,
     Algebra,
     AlgebraMismatchError,
     EvaluationError,
@@ -263,6 +264,28 @@ def test_series_no_silent_extension():
         f.coefficient(2)
     g = TruncatedSeries.from_scalars(alg, [1, 0, 0], 2)
     assert (f * g).order == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda alg, order: TruncatedSeries(alg, [alg.one()], order),
+    lambda alg, order: TruncatedSeries.from_polys(alg, [alg.one()], order),
+    lambda alg, order: TruncatedSeries.from_scalars(alg, [1], order),
+    lambda alg, order: TruncatedSeries.one(alg, order),
+], ids=["init", "from_polys", "from_scalars", "one"])
+def test_series_orders_outside_the_bound_are_refused(build):
+    """Refused before any coefficient is made: 10**20 once ended in a raw
+    OverflowError from the padding; True is not taken for the order 1."""
+    alg = Algebra("q")
+    for order, message in [
+        (MAX_ORDER + 1, "truncation order must be at most 1000"),
+        (10**20, "truncation order must be at most 1000"),
+        (True, "truncation order must be an integer"),
+        (2.0, "truncation order must be an integer"),
+        (-1, "truncation order must be >= 0"),
+    ]:
+        with pytest.raises(SuperRingError, match=f"^{message}$"):
+            build(alg, order)
+    assert TruncatedSeries.from_scalars(alg, [1], MAX_ORDER).order == MAX_ORDER
 
 
 def test_series_rejects_a_negative_index():

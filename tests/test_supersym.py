@@ -22,8 +22,8 @@ from superimm.tableaux import (
     in_hook,
     partitions,
     semistandard_super_tableaux,
-    tableau_weight,
 )
+from superimm.tensorspace import weak_compositions
 
 
 def xy(m, n):
@@ -140,9 +140,11 @@ def test_schur_super_vanishes_exactly_off_hook():
             for lam in partitions(r):
                 poly = schur_super(lam, m, n)
                 assert poly.is_zero == (not in_hook(lam, m, n))
-                counts = Counter(
-                    tableau_weight(t, m, n) for t in semistandard_super_tableaux(lam, m, n)
-                )
+                counts = Counter()  # tableaux by the weight their entries spell
+                for w in weak_compositions(r, m + n):
+                    for t in semistandard_super_tableaux(lam, m, n, w):
+                        entries = Counter(e for row in t for e in row)
+                        counts[tuple(entries[a] for a in range(1, m + n + 1))] += 1
                 want = {
                     (tuple((name, a) for name, a in zip(names, w) if a), ()): c
                     for w, c in counts.items()

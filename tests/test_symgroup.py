@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from superimm.superring import Algebra, TruncatedSeries
 from superimm.symgroup import (
+    MAX_DEGREE,
     GroupAlgebraElement,
     Permutation,
     SymGroupError,
@@ -176,8 +177,9 @@ def test_jm_range_errors():
 
 
 def test_symmetric_group_refuses_a_degree_above_eight():
-    with pytest.raises(SymGroupError):
-        symmetric_group(9)
+    assert MAX_DEGREE == 8
+    with pytest.raises(SymGroupError, match="^S_9 is too large to enumerate: degrees above 8 are refused$"):
+        symmetric_group(MAX_DEGREE + 1)
 
 
 def test_bad_group_algebra_input_raises_one_typed_error():

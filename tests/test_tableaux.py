@@ -1,8 +1,12 @@
+from collections import Counter
 from itertools import product
 from math import factorial
 
+import pytest
+
 from superimm.tableaux import (
     StandardTableau,
+    TableauxError,
     addable_contents,
     character,
     class_size,
@@ -19,10 +23,15 @@ from superimm.tableaux import (
     relabel_by_weight,
     row_reading_tableau,
     semistandard_super_tableaux,
-    semistandard_super_tableaux_of_weight,
     standard_tableaux,
-    tableau_weight,
 )
+from superimm.tensorspace import weak_compositions
+
+
+def _weight(rows, letters):
+    """How often each letter 1..letters occurs in the filling."""
+    counts = Counter(e for row in rows for e in row)
+    return tuple(counts[a] for a in range(1, letters + 1))
 
 
 def test_partitions_reverse_lex():
@@ -67,36 +76,86 @@ def test_contents_and_axial_distances():
     assert addable_contents((2, 1)) == (2, 0, -2)
 
 
+def test_standard_tableaux_order():
+    # the order of the standard tableaux is the order of the schur-weyl cases
+    assert [t.rows for t in standard_tableaux((3, 2))] == [
+        ((1, 2, 3), (4, 5)), ((1, 2, 4), (3, 5)), ((1, 2, 5), (3, 4)),
+        ((1, 3, 4), (2, 5)), ((1, 3, 5), (2, 4)),
+    ]
+    assert [t.rows for t in standard_tableaux((2, 2, 1))] == [
+        ((1, 2), (3, 4), (5,)), ((1, 2), (3, 5), (4,)), ((1, 3), (2, 4), (5,)),
+        ((1, 3), (2, 5), (4,)), ((1, 4), (2, 5), (3,)),
+    ]
+    assert standard_tableaux(()) == (StandardTableau(()),)
+
+
 def test_ssyt_single_box():
-    assert len(semistandard_super_tableaux((1,), 1, 1)) == 2
+    assert semistandard_super_tableaux((1,), 1, 1, (1, 0)) == (((1,),),)
+    assert semistandard_super_tableaux((1,), 1, 1, (0, 1)) == (((2,),),)
 
 
 def test_ssyt_empty_off_hook():
     # fillings of shapes outside the hook always break a strictness rule;
-    # inside it, the enumeration is every filling the predicate accepts
-    for r in range(1, 5):
-        for lam in partitions(r):
-            for m, n in [(1, 1), (2, 1), (1, 2)]:
-                tabs = semistandard_super_tableaux(lam, m, n)
-                assert (len(tabs) == 0) == (not in_hook(lam, m, n))
-                assert len(set(tabs)) == len(tabs)
-                fillings = set()
+    # inside it, each weight's tableaux are the fillings of that weight the
+    # predicate accepts
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
+        for r in range(1, 5):
+            for lam in partitions(r):
+                brute = {w: set() for w in weak_compositions(r, m + n)}
                 for entries in product(range(1, m + n + 1), repeat=r):
                     it = iter(entries)
                     rows = tuple(tuple(next(it) for _ in range(row)) for row in lam)
                     if is_semistandard_super(rows, m, n):
-                        fillings.add(rows)
-                assert set(tabs) == fillings
+                        brute[_weight(rows, m + n)].add(rows)
+                total = 0
+                for w, want in brute.items():
+                    tabs = semistandard_super_tableaux(lam, m, n, w)
+                    assert len(set(tabs)) == len(tabs)
+                    assert set(tabs) == want, (m, n, lam, w)
+                    total += len(tabs)
+                assert (total == 0) == (not in_hook(lam, m, n))
 
 
 def test_ssyt_weight_filter():
-    tabs = semistandard_super_tableaux_of_weight((2, 1), 2, 1, (1, 1, 1))
-    assert all(tableau_weight(t, 2, 1) == (1, 1, 1) for t in tabs)
-    total = semistandard_super_tableaux((2, 1), 2, 1)
-    assert sum(
-        len(semistandard_super_tableaux_of_weight((2, 1), 2, 1, w))
-        for w in {tableau_weight(t, 2, 1) for t in total}
-    ) == len(total)
+    # every tableau of a weight has that weight, entries counted
+    for m, n in [(2, 1), (1, 2), (0, 3)]:
+        for lam in partitions(4):
+            for w in weak_compositions(4, m + n):
+                for rows in semistandard_super_tableaux(lam, m, n, w):
+                    assert _weight(rows, m + n) == w
+
+
+@pytest.mark.parametrize("shape, m, n, weight, count", [
+    ((2, 1), 1, 1, (2, 1), 1),
+    ((2, 1), 1, 1, (1, 2), 1),
+    ((2, 1), 1, 1, (3, 0), 0),
+    ((2, 1), 1, 1, (0, 3), 0),
+    ((2, 2), 1, 1, (2, 2), 0),
+    ((2, 1), 2, 1, (1, 1, 1), 2),
+    ((2, 1), 0, 2, (2, 1), 1),
+    ((3, 2), 3, 0, (2, 2, 1), 2),
+])
+def test_ssyt_hand_counted(shape, m, n, weight, count):
+    assert len(semistandard_super_tableaux(shape, m, n, weight)) == count
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: semistandard_super_tableaux((2, 1), 2, 1, (1, 2)),
+     "weight needs one multiplicity per letter, 3 in all"),
+    (lambda: semistandard_super_tableaux((2, 1), 1, 1, (2, 2)), "weight size must match the shape"),
+    (lambda: semistandard_super_tableaux((2, 1), 1, 1, (True, 2)),
+     "weight entries must be non-negative integers, got (True, 2)"),
+    (lambda: semistandard_super_tableaux((2, 1), 1, 1, (1.0, 2)),
+     "weight entries must be non-negative integers, got (1.0, 2)"),
+    (lambda: relabel_by_weight(row_reading_tableau((2, 1)), (3, -1, 1)),
+     "weight entries must be non-negative integers, got (3, -1, 1)"),
+    (lambda: kostka((2, 1), (3, -1, 1)),
+     "weight entries must be non-negative integers, got (3, -1, 1)"),
+], ids=["length", "size", "bool", "float", "relabel-negative", "kostka-negative"])
+def test_bad_weights_are_refused_in_one_line(call, message):
+    with pytest.raises(TableauxError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_relabel_by_weight():
@@ -112,6 +171,7 @@ def test_relabel_by_weight():
 
 def test_kostka_values():
     assert kostka((2, 1), (1, 1, 1)) == 2
+    assert kostka((3, 2), (2, 2, 1)) == 2
     for r in range(1, 6):
         for lam in partitions(r):
             assert kostka(lam, lam) == 1

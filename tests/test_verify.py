@@ -8,6 +8,7 @@ import pytest
 
 from superimm.immanants import SuperMatrix, generator_matrix, super_immanant
 from superimm.superring import TruncatedSeries
+from superimm.symgroup import MAX_DEGREE
 from superimm.tableaux import partitions
 from superimm.verify import (
     CheckReport,
@@ -479,6 +480,23 @@ def test_orders_below_the_minimum_are_rejected_up_front(check, low, monkeypatch)
     for order in (low - 1, low - 3):
         with pytest.raises(VerifyError, match=f"order >= {low}, got {order}"):
             check(order)
+
+
+@pytest.mark.parametrize("check, low", [(check_newton, 1), (check_macmahon, 0)],
+                         ids=["newton", "macmahon"])
+def test_orders_above_the_degree_bound_are_rejected_up_front(check, low, monkeypatch):
+    """The immanant sums of degree k sum over S_k, which is refused above
+    MAX_DEGREE: an order past it is a VerifyError, not a failed report."""
+    import superimm.verify as verify
+
+    def no_work(*args):
+        raise AssertionError("work started before the order was checked")
+
+    monkeypatch.setattr(verify, "generator_matrix", no_work)
+    name = check.__name__.removeprefix("check_")
+    for order in (MAX_DEGREE + 1, 10**20):
+        with pytest.raises(VerifyError, match=f"^{name} needs 8 >= order >= {low}, got {order}$"):
+            check(1, 1, order)
 
 
 def test_littlewood_3_rejects_the_empty_shape_up_front(monkeypatch):

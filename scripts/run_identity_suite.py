@@ -64,8 +64,10 @@ GRID = [
     ("chain-oracle", 2, 1, 3, {}),
 ]
 
-_OFF_HOOK = ("the off-hook shape (2,2,2) first appears at (2|1) in degree 6; "
-             "both families act there through the integer slice action")
+_OFF_HOOK = ("the off-hook shape (2,2,2) first appears at (2|1) in degree 6, and degree 7 "
+             "adds (3,2,2) and (2,2,2,1); both families apply each E_T factor by factor")
+_MAX_DEGREE = ("degree 8 is symgroup.MAX_DEGREE, where a built E_T would have up to 8! "
+               "terms; the idempotent families apply its Jucys-Murphy factors instead")
 _SERIES = ("the characteristic series against the column immanant sums "
            "beyond GRID's order 3")
 _POWER_SUMS = ("the normalized immanant sums are built from power traces (the super "
@@ -76,8 +78,11 @@ _POINTS = "the eigenvalue correspondence at the blocks of perfbench's points wor
 # (family, m, n, max_r, extra) beyond GRID, each with the reason it is run;
 # no row repeats a GRID row
 FRONTIER = [
-    ("kostant", 2, 1, 6, {"reason": _OFF_HOOK}),
-    ("schur-weyl", 2, 1, 6, {"reason": _OFF_HOOK}),
+    ("kostant", 2, 1, 7, {"reason": _OFF_HOOK}),
+    ("schur-weyl", 2, 1, 7, {"reason": _OFF_HOOK}),
+    ("kostant", 1, 1, 8, {"reason": _MAX_DEGREE}),
+    ("schur-weyl", 1, 1, 8, {"reason": _MAX_DEGREE}),
+    ("goulden-jackson", 1, 1, 8, {"reason": _MAX_DEGREE}),
     ("vanishing", 2, 1, 6, {"reason": "vanishing first has cases at (2|1) for the shape "
                                       "(2,2,2), so r runs to 6"}),
     ("lmw", 2, 2, 5, {"reason": "lmw at (2|2) r <= 5 reads its row and column tables "

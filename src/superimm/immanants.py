@@ -34,10 +34,10 @@ from superimm.symgroup import (
     Permutation,
     commuting_determinant,
     permutation_sum,
-    primitive_idempotent,
     symmetric_group,
 )
 from superimm.tableaux import (
+    StandardTableau,
     character,
     class_size,
     is_semistandard_super,
@@ -45,13 +45,14 @@ from superimm.tableaux import (
     partitions,
     relabel_by_weight,
     row_reading_tableau,
+    semistandard_super_tableaux,
 )
 from superimm.tensorspace import (
     act_conversion_sign,
     action_sign,
     apply_group_algebra_to_state,
+    apply_idempotent,
     apply_matrix_at_slot,
-    arrangements,
     bilinear_form,
     composed_tuple,
     composition_to_multiset,
@@ -329,30 +330,13 @@ def super_immanant(char, x: SuperMatrix, row_indices, col_indices=None) -> Super
     return -acc if immanant_prefactor(row_indices, col_indices, x.m) < 0 else acc
 
 
-def immanant_via_idempotent(shape, x: SuperMatrix, indices, tab=None) -> SuperPoly:
-    """The same immanant from one primitive idempotent: I! times the
-    supertrace of X_1...X_r on the image of E_T in the weight slice of I.
-    Requires a sorted index tuple and a tableau of the given shape."""
-    indices = tuple(indices)
-    _check_indices(x.size, indices)
-    if list(indices) != sorted(indices):
-        raise SuperMatrixError("index tuple must be non-decreasing")
-    shape = normalize_partition(shape)
-    if sum(shape) != len(indices):
-        raise SuperMatrixError("shape size must match the index length")
-    if tab is None:
-        tab = row_reading_tableau(shape)
-    elif tab.shape != shape:
-        raise SuperMatrixError(f"tableau has shape {tab.shape}, not {shape}")
-    return _image_trace(primitive_idempotent(tab), x, indices) * repetition_factor(indices)
-
-
-def idempotent_chain_supertrace(e: GroupAlgebraElement, x: SuperMatrix) -> SuperPoly:
-    """Full supertrace of E X_1...X_r over the r-fold tensor space, r being
-    e's degree, one weight slice at a time.  e must be an idempotent: the
-    trace is then that of X_1...X_r on e's image (`_image_trace`)."""
-    multisets = sorted_multisets(x.m, x.n, e.degree)
-    return linear_combination(x.algebra, ((1, _image_trace(e, x, ms)) for ms in multisets))
+def idempotent_chain_supertrace(tab: StandardTableau, x: SuperMatrix) -> SuperPoly:
+    """Full supertrace of E_T X_1...X_r over the r-fold tensor space, r = |T|:
+    the trace of X_1...X_r on E_T's image, slice by slice (`_image_trace`)."""
+    if not isinstance(tab, StandardTableau):
+        raise SuperMatrixError(f"expected a StandardTableau, got {type(tab).__name__}")
+    multisets = sorted_multisets(x.m, x.n, tab.size)
+    return linear_combination(x.algebra, ((1, _image_trace(tab, x, ms)) for ms in multisets))
 
 
 def normalized_immanant_table(shape, x: SuperMatrix) -> dict:
@@ -368,6 +352,12 @@ def normalized_immanant_table(shape, x: SuperMatrix) -> dict:
     return table
 
 
+@lru_cache(maxsize=None)
+def _class_weights(r: int) -> tuple:
+    """The (mu, 1/z_mu = |C_mu|/r!) pairs over the partitions mu of r."""
+    return tuple((mu, Fraction(class_size(mu), factorial(r))) for mu in partitions(r))
+
+
 def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
     """Sum over non-decreasing multisets I of immanant(shape, I) / I!, by the
     super Frobenius formula: sum over mu |- r of chi^shape(mu) / z_mu times
@@ -375,10 +365,9 @@ def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
     under ("p", mu) (see `_chain_memo`; p_(k) is `power_trace`'s own entry) and
     built along mu, so a prefix shared by several mu is multiplied once per x."""
     shape = normalize_partition(shape)
-    r = sum(shape)
     memo = _chain_memo(x)
     pairs = []
-    for mu in partitions(r):
+    for mu, weight in _class_weights(sum(shape)):
         chi = character(shape, mu)
         if chi == 0:
             continue
@@ -388,7 +377,7 @@ def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
             if key not in memo:
                 memo[key] = product * power_trace(x, mu[i - 1])
             product = memo[key]
-        pairs.append((Fraction(chi * class_size(mu), factorial(r)), product))
+        pairs.append((chi * weight, product))
     return linear_combination(x.algebra, pairs)
 
 
@@ -751,25 +740,26 @@ def diagonalize(x: SuperMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _image_trace(e: GroupAlgebraElement, x: SuperMatrix, multiset) -> SuperPoly:
-    """Supertrace of X_1...X_r on the image of the idempotent e in the weight
-    slice of `multiset`.
+def _semistandard_keys(tab: StandardTableau, m: int, n: int, multiset) -> list:
+    """K_S for each (m|n)-semistandard super tableau S of T's shape and the
+    multiset's weight: S's entry in each slot that T numbers."""
+    weight = tuple(multiset.count(a) for a in range(1, m + n + 1))
+    slots = [tab.position(k) for k in range(1, tab.size + 1)]
+    return [tuple(s[i][j] for i, j in slots)
+            for s in semistandard_super_tableaux(tab.shape, m, n, weight)]
 
-    The image is spanned by the e|K> over the arrangements K of the multiset
-    and kept in the reduced echelon basis of those vectors.  X_1...X_r
-    commutes with the S_r action, so it maps the image into itself, and each
-    basis vector is 1 at its own pivot and 0 at the others: the trace is the
-    sum over basis vectors v of the pivot coordinate of X_1...X_r v, times
-    the slice's weight.  This route never goes through the immanant formula.
-    """
-    whole = e.integer_multiple()  # the same image, int vectors
-    vectors = []
-    for key in arrangements(multiset):
-        vec = apply_group_algebra_to_state(whole, {key: 1}, x.m)
-        if vec:
-            vectors.append(vec)
-    if not vectors:
-        return x.algebra.zero()
+
+def _image_trace(tab: StandardTableau, x: SuperMatrix, multiset) -> SuperPoly:
+    """Supertrace of X_1...X_r on the image of E_T in the weight slice of
+    `multiset`, read off the reduced echelon basis of the int vectors
+    g E_T|K_S> over the `_semistandard_keys` K_S, which span that image
+    (Berele and Regev, Adv. Math. 64 (1987), section 3).  X_1...X_r commutes
+    with the S_r action, so it maps the image into itself; each basis vector
+    v is 1 at its own pivot and 0 at the others, so the trace is the sum of
+    the pivot coordinates of X_1...X_r v, times the slice's weight.  This
+    route never goes through the immanant formula."""
+    vectors = [apply_idempotent(tab, {key: 1}, x.m)[0]
+               for key in _semistandard_keys(tab, x.m, x.n, multiset)]
     coords = sorted({k for vec in vectors for k in vec})
     rows = [[vec.get(k, 0) for k in coords] for vec in vectors]
     red, pivots = ratlinalg.rref(rows)
@@ -791,24 +781,21 @@ def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
         raise SuperMatrixError("weight entries must be non-negative integers")
     if sum(shape) != sum(weight):
         raise SuperMatrixError("shape size and weight size differ")
-    e = primitive_idempotent(row_reading_tableau(shape))
-    return _image_trace(e, x, composition_to_multiset(weight))
+    return _image_trace(row_reading_tableau(shape), x, composition_to_multiset(weight))
 
 
 def schur_weyl_norm_report(tab, weight, m: int, n: int) -> dict:
-    """Norm bookkeeping for one idempotent image vector E_T e_I: the vector,
-    whether it vanishes, its self-pairing, and the relabelled filling."""
+    """Norm bookkeeping for one idempotent image vector: g E_T e_I (see
+    `apply_idempotent`), whether it vanishes, the self-pairing of E_T e_I,
+    and the relabelled filling."""
     weight = tuple(weight)
-    multiset = composition_to_multiset(weight)
-    e = primitive_idempotent(tab)
-    vec = apply_group_algebra_to_state(e, {multiset: 1}, m)
-    norm = Fraction(bilinear_form(vec, vec)) if vec else Fraction(0)
+    vec, g = apply_idempotent(tab, {composition_to_multiset(weight): 1}, m)
     filling = relabel_by_weight(tab, weight)
     return {
         "filling": filling,
         "semistandard": is_semistandard_super(filling, m, n),
         "vector_zero": not vec,
-        "norm": norm,
+        "norm": Fraction(bilinear_form(vec, vec), g * g),
         "vector": vec,
     }
 

@@ -110,20 +110,28 @@ def _group_index(r: int) -> dict:
 
 def permutation_sum(entries, coefficient, one):
     """Sum over s in S_r of coefficient(s) * prod_i entries[i][s(i)], for a
-    square grid of pairwise commuting elements of a ring whose unit is `one`."""
-    acc = one * 0
-    for perm in symmetric_group(len(entries)):
-        c = coefficient(perm)
-        if c == 0:
+    square grid of pairwise commuting elements of a ring whose unit is `one`,
+    walked depth first in lexicographic order: permutations that agree on the
+    first rows share those rows' product, and a zero product drops them all."""
+    index = _group_index(len(entries))
+    return _expand(entries, coefficient, index, (), tuple(range(1, len(entries) + 1)), one, one * 0)
+
+
+def _expand(entries, coefficient, index, images, free, term, acc):
+    """acc plus the terms of the permutations that send the rows taken so far
+    to `images`, with product `term`, and the other rows to the columns `free`."""
+    if not free:
+        c = coefficient(index[images])
+        return acc + (term if c == 1 else -term if c == -1 else term * c) if c else acc
+    row = entries[len(images)]
+    for pos, j in enumerate(free):
+        entry = row[j - 1]
+        if entry.is_zero:
             continue
-        images = perm.images
-        term = entries[0][images[0] - 1] if entries else one
-        for i in range(1, len(entries)):
-            if term.is_zero:
-                break
-            term = term * entries[i][images[i] - 1]
-        if not term.is_zero:
-            acc = acc + (term if c == 1 else -term if c == -1 else term * c)
+        product = term * entry if images else entry
+        if not product.is_zero:
+            acc = _expand(entries, coefficient, index, images + (j,),
+                          free[:pos] + free[pos + 1:], product, acc)
     return acc
 
 
@@ -154,10 +162,6 @@ class GroupAlgebraElement:
     @staticmethod
     def of(perm: Permutation) -> "GroupAlgebraElement":
         return GroupAlgebraElement(perm.degree, {perm: 1})
-
-    def integer_multiple(self) -> "GroupAlgebraElement":
-        """denominator * self, unvalidated."""
-        return _reduced(self.degree, self.numerators, 1)
 
     def _check(self, other):
         if self.degree != other.degree:
@@ -262,14 +266,13 @@ def jucys_murphy(k: int, r: int) -> GroupAlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def primitive_idempotent(tab: StandardTableau) -> GroupAlgebraElement:
-    """Spectral projector onto the Jucys-Murphy eigenline labelled by the tableau.
-
-    At each step k the factor kills every other content that entry k could
-    have taken, given the shape formed by 1..k-1.
-    """
+def jm_factors(tab: StandardTableau) -> tuple:
+    """The (y_k - c, c_k - c) pairs whose quotients multiply to E_T: step k
+    kills each other content c that entry k could take after the shape of
+    1..k-1.  The y_k commute (Okounkov and Vershik, Selecta Math. 2 (1996)),
+    so the factors may act in any order."""
     r = tab.size
-    out = GroupAlgebraElement.one(r)
+    out = []
     shape_below: list[int] = []
     for k in range(1, r + 1):
         ck = tab.content(k)
@@ -277,12 +280,22 @@ def primitive_idempotent(tab: StandardTableau) -> GroupAlgebraElement:
             yk = jucys_murphy(k, r)
             for c in addable_contents(tuple(shape_below)):
                 if c != ck:
-                    out = out * (yk - c) * Fraction(1, ck - c)
+                    out.append((yk - c, ck - c))
         i, _ = tab.position(k)
         if i == len(shape_below):
             shape_below.append(1)
         else:
             shape_below[i] += 1
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def primitive_idempotent(tab: StandardTableau) -> GroupAlgebraElement:
+    """Spectral projector onto the Jucys-Murphy eigenline labelled by the
+    tableau, built as the product of its `jm_factors`."""
+    out = GroupAlgebraElement.one(tab.size)
+    for factor, gap in jm_factors(tab):
+        out = out * factor * Fraction(1, gap)
     return out
 
 

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import factorial, prod
 
 from superimm.superring import SuperPoly
-from superimm.symgroup import GroupAlgebraElement, Permutation, SymGroupError
+from superimm.symgroup import GroupAlgebraElement, Permutation, SymGroupError, jm_factors
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +110,6 @@ def sorted_multisets(m: int, n: int, r: int):
     return tuple(combinations_with_replacement(range(1, m + n + 1), r))
 
 
-def arrangements(multiset) -> tuple[tuple[int, ...], ...]:
-    """The distinct orderings of a multiset of indices, in lexicographic order:
-    the basis tensors of its weight slice."""
-    if not multiset:
-        return ((),)
-    out = []
-    for i in sorted(set(multiset)):
-        rest = list(multiset)
-        rest.remove(i)
-        out.extend((i,) + tail for tail in arrangements(rest))
-    return tuple(out)
-
-
 def weak_compositions(r: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to r, in
     lexicographic order: the weights of the multisets of size r."""
@@ -204,6 +191,18 @@ def apply_group_algebra_to_state(elem: GroupAlgebraElement, state: dict, m: int)
             out[target] = value if old is None else old + value
     scale = Fraction(1, elem.denominator)
     return {key: c if scale == 1 else c * scale for key, c in out.items() if not _is_zero(c)}
+
+
+def apply_idempotent(tab, state: dict, m: int) -> tuple[dict, int]:
+    """(g E_T state, g), g the product of the content gaps of the standard
+    tableau: each int factor y_k - c of `symgroup.jm_factors` acts in turn
+    through the slice action, so E_T is never built."""
+    g = 1
+    for factor, gap in jm_factors(tab):
+        if state:
+            state = apply_group_algebra_to_state(factor, state, m)
+        g *= gap
+    return state, g
 
 
 def apply_matrix_at_slot(state: dict, columns, slot: int, m: int) -> dict:

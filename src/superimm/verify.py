@@ -42,7 +42,7 @@ from superimm.superring import (
     linear_combination,
     poly_to_terms,
 )
-from superimm.symgroup import MAX_DEGREE, commuting_determinant, primitive_idempotent
+from superimm.symgroup import MAX_DEGREE, commuting_determinant
 from superimm.tableaux import (
     character,
     class_size,
@@ -417,7 +417,7 @@ def check_goulden_jackson(lam, m: int, n: int) -> CheckReport:
             for _, shape, table in sides
         ]
         imm_sum = normalized_immanant_sum(lam, x)
-        trace_form = idempotent_chain_supertrace(primitive_idempotent(row_reading_tableau(lam)), x)
+        trace_form = idempotent_chain_supertrace(row_reading_tableau(lam), x)
         for (label, _, _), det in zip(sides, dets):
             yield (f"det({label}-JT) = normalized immanant sum", det, imm_sum)
         yield ("idempotent supertrace = normalized immanant sum", trace_form, imm_sum)

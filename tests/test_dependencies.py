@@ -67,7 +67,6 @@ def test_package_has_no_unused_imports():
 # Top-level names, and methods as `Class.method`, that no check, script or
 # CLI path calls, kept on purpose.
 UNREACHED_BY_DESIGN = {
-    "immanant_via_idempotent": "test oracle: the immanant as a supertrace through an idempotent",
     "star_product_slotwise": "test oracle: star products slot by slot",
     "berezinian": "public API: the Berezinian of a supermatrix",
     "poly_from_terms": "public API: inverse of poly_to_terms",

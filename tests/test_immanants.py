@@ -8,7 +8,8 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from superimm import immanants, superring
+import oracles
+from superimm import immanants, ratlinalg, superring, tableaux
 from superimm.immanants import (
     DegenerateSpectrumError,
     SuperMatrix,
@@ -24,7 +25,6 @@ from superimm.immanants import (
     elementary_invariant,
     generator_matrix,
     idempotent_chain_supertrace,
-    immanant_via_idempotent,
     load_supermatrix,
     normalized_immanant_sum,
     power_trace,
@@ -53,6 +53,7 @@ from superimm.tableaux import (
 )
 from superimm.tensorspace import (
     action_sign,
+    apply_idempotent,
     composed_tuple,
     composition_to_multiset,
     immanant_prefactor,
@@ -107,9 +108,8 @@ def test_chain_oracle_exhaustive():
         lambda x: chain_coefficient(x, (3,), (1,)),
         lambda x: chain_coefficient_slotwise(x, (3,), (1,)),
         lambda x: classical_immanant(x.entries, (1, 1), (0, 1)),
-        lambda x: immanant_via_idempotent((1, 1), x, (0, 1)),
     ],
-    ids=["chain-0", "chain-3", "slotwise-3", "classical-0", "idempotent-0"],
+    ids=["chain-0", "chain-3", "slotwise-3", "classical-0"],
 )
 def test_indices_out_of_range_are_rejected(compute):
     with pytest.raises(SuperMatrixError, match=r"indices must lie in \[1, 2\]"):
@@ -175,6 +175,8 @@ def test_vanishing_off_hook():
 
 
 def test_idempotent_route_matches_character_route():
+    """I! times the trace on E_T's image in the slice of I is the immanant,
+    for every standard tableau T of the shape."""
     for m, n in [(1, 1)]:
         x = generator_matrix(m, n)
         for r in (1, 2, 3):
@@ -182,19 +184,43 @@ def test_idempotent_route_matches_character_route():
                 for indices in sorted_multisets(m, n, r):
                     want = super_immanant(lam, x, indices)
                     for tab in standard_tableaux(lam):
-                        assert immanant_via_idempotent(lam, x, indices, tab) == want
+                        got = immanants._image_trace(tab, x, indices) * repetition_factor(indices)
+                        assert got == want, (lam, tab, indices)
 
 
-def test_idempotent_route_requires_sorted():
-    x, _ = gens(1, 1)
-    with pytest.raises(SuperMatrixError):
-        immanant_via_idempotent((1, 1), x, (2, 1))
+ORACLE_BLOCKS = [(1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 3)]
 
 
-def test_idempotent_route_refuses_a_tableau_of_another_shape():
-    x, _ = gens(1, 1)
-    with pytest.raises(SuperMatrixError, match="shape"):
-        immanant_via_idempotent((2, 1), x, (1, 1, 2), tab=row_reading_tableau((3,)))
+def _oracle_cells():
+    """(m, n, T, multiset) over every standard T and every multiset of each
+    block up to its degree."""
+    for m, n, max_r in ORACLE_BLOCKS:
+        for r in range(1, max_r + 1):
+            for lam in partitions(r):
+                for tab in standard_tableaux(lam):
+                    for multiset in sorted_multisets(m, n, r):
+                        yield m, n, tab, multiset
+
+
+def test_image_trace_matches_the_dense_idempotent():
+    """The trace off the semistandard keys equals the trace off the built E_T
+    applied to every arrangement of the multiset."""
+    matrices = {}
+    for m, n, tab, multiset in _oracle_cells():
+        x = matrices.setdefault((m, n), generator_matrix(m, n))
+        want = oracles.dense_image_trace(tab, x, multiset)
+        assert immanants._image_trace(tab, x, multiset) == want, (m, n, tab, multiset)
+
+
+def test_semistandard_keys_give_a_basis_of_the_image():
+    """The keyed vectors are independent, and they span the dense image:
+    their count, their rank and the dense image's rank agree."""
+    for m, n, tab, multiset in _oracle_cells():
+        keys = immanants._semistandard_keys(tab, m, n, multiset)
+        vectors = [apply_idempotent(tab, {key: 1}, m)[0] for key in keys]
+        dense = oracles.dense_image(tab, multiset, m)
+        rank, dense_rank = (ratlinalg.rank(oracles.rows_of(vecs)) for vecs in (vectors, dense))
+        assert len(keys) == rank == dense_rank, (m, n, tab, multiset)
 
 
 def test_classical_degeneration_against_oracle():
@@ -385,8 +411,8 @@ def test_characteristic_series_matches_invariants():
             for invariant, shape in [(elementary_invariant, (1,) * k), (complete_invariant, (k,))]:
                 value = invariant(x, k)
                 assert value == normalized_immanant_sum(shape, x), (m, n, shape)
-                e = primitive_idempotent(row_reading_tableau(shape))
-                assert value == idempotent_chain_supertrace(e, x), (m, n, shape)
+                tab = row_reading_tableau(shape)
+                assert value == idempotent_chain_supertrace(tab, x), (m, n, shape)
 
 
 def test_diagonalize_lambda2_example():
@@ -632,22 +658,35 @@ def test_idempotent_chain_supertrace_equals_immanant_sum():
             for lam in partitions(r):
                 want = normalized_immanant_sum(lam, x)
                 for tab in standard_tableaux(lam):
-                    assert idempotent_chain_supertrace(primitive_idempotent(tab), x) == want
+                    assert idempotent_chain_supertrace(tab, x) == want
+
+
+def test_idempotent_chain_supertrace_refuses_what_is_not_a_tableau():
+    x = generator_matrix(1, 1)
+    tab = row_reading_tableau((2, 1))
+    for bad in (primitive_idempotent(tab), tab.rows, (2, 1)):
+        with pytest.raises(SuperMatrixError, match="StandardTableau") as info:
+            idempotent_chain_supertrace(bad, x)
+        assert "\n" not in str(info.value)
 
 
 def test_idempotent_routes_never_regroup_permutations(monkeypatch):
     """Both idempotent routes read the trace off the idempotent's image: they
     share neither the rearrangement K = I o perm nor the signed class table
-    with the character route they are checked against."""
+    with the character route they are checked against, and read no
+    character and no Kostka number."""
     def refuse(*args):
         raise AssertionError("the idempotent route regrouped permutations")
 
     monkeypatch.setattr(immanants, "composed_tuple", refuse)
     monkeypatch.setattr(immanants, "_signed_class_table", refuse)
+    monkeypatch.setattr(immanants, "character", refuse)
+    monkeypatch.setattr(tableaux, "character", refuse)
+    monkeypatch.setattr(tableaux, "kostka", refuse)
     x = generator_matrix(2, 1)
     for tab in standard_tableaux((2, 1)):
-        idempotent_chain_supertrace(primitive_idempotent(tab), x)
-        immanant_via_idempotent((2, 1), x, (1, 2, 3), tab)
+        idempotent_chain_supertrace(tab, x)
+        immanants._image_trace(tab, x, (1, 2, 3))
 
 
 def test_load_supermatrix_round_trip(tmp_path):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial
 
 from superimm import ratlinalg, superring
@@ -29,13 +28,7 @@ from superimm.superring import (
     parse_poly,
     sum_of_products,
 )
-from superimm.symgroup import (
-    GroupAlgebraElement,
-    Permutation,
-    commuting_determinant,
-    permutation_sum,
-    symmetric_group,
-)
+from superimm.symgroup import commuting_determinant, permutation_sum, symmetric_group
 from superimm.tableaux import (
     StandardTableau,
     character,
@@ -48,9 +41,7 @@ from superimm.tableaux import (
     semistandard_super_tableaux,
 )
 from superimm.tensorspace import (
-    act_conversion_sign,
     action_sign,
-    apply_group_algebra_to_state,
     apply_idempotent,
     apply_matrix_at_slot,
     bilinear_form,
@@ -438,28 +429,10 @@ def _star_entry(y: SuperMatrix, z: SuperMatrix, i: int, b: int) -> SuperPoly:
 
 def star_product(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
     """Contraction of the flip against Y on slot one and Z on slot two,
-    as the derived entry formula (validated by star_product_slotwise)."""
+    as the derived entry formula (checked slot by slot in the tests)."""
     d = y.size
     rows = [[_star_entry(y, z, i, b) for b in range(1, d + 1)] for i in range(1, d + 1)]
     return SuperMatrix(y.m, y.n, rows, validate=False)
-
-
-def star_product_slotwise(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
-    """Oracle for the star product: apply Z on slot two, Y on slot one and the
-    flip to each two-slot basis tensor |a, b>, then contract the first slot."""
-    m = y.m
-    flip = GroupAlgebraElement.of(Permutation.transposition(1, 2, 2))
-    y_columns, z_columns = _nonzero_columns(y), _nonzero_columns(z)
-    zero = y.algebra.zero()
-    rows = [[zero] * y.size for _ in range(y.size)]
-    for a, b in product(range(1, y.size + 1), repeat=2):
-        state = apply_matrix_at_slot({(a, b): y.algebra.one()}, z_columns, 2, m)
-        state = apply_matrix_at_slot(state, y_columns, 1, m)
-        for (l1, l2), c in apply_group_algebra_to_state(flip, state, m).items():
-            if l1 == a:
-                sign = act_conversion_sign((l1, l2), (a, b), m) * parity_weight(a, m)
-                rows[l2 - 1][b - 1] = rows[l2 - 1][b - 1] + (c if sign > 0 else -c)
-    return SuperMatrix(m, y.n, rows, validate=False)
 
 
 def _check_order(k, what: str = "series order") -> None:
@@ -769,18 +742,23 @@ def _image_trace(tab: StandardTableau, x: SuperMatrix, multiset) -> SuperPoly:
     return -acc if tensor_weight(multiset, x.m) < 0 else acc
 
 
+def _check_weight(weight, d: int, r: int) -> None:
+    """A weight is d non-negative int multiplicities, one per index, summing to r."""
+    if len(weight) != d:
+        raise SuperMatrixError(f"weight needs one multiplicity per index, {d} in all")
+    if any(a.__class__ is not int or a < 0 for a in weight):
+        raise SuperMatrixError("weight entries must be non-negative integers")
+    if r != sum(weight):
+        raise SuperMatrixError("shape size and weight size differ")
+
+
 def weight_space_supertrace(shape, weight, x: SuperMatrix) -> SuperPoly:
     """Supertrace of (P_w x 1) . Delta . P_w on the copy of the irreducible
     carved out of the tensor space by the primitive idempotent of the
     row-reading tableau, read off the reduced echelon basis of its image in
     the weight slice (`_image_trace`)."""
     shape = normalize_partition(shape)
-    if len(weight) != x.size:
-        raise SuperMatrixError(f"weight needs one multiplicity per index, {x.size} in all")
-    if any(a.__class__ is not int or a < 0 for a in weight):
-        raise SuperMatrixError("weight entries must be non-negative integers")
-    if sum(shape) != sum(weight):
-        raise SuperMatrixError("shape size and weight size differ")
+    _check_weight(weight, x.size, sum(shape))
     return _image_trace(row_reading_tableau(shape), x, composition_to_multiset(weight))
 
 
@@ -789,6 +767,7 @@ def schur_weyl_norm_report(tab, weight, m: int, n: int) -> dict:
     `apply_idempotent`), whether it vanishes, the self-pairing of E_T e_I,
     and the relabelled filling."""
     weight = tuple(weight)
+    _check_weight(weight, m + n, tab.size)
     vec, g = apply_idempotent(tab, {composition_to_multiset(weight): 1}, m)
     filling = relabel_by_weight(tab, weight)
     return {

@@ -2,8 +2,7 @@
 
 Permutation arithmetic, Jucys-Murphy elements, the primitive idempotents
 attached to standard tableaux (built by spectral projection on the
-Jucys-Murphy elements), their fusion-procedure cross-check, and character
-elements.
+Jucys-Murphy elements), and character elements.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from itertools import permutations as iter_permutations
 from math import factorial, gcd, lcm
 
 from superimm import tableaux
-from superimm.tableaux import StandardTableau, addable_contents, character, hook_product
+from superimm.tableaux import StandardTableau, addable_contents, character
 
 
 class SymGroupError(ValueError):
@@ -217,11 +216,6 @@ class GroupAlgebraElement:
 
     __rmul__ = __mul__  # reached only for a non-element left operand
 
-    def conjugate_by(self, s: Permutation) -> "GroupAlgebraElement":
-        s_inv = s.inverse()
-        nums = {s * p * s_inv: c for p, c in self.numerators.items()}
-        return _reduced(self.degree, nums, self.denominator)
-
     def star(self) -> "GroupAlgebraElement":
         """The involution sending each permutation to its inverse."""
         nums = {p.inverse(): c for p, c in self.numerators.items()}
@@ -299,50 +293,6 @@ def primitive_idempotent(tab: StandardTableau) -> GroupAlgebraElement:
     return out
 
 
-def _times_linear(poly: list, k: int) -> list:
-    """poly(w) * (k - w), lowest degree first; poly's top coefficient is 0."""
-    return [k * c - prev for c, prev in zip(poly, [0] + poly)]
-
-
-def fusion_idempotent(tab: StandardTableau) -> GroupAlgebraElement:
-    """Cross-check construction by the fusion procedure (Molev, Rep. Math.
-    Phys. 61 (2008), arXiv:math/0612207): E_T is 1/h(shape) times the product
-    of the factors 1 - (a,b)/(z_a - z_b) taken by b, then by a (Yang-Baxter
-    makes it the lexicographic product), evaluated consecutively at z_b = c_b,
-    the contents of T.
-
-    Once z_1..z_{b-1} are fixed, z_b = c_b + w is the only variable, and later
-    columns are regular at w = 0.  With prod_a (c_a - c_b - w) cleared, the
-    coefficients are polynomials in w; at w = 0 each is the numerator's
-    coefficient at the denominator's lowest non-zero degree over the latter's,
-    and a non-zero numerator coefficient below it is an unremovable pole.
-    """
-    r = tab.size
-    coeffs = {Permutation.identity(r): Fraction(1)}
-    for b in range(2, r + 1):
-        cb = tab.content(b)
-        num = {p: [c] + [0] * (b - 1) for p, c in coeffs.items()}
-        den = [1] + [0] * (b - 1)
-        for a in range(1, b):
-            k = tab.content(a) - cb
-            s = Permutation.transposition(a, b, r)
-            new: dict[Permutation, list] = {}
-            for p, poly in num.items():
-                for q, part in ((p, _times_linear(poly, k)), (p * s, [-c for c in poly])):
-                    old = new.get(q)
-                    new[q] = part if old is None else [x + y for x, y in zip(old, part)]
-            num = new
-            den = _times_linear(den, k)
-        d = next(i for i, c in enumerate(den) if c)
-        coeffs = {}
-        for p, poly in num.items():
-            if any(poly[:d]):
-                raise SymGroupError(f"unremovable pole at z_{b} for tableau {tab!r}")
-            if poly[d]:
-                coeffs[p] = Fraction(poly[d], den[d])
-    return GroupAlgebraElement(r, coeffs) * Fraction(1, hook_product(tab.shape))
-
-
 def character_element(shape) -> GroupAlgebraElement:
     """Sum of chi(s) * s over the group."""
     shape = tableaux.normalize_partition(shape)
@@ -355,27 +305,3 @@ def central_idempotent(shape) -> GroupAlgebraElement:
     shape = tableaux.normalize_partition(shape)
     r = sum(shape)
     return character_element(shape) * Fraction(tableaux.dimension(shape), factorial(r))
-
-
-def transposition_relation(tab: StandardTableau, a: int) -> dict:
-    """Exact check of E_T (s_a - 1/d) = E_T s_a E_{s_a T}, with the right-hand
-    idempotent zero when the flipped filling is not standard."""
-    r = tab.size
-    if not 1 <= a < r:
-        raise SymGroupError("need 1 <= a < r")
-    d = tab.axial_distance(a)
-    s = GroupAlgebraElement.of(Permutation.transposition(a, a + 1, r))
-    e = primitive_idempotent(tab)
-    flipped = tab.swap_entries(a, a + 1)
-    lhs = e * (s - Fraction(1, d))
-    if flipped is None:
-        rhs = GroupAlgebraElement(r)
-    else:
-        rhs = e * s * primitive_idempotent(flipped)
-    return {
-        "axial_distance": d,
-        "flipped_standard": flipped is not None,
-        "lhs": lhs,
-        "rhs": rhs,
-        "holds": lhs == rhs,
-    }

@@ -125,20 +125,6 @@ class StandardTableau:
         i, j = self._positions[k]
         return j - i
 
-    def axial_distance(self, i: int) -> int:
-        """Content gap between entries i+1 and i."""
-        return self.content(i + 1) - self.content(i)
-
-    def swap_entries(self, a: int, b: int):
-        """Filling with entries a and b exchanged; None if not standard."""
-        rows = [list(row) for row in self.rows]
-        (ia, ja), (ib, jb) = self._positions[a], self._positions[b]
-        rows[ia][ja], rows[ib][jb] = b, a
-        try:
-            return StandardTableau(rows)
-        except TableauxError:
-            return None
-
     def __eq__(self, other):
         return isinstance(other, StandardTableau) and self.rows == other.rows
 

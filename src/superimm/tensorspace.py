@@ -78,20 +78,6 @@ def immanant_prefactor(row_indices, col_indices, m: int) -> int:
     return -1 if sum(a * b for a, b in zip(pr, pc)) % 2 else 1
 
 
-def act_conversion_sign(out_indices, in_indices, m: int) -> int:
-    """Sign between action coefficients and the matrix-unit expansion: the
-    a-th leg moves past the first a-1 input basis factors."""
-    po = tuple_parities(out_indices, m)
-    pi = tuple_parities(in_indices, m)
-    total = 0
-    prefix = 0
-    for a in range(len(po)):
-        if a:
-            total += ((po[a] + pi[a]) % 2) * prefix
-        prefix += pi[a]
-    return -1 if total % 2 else 1
-
-
 # ---------------------------------------------------------------------------
 # Multi-indices
 # ---------------------------------------------------------------------------
@@ -189,8 +175,8 @@ def apply_group_algebra_to_state(elem: GroupAlgebraElement, state: dict, m: int)
             value = c * (num * sign)
             old = out.get(target)
             out[target] = value if old is None else old + value
-    scale = Fraction(1, elem.denominator)
-    return {key: c if scale == 1 else c * scale for key, c in out.items() if not _is_zero(c)}
+    scale = None if elem.denominator == 1 else Fraction(1, elem.denominator)
+    return {key: c if scale is None else c * scale for key, c in out.items() if not _is_zero(c)}
 
 
 def apply_idempotent(tab, state: dict, m: int) -> tuple[dict, int]:

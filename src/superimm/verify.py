@@ -676,6 +676,8 @@ def check_littlewood_3(lam, m: int, n: int, point: GrassmannPoint,
 def check_phi_isomorphism(m: int, n: int, max_size: int) -> CheckReport:
     """The diagonal specialization carries each normalized immanant sum to the
     Schur supersymmetric polynomial, and the images stay linearly independent."""
+    if max_size < 1:
+        raise VerifyError(f"phi-isomorphism needs max_size >= 1, got {max_size}")
     params = {"identity": "phi-isomorphism", "m": m, "n": n, "max_size": max_size}
     x = generator_matrix(m, n)
 
@@ -713,6 +715,8 @@ def check_classical_degeneration(m: int, max_r: int) -> CheckReport:
 
 def check_chain_oracle(m: int, n: int, max_r: int) -> CheckReport:
     """Closed-form chain coefficients against the slot-by-slot oracle."""
+    if max_r < 1:
+        raise VerifyError(f"chain-oracle needs max_r >= 1, got {max_r}")
     params = {"identity": "chain-oracle", "m": m, "n": n, "max_r": max_r}
     x = generator_matrix(m, n)
 
@@ -767,6 +771,8 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
     Littlewood III points."""
     if trials < 1:
         raise VerifyError(f"sweep needs trials >= 1, got {trials}")
+    if max_r < 1:
+        raise VerifyError(f"sweep needs max_r >= 1, got {max_r}")
     degrees = range(1, max_r + 1)
     shapes = [lam for r in degrees for lam in partitions(r)]
     per_degree = {"vanishing": check_vanishing, "kostant": check_kostant,

@@ -31,7 +31,6 @@ from superimm.immanants import (
     schur_weyl_norm_report,
     star_power,
     star_product,
-    star_product_slotwise,
     super_immanant,
     supertrace,
     weight_space_supertrace,
@@ -249,7 +248,7 @@ def test_invariants_cross_checked_and_commuting():
 def test_star_product_against_slot_oracle():
     for m, n in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         x = generator_matrix(m, n)
-        assert star_product(x, x) == star_product_slotwise(x, x)
+        assert star_product(x, x) == oracles.star_product_slotwise(x, x)
     y = generator_matrix(2, 0)
     assert star_product(y, y) == y @ y  # no odd signs at n=0
     x = generator_matrix(1, 1)
@@ -649,6 +648,24 @@ def test_schur_weyl_identity_filling():
     rep = schur_weyl_norm_report(standard_tableaux((2, 1))[0], (1, 1, 1), 2, 1)
     assert rep["semistandard"] and not rep["vector_zero"]
     assert rep["norm"] == Fraction(1, hook_product((2, 1)))
+
+
+@pytest.mark.parametrize("weight, m, n, message", [
+    ((0, 0, 2), 1, 1, "weight needs one multiplicity per index, 2 in all"),
+    ((1, -1, 2), 1, 1, "weight needs one multiplicity per index, 2 in all"),
+    ((1, -1, 2), 2, 1, "weight entries must be non-negative integers"),
+    ((True, 1), 1, 1, "weight entries must be non-negative integers"),
+    ((1, 2), 1, 1, "shape size and weight size differ"),
+])
+def test_schur_weyl_norm_report_rejects_a_malformed_weight(weight, m, n, message):
+    """Each bad weight fails with the one-line message of
+    `weight_space_supertrace`: (0, 0, 2) at (1|1) gave a report over an index
+    3 that does not exist, and (1, -1, 2) a SymGroupError about slot counts."""
+    tab = row_reading_tableau((2,))
+    with pytest.raises(SuperMatrixError, match=f"^{message}$"):
+        schur_weyl_norm_report(tab, weight, m, n)
+    with pytest.raises(SuperMatrixError, match=f"^{message}$"):
+        weight_space_supertrace(tab.shape, weight, generator_matrix(m, n))
 
 
 def test_idempotent_chain_supertrace_equals_immanant_sum():

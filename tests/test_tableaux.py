@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from oracles import axial_distance
 from superimm.tableaux import (
     StandardTableau,
     TableauxError,
@@ -71,8 +72,8 @@ def test_hook_times_dimension_is_factorial():
 def test_contents_and_axial_distances():
     t = StandardTableau([(1, 2), (3,)])
     assert [t.content(k) for k in (1, 2, 3)] == [0, 1, -1]
-    assert t.axial_distance(1) == 1
-    assert t.axial_distance(2) == -2
+    assert axial_distance(t, 1) == 1
+    assert axial_distance(t, 2) == -2
     assert addable_contents((2, 1)) == (2, 0, -2)
 
 

@@ -6,8 +6,8 @@ from math import factorial
 import pytest
 
 import superimm.tensorspace as tensorspace
-from oracles import arrangements
-from superimm.immanants import SuperMatrix, star_product_slotwise
+from oracles import arrangements, star_product_slotwise
+from superimm.immanants import SuperMatrix
 from superimm.superring import Algebra
 from superimm.symgroup import (
     GroupAlgebraElement,

@@ -6,11 +6,13 @@ from itertools import combinations
 
 import pytest
 
+from superimm import verify
 from superimm.immanants import SuperMatrix, generator_matrix, super_immanant
 from superimm.superring import TruncatedSeries
 from superimm.symgroup import MAX_DEGREE
 from superimm.tableaux import partitions
 from superimm.verify import (
+    CHECK_FAMILIES,
     CheckReport,
     VerifyError,
     check_berezinian_series,
@@ -521,6 +523,23 @@ def test_sweep_rejects_trials_below_one():
     for trials in (0, -2):
         with pytest.raises(VerifyError, match=f"trials >= 1, got {trials}"):
             sweep("littlewood3", 1, 1, 2, trials=trials)
+
+
+def test_a_size_below_one_is_refused_before_any_work(monkeypatch):
+    """`all` at max_r = 0 returned ten passing reports, one of them a rank
+    count over no images, and most families returned none at all."""
+    def no_work(*args):
+        raise AssertionError("a check started on a size below one")
+
+    monkeypatch.setattr(verify, "generator_matrix", no_work)
+    for size in (0, -1):
+        for name in ("all", *CHECK_FAMILIES):
+            with pytest.raises(VerifyError, match=f"^sweep needs max_r >= 1, got {size}$"):
+                sweep(name, 1, 1, size)
+        with pytest.raises(VerifyError, match=f"^phi-isomorphism needs max_size >= 1, got {size}$"):
+            check_phi_isomorphism(1, 1, size)
+        with pytest.raises(VerifyError, match=f"^chain-oracle needs max_r >= 1, got {size}$"):
+            check_chain_oracle(1, 1, size)
 
 
 def _spy(monkeypatch, module, name, calls):

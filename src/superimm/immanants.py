@@ -598,8 +598,8 @@ def _unipotent_inverse(columns, algebra):
     nonzero parts are multiplied, and d runs to the unit count len(columns[0][0]) - 1:
     products of low-degree parts reach degrees that N itself lacks."""
     size, zero, top = len(columns), algebra.zero(), len(columns[0][0])
-    # rows[k]: the nonzero (e, t, N^(e)[k][t]) with e >= 1, by e and then t
-    rows = [[(e, t, columns[t][k][e]) for e in range(1, top) for t in range(size)
+    # rows[k]: the nonzero (e, t, -N^(e)[k][t]) with e >= 1, by e and then t
+    rows = [[(e, t, -columns[t][k][e]) for e in range(1, top) for t in range(size)
              if not columns[t][k][e].is_zero] for k in range(size)]
     # parts[d][t]: {j: F^(d)[t][j]}, its nonzero entries
     parts = [[{k: algebra.scalar(1)} for k in range(size)]]
@@ -612,7 +612,7 @@ def _unipotent_inverse(columns, algebra):
                     for j, f in parts[d - e][t].items():
                         pairs.setdefault(j, []).append((p, f))
             sums = ((j, sum_of_products(zero, ps)) for j, ps in pairs.items())
-            level.append({j: -s for j, s in sums if not s.is_zero})
+            level.append({j: s for j, s in sums if not s.is_zero})
         parts.append(level)
     return [[linear_combination(algebra, ((1, level[k][j]) for level in parts if j in level[k]))
              for j in range(size)] for k in range(size)]
@@ -656,11 +656,10 @@ def diagonalize(x: SuperMatrix) -> dict:
     v_mat, v_inv_mat = (SuperMatrix(m, n, grid, validate=False) for grid in (v, v_inv))
     xp = v_inv_mat @ x @ v_mat
 
-    # soul[k][t]: {e: the part of xp[k, t] - b_k [k == t] with e >= 1 odd factors}, nonzero
-    # parts only; rows[k] lists them as (e, t, part), by e and then t
+    # soul[k][t]: {e: the part of xp[k, t] with e odd factors}, nonzero parts only; rows[k]
+    # lists those with e >= 1, the soul, as (e, t, part), by e and then t
     units = _grassmann_units(algebra)
-    soul = [[odd_degree_parts(xp[k + 1, t + 1] - (bodies[k] if k == t else 0))
-             for t in range(size)] for k in range(size)]
+    soul = [[odd_degree_parts(xp[k + 1, t + 1]) for t in range(size)] for k in range(size)]
     rows = [[(e, t, soul[k][t][e]) for e in range(1, units + 1) for t in range(size)
              if e in soul[k][t]] for k in range(size)]
     columns = []
@@ -686,8 +685,9 @@ def diagonalize(x: SuperMatrix) -> dict:
                 if not value.is_zero:
                     z[k][d] = value * inverse_gaps[k]
         degree_parts.append([[parts.get(e, zero) for e in range(units + 1)] for parts in z])
-        columns.append([sum(parts.values(), zero) for parts in z])
-        eigenvalues.append(algebra.scalar(bodies[pos]) - sum(minus_shift.values(), zero))
+        columns.append([linear_combination(algebra, ((1, p) for p in parts.values())) for parts in z])
+        eigenvalues.append(linear_combination(algebra, [(bodies[pos], algebra.one()),
+                                                        *((-1, s) for s in minus_shift.values())]))
 
     u = v_mat @ SuperMatrix(m, n, columns, validate=False).transpose()
     w = _mat_mul(x.entries, u.entries, zero)

@@ -116,10 +116,11 @@ class Algebra:
         return self is other or list(self._gens.values()) == list(other._gens.values())
 
     def _factors(self, key: int) -> tuple:
-        """(sign, even, odd, factors) for the monomial `key`: its even part
+        """(sign, even, odd, head, last) for the monomial `key`: its even part
         as name-sorted (generator, exponent) pairs, its odd part as sorted
         names, the sign that reorders the odd part from bit order into name
-        order, and the even pairs followed by (name, 1) for each odd name."""
+        order, and its factors, the even pairs then (name, 1) for each odd
+        name, split into all but the last and a tuple of the last (empty for 1)."""
         shown = self._shown.get(key)
         if shown is None:
             even = tuple(sorted((name, key >> shift & _FIELD) for name, shift in self._shift.items()
@@ -128,7 +129,7 @@ class Algebra:
             swaps = sum(a > b for a, b in combinations(in_bit_order, 2))
             odd = tuple(sorted(in_bit_order))
             factors = (*even, *((name, 1) for name in odd))
-            shown = self._shown[key] = (-1 if swaps % 2 else 1, even, odd, factors)
+            shown = self._shown[key] = (-1 if swaps % 2 else 1, even, odd, factors[:-1], factors[-1:])
         return shown
 
     def _key(self, even, odd) -> tuple:
@@ -141,7 +142,7 @@ class Algebra:
                 return 0, 0
             key += exp << self._shift[name]
         key += sum(self._bit.get(name, 0) for name in odd)  # an unknown name fails the round trip
-        sign, shown_even, shown_odd, _ = self._factors(key)
+        sign, shown_even, shown_odd, *_ = self._factors(key)
         return (sign, key) if (shown_even, shown_odd) == (even, odd) else (0, 0)
 
     def __repr__(self):
@@ -320,7 +321,7 @@ class SuperPoly:
         """Deterministically ordered (even, odd, coefficient) triples: name-sorted
         tuples of (generator, exponent) pairs and of odd generator names."""
         shown = [(self.algebra._factors(key), c) for key, c in self._coefficients()]
-        return sorted((even, odd, sign * c) for (sign, even, odd, _), c in shown)
+        return sorted((even, odd, sign * c) for (sign, even, odd, *_), c in shown)
 
     def coefficient(self, key) -> Fraction:
         """Coefficient of the monomial key (even_part, odd_part), both
@@ -437,7 +438,7 @@ class SuperPoly:
     def __hash__(self):  # a constant hashes like the rational it equals
         if self._terms.keys() <= {_ONE}:
             return hash(self.constant_term())
-        return hash(frozenset(self._coefficients()))
+        return hash((self._den, frozenset(self._terms.items())))  # compatible algebras share key layouts
 
     # -- substitution ----------------------------------------------------------
 
@@ -453,8 +454,9 @@ class SuperPoly:
         # loops, not recursion: a closure reaching itself would leave a cycle per call
         powers, prefixes = ({}, {(): target.one()}) if memo is None else memo
 
-        def power(name, exp):  # images[name] ** exp, built once per memo
-            if (name, exp) not in powers:
+        def power(factor):  # images[name] ** exp for the factor (name, exp), built once per memo
+            if (value := powers.get(factor)) is None:
+                name, exp = factor
                 if name not in images:
                     raise EvaluationError(f"no value assigned to generator {name!r}")
                 value = images[name]
@@ -463,24 +465,25 @@ class SuperPoly:
                 for e in range(1, exp + 1):
                     if (name, e) not in powers:
                         powers[name, e] = value if e == 1 else powers[name, e - 1] * value
-            return powers[name, exp]
+                value = powers[factor]
+            return value
 
         def prefix(factors):  # the image of the product of `factors`, built once per memo
-            i = len(factors)
-            while factors[:i] not in prefixes:
-                i -= 1
-            head = prefixes[factors[:i]]
-            for i in range(i + 1, len(factors) + 1):
-                head = prefixes[factors[:i]] = head if head.is_zero else head * power(*factors[i - 1])
+            if (head := prefixes.get(factors)) is None:
+                i = len(factors) - 1
+                while (head := prefixes.get(factors[:i])) is None:
+                    i -= 1
+                for i in range(i + 1, len(factors) + 1):
+                    head = prefixes[factors[:i]] = head if head.is_zero else head * power(factors[i - 1])
             return head
 
         images_of_terms = []
         factors_of = self.algebra._factors
         for key, c in self._terms.items():
-            sign, _, _, factors = factors_of(key)
-            head = prefix(factors[:-1])
+            sign, _, _, head, last = factors_of(key)
+            head = prefix(head)
             if not head.is_zero:
-                images_of_terms.append((sign * c, head, power(*factors[-1]) if factors else head))
+                images_of_terms.append((sign * c, head, power(*last) if last else head))
         den = lcm(*(head._den * last._den for _, head, last in images_of_terms))
         terms: dict = {}
         for c, head, last in images_of_terms:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from superimm import superring
 from superimm.superring import Algebra, SuperPoly, TruncatedSeries
 from superimm.symgroup import commuting_determinant
 from superimm.tableaux import normalize_partition
@@ -152,11 +153,18 @@ def diagonal_specialization(p: SuperPoly, m: int, n: int) -> SuperPoly:
 
 
 def evaluate_two_alphabets(f: SuperPoly, first_values, second_values, target: Algebra) -> SuperPoly:
-    """Substitute explicit (even) values for both alphabets."""
-    images = {}
-    for i, value in enumerate(first_values, start=1):
-        images[f"u{i}"] = value
-    for j, value in enumerate(second_values, start=1):
-        images[f"v{j}"] = value
-    return f.substitute(images, target)
+    """Substitute explicit (even) values for both alphabets, which must name exactly f's
+    generators u1..um and v1..vn; back-to-back calls at equal alphabets share one memo."""
+    first_values, second_values = tuple(first_values), tuple(second_values)
+    images = {f"u{i}": value for i, value in enumerate(first_values, start=1)}
+    images.update((f"v{j}", value) for j, value in enumerate(second_values, start=1))
+    if images.keys() != {g.name for g in f.algebra.generators()}:
+        raise SuperSymError(f"{len(first_values)}|{len(second_values)} values do not fit {f.algebra!r}")
+    memo = _alphabet_memo(first_values, second_values, target, superring.merge_odd_parts)
+    return f.substitute(images, target, memo)
 
+
+@lru_cache(maxsize=1)
+def _alphabet_memo(first_values: tuple, second_values: tuple, target: Algebra, merge) -> tuple:
+    """The memo of `substitute` for the last alphabets, target and sign rule; one slot."""
+    return {}, {(): target.one()}

@@ -154,6 +154,7 @@ def state_add(state: dict, key, value):
 
 # (key parity pattern, action_sign seam) -> {perm images: (sign, source slots)}
 _ACTION_TABLES: dict = {}
+_KEY_TABLES: dict = {}  # (key, m, seam) -> its pattern's entry of _ACTION_TABLES
 
 
 def apply_group_algebra_to_state(elem: GroupAlgebraElement, state: dict, m: int) -> dict:
@@ -164,7 +165,9 @@ def apply_group_algebra_to_state(elem: GroupAlgebraElement, state: dict, m: int)
     for key, c in state.items():
         if len(key) != r:
             raise SymGroupError(f"basis tensor {key} has {len(key)} slots, not {r}")
-        table = _ACTION_TABLES.setdefault((tuple_parities(key, m), seam), {})
+        table = _KEY_TABLES.get((key, m, seam))
+        if table is None:
+            table = _KEY_TABLES[key, m, seam] = _ACTION_TABLES.setdefault((tuple_parities(key, m), seam), {})
         slot = key.__getitem__
         for perm, num in elem.numerators.items():
             move = table.get(perm.images)

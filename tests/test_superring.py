@@ -987,6 +987,150 @@ def test_point_memo_builds_each_power_and_prefix_once(monkeypatch):
     assert len(calls) == 56
 
 
+# -- the alphabet memo and the hash it is keyed by -----------------------------
+#
+# supersym.evaluate_two_alphabets keeps one (powers, prefixes) memo, keyed by
+# (first values, second values, target, sign rule): the Schur polynomials
+# evaluated back to back at one point's eigenvalues share it, and the next
+# alphabets free it.  The key hashes every value, so a non-constant SuperPoly
+# hashes its stored numerators and denominator, never building a Fraction.
+
+
+def _random_even_values(rng, count, n_units=4):
+    """Rational bodies plus random sums of +-th_a th_b, so prefixes of
+    products carry souls that multiply and cancel."""
+    lam = grassmann_algebra(n_units)
+    units = [lam.gen(f"th{i}") for i in range(1, n_units + 1)]
+    pairs = [units[a] * units[b] for a in range(n_units) for b in range(a + 1, n_units)]
+    return tuple(linear_combination(lam, [(rng.choice((-1, 0, 1)), p) for p in pairs]
+                                    + [(Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)), lam.one())])
+                 for _ in range(count))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_alphabet_memo_agrees_with_memo_free_substitution(seed, count):
+    """A run of polynomials evaluated at alphabets A, B, then at a rebuilt copy
+    of A gives what a substitution with fresh memos gives."""
+    import random
+
+    from superimm.supersym import evaluate_two_alphabets, sym_algebra
+
+    rng = random.Random(seed)
+    alg, lam = sym_algebra(2, 2), grassmann_algebra(4)
+    polys = [_random_poly(alg, rng) for _ in range(count)]
+    a, b = ((_random_even_values(rng, 2), _random_even_values(rng, 2)) for _ in range(2))
+    copy = tuple(tuple(linear_combination(lam, [(1, v)]) for v in values) for values in a)
+    for first, second in (a, b, copy):
+        images = {"u1": first[0], "u2": first[1], "v1": second[0], "v2": second[1]}
+        for p in polys:
+            assert evaluate_two_alphabets(p, first, second, lam) == p.substitute(images, lam)
+
+
+def test_alphabet_memo_is_keyed_by_the_sign_rule(monkeypatch):
+    """A sign rule installed after a warm-up at the same alphabets gets a fresh
+    memo: the memoized prefix u1 u2 -> th1 th2 th3 th4 takes the new rule's sign."""
+    import superimm.superring as superring
+    from superimm.supersym import evaluate_two_alphabets, sym_algebra
+
+    alg, lam = sym_algebra(2, 1), grassmann_algebra(4)
+    th1, th2, th3, th4 = (lam.gen(f"th{i}") for i in range(1, 5))
+    p = alg.gen("u1") * alg.gen("u2") * alg.gen("v1")
+    alphabets = ((th1 * th2, th3 * th4), (lam.scalar(2),), lam)
+    top = th1 * th2 * th3 * th4
+    assert evaluate_two_alphabets(p, *alphabets) == 2 * top
+    original = superring.merge_odd_parts
+    monkeypatch.setattr(superring, "merge_odd_parts", lambda a, b: (-original(a, b)[0], original(a, b)[1]))
+    assert evaluate_two_alphabets(p, *alphabets) == -2 * top
+    monkeypatch.setattr(superring, "merge_odd_parts", original)
+    assert evaluate_two_alphabets(p, *alphabets) == 2 * top
+
+
+def test_alphabet_memo_frees_the_last_alphabets_at_the_next():
+    import weakref
+
+    from superimm.supersym import evaluate_two_alphabets, sym_algebra
+
+    alg, lam = sym_algebra(1, 1), grassmann_algebra(4)
+    p = alg.gen("u1") * alg.gen("v1") + alg.gen("u1")
+    target = Algebra("fresh")  # compatible with Lambda_4, and no cache holds it
+    target.odd("th1", "th2", "th3", "th4")
+    assert evaluate_two_alphabets(p, [lam.scalar(2)], [lam.gen("th1") * lam.gen("th2")], target) != 0
+    gone = weakref.ref(target)
+    del target
+    assert gone() is not None  # the slot holds the target it serves
+    evaluate_two_alphabets(p, [lam.scalar(3)], [lam.scalar(5)], lam)
+    assert gone() is None
+
+
+def test_alphabet_memo_builds_each_power_and_prefix_once(monkeypatch):
+    """The six Schur polynomials with |lambda| <= 3 at the eigenvalues of a
+    seeded (2|2) point take 17 products through the shared memo, 45 with a
+    fresh memo per polynomial."""
+    from superimm.immanants import diagonalize, generator_matrix
+    from superimm.superring import SuperPoly
+    from superimm.supersym import _alphabet_memo, evaluate_two_alphabets, schur_super
+    from superimm.tableaux import partitions
+    from superimm.verify import random_grassmann_point
+
+    eigen = diagonalize(generator_matrix(2, 2).evaluate(random_grassmann_point(2, 2, 20240614)).transpose())
+    first, second = eigen["even_eigenvalues"], [-w for w in eigen["odd_eigenvalues"]]
+    lam = grassmann_algebra(4)
+    images = {"u1": first[0], "u2": first[1], "v1": second[0], "v2": second[1]}
+    schurs = [schur_super(shape, 2, 2) for r in range(1, 4) for shape in partitions(r)]
+    _alphabet_memo.cache_clear()
+    original, calls = SuperPoly.__mul__, []
+
+    def spy(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(SuperPoly, "__mul__", spy)
+    alone = [s.substitute(images, lam) for s in schurs]
+    assert len(calls) == 45
+    calls.clear()
+    assert [evaluate_two_alphabets(s, first, second, lam) for s in schurs] == alone
+    assert len(calls) == 17
+
+
+def _built_from_generators(alg, raw):
+    """sum c * (even powers) * (odd generators in name order), by + and *."""
+    p = alg.zero()
+    for (even, odd), c in raw.items():
+        term = alg.scalar(c)
+        for name in (*(name for name, exp in even for _ in range(exp)), *odd):
+            term = term * alg.gen(name)
+        p = p + term
+    return p
+
+
+@given(raw_polys(max_size=4), st.sampled_from(list(ODD_ORDERS.values())), rationals)
+@example(raw={((("x", 1),), ("th1",)): Fraction(1, 2), ((), ()): Fraction(2, 3)},
+         odd_order=ODD_ORDERS["reversed"], s=Fraction(-3, 2))
+@settings(max_examples=200, deadline=None)
+def test_equal_polys_hash_equal_across_routes_and_compatible_algebras(raw, odd_order, s):
+    """Parsed terms in one algebra, and generator products summed, scaled by s
+    and back, in a second algebra declared alike: equal, so equal hashes."""
+    first, second = _kernel_algebra(odd_order), _kernel_algebra(odd_order)
+    p = poly_from_terms(first, _as_terms(raw))
+    built = _built_from_generators(second, raw)
+    routes = [built, built * s * (1 / Fraction(s)) if s else built, linear_combination(second, [(1, built)])]
+    for q in routes:
+        assert first is not second and first.compatible(second)
+        assert p == q and hash(p) == hash(q)
+
+
+def test_hashing_a_non_constant_builds_no_fraction(monkeypatch):
+    from superimm.superring import SuperPoly
+
+    alg = _kernel_algebra()
+    p = alg.gen("x") * Fraction(1, 2) + alg.gen("th1") * Fraction(2, 3)
+    q = linear_combination(alg, [(Fraction(1, 6), 3 * alg.gen("x") + 4 * alg.gen("th1"))])
+    monkeypatch.setattr(SuperPoly, "_coefficients", lambda self: pytest.fail("_coefficients called"))
+    assert p._den == 6 and p == q and hash(p) == hash(q)
+    assert {p: "found"}[q] == "found"
+
+
 @pytest.mark.parametrize("k", [True, 2.0, "2"], ids=["bool", "float", "str"])
 def test_power_exponent_must_be_an_integer(mixed, k):
     alg, x, *_ = mixed

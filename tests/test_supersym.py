@@ -198,3 +198,16 @@ def test_evaluate_two_alphabets():
     alg, (x,), (y,) = xy(1, 1)
     value = evaluate_two_alphabets(x * x + y, [lam4.scalar(2)], [lam4.scalar(3)], lam4)
     assert value == 7
+
+
+@pytest.mark.parametrize("first, second", [([2, 3, 5], [7]), ([2], [7, 11]), ([], [7]), ([2], [])],
+                         ids=["first-too-long", "second-too-long", "first-too-short", "second-too-short"])
+def test_evaluate_two_alphabets_takes_exactly_the_generators(first, second):
+    """A (1|1) polynomial takes one value per alphabet: more or fewer raise
+    rather than drop or leave a generator unassigned."""
+    lam4 = grassmann_algebra(4)
+    f = schur_super((2, 1), 1, 1)
+    assert evaluate_two_alphabets(f, [lam4.scalar(2)], [lam4.scalar(7)], lam4) == 126
+    values = [lam4.scalar(v) for v in first], [lam4.scalar(v) for v in second]
+    with pytest.raises(SuperSymError, match=rf"^{len(first)}\|{len(second)} values do not fit "):
+        evaluate_two_alphabets(f, *values, lam4)

@@ -45,12 +45,12 @@ from superimm.tensorspace import (
     apply_idempotent,
     apply_matrix_at_slot,
     bilinear_form,
-    composed_tuple,
     composition_to_multiset,
     comodule_sign,
     immanant_prefactor,
     index_parity,
     parity_weight,
+    permuted_tuple,
     repetition_factor,
     sorted_multisets,
     tensor_weight,
@@ -276,13 +276,13 @@ def _typed_permutations(r: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _signed_class_table(row_indices, m: int, sign) -> tuple:
-    """(K, ((mu, C_mu(K)), ...)) per K = I o perm, in first-appearance order: C_mu(K) sums
-    sign(K, m, perm) over its perms of cycle type mu, zeros left out.  `sign` is in the key."""
+    """(K, ((mu, C_mu(K)), ...)) per K = perm . I, in first-appearance order: perm sends e_I
+    to sign(I, m, perm) e_K, the slice action's move, and C_mu(K) sums those signs over its
+    perms of cycle type mu, zeros left out.  `sign` is in the key."""
     counts: dict = {}
     for perm, ct in _typed_permutations(len(row_indices)):
-        k = composed_tuple(row_indices, perm)
-        by_type = counts.setdefault(k, {})
-        by_type[ct] = by_type.get(ct, 0) + sign(k, m, perm)
+        by_type = counts.setdefault(permuted_tuple(row_indices, perm), {})
+        by_type[ct] = by_type.get(ct, 0) + sign(row_indices, m, perm)
     return tuple((k, tuple((ct, c) for ct, c in t.items() if c)) for k, t in counts.items())
 
 

@@ -36,6 +36,8 @@ class Permutation:
 
     @staticmethod
     def transposition(a: int, b: int, r: int) -> "Permutation":
+        if not (1 <= a <= r and 1 <= b <= r and a != b):
+            raise SymGroupError(f"a transposition of 1..{r} swaps two distinct points of it, got ({a} {b})")
         images = list(range(1, r + 1))
         images[a - 1], images[b - 1] = b, a
         return Permutation(images)

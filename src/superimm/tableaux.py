@@ -21,9 +21,11 @@ class TableauxError(ValueError):
 
 
 def normalize_partition(parts) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in parts if p != 0)
-    if any(p < 0 for p in parts) or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise TableauxError(f"{parts} is not weakly decreasing and positive")
+    parts = tuple(p for p in parts if p.__class__ is not int or p)
+    if any(p.__class__ is not int or p < 0 for p in parts):  # bool included
+        raise TableauxError(f"partition parts must be non-negative integers, got {parts}")
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise TableauxError(f"{parts} is not weakly decreasing")
     return parts
 
 

@@ -99,9 +99,10 @@ def sorted_multisets(m: int, n: int, r: int):
 def weak_compositions(r: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to r, in
     lexicographic order: the weights of the multisets of size r."""
-    labels = range(1, parts + 1)
-    return tuple(sorted(tuple(c.count(i) for i in labels)
-                        for c in combinations_with_replacement(labels, r)))
+    if not parts:
+        return () if r else ((),)
+    return tuple((first,) + rest for first in range(r + 1)
+                 for rest in weak_compositions(r - first, parts - 1))
 
 
 def composition_to_multiset(comp) -> tuple[int, ...]:
@@ -114,11 +115,6 @@ def permuted_tuple(indices, perm: Permutation) -> tuple[int, ...]:
     for k, i in enumerate(indices):
         out[perm.images[k] - 1] = i
     return tuple(out)
-
-
-def composed_tuple(indices, perm: Permutation) -> tuple[int, ...]:
-    """The tuple K with K_a = I_{perm(a)}."""
-    return tuple(indices[perm.images[a] - 1] for a in range(len(indices)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,29 +148,24 @@ def state_add(state: dict, key, value):
         state[key] = s
 
 
-# (key parity pattern, action_sign seam) -> {perm images: (sign, source slots)}
-_ACTION_TABLES: dict = {}
-_KEY_TABLES: dict = {}  # (key, m, seam) -> its pattern's entry of _ACTION_TABLES
+_KEY_TABLES: dict = {}  # (key, m, action_sign seam) -> {perm images: (sign, perm . key)}
 
 
 def apply_group_algebra_to_state(elem: GroupAlgebraElement, state: dict, m: int) -> dict:
     """elem's int numerators act on a state over any coefficient ring, then its
-    denominator divides each output entry; signs come from `_ACTION_TABLES`."""
+    denominator divides each output entry.  perm sends e_K to action_sign(K, m, perm)
+    e_{perm . K}, perm . K = `permuted_tuple(K, perm)`: each K keeps its moves in `_KEY_TABLES`."""
     seam, r = action_sign, elem.degree
     out: dict = {}
     for key, c in state.items():
         if len(key) != r:
             raise SymGroupError(f"basis tensor {key} has {len(key)} slots, not {r}")
-        table = _KEY_TABLES.get((key, m, seam))
-        if table is None:
-            table = _KEY_TABLES[key, m, seam] = _ACTION_TABLES.setdefault((tuple_parities(key, m), seam), {})
-        slot = key.__getitem__
+        table = _KEY_TABLES.setdefault((key, m, seam), {})
         for perm, num in elem.numerators.items():
             move = table.get(perm.images)
-            if move is None:  # the seam in force, on a real key of this pattern
-                move = table[perm.images] = (seam(key, m, perm), permuted_tuple(range(r), perm))
-            sign, sources = move
-            target = tuple(map(slot, sources))
+            if move is None:
+                move = table[perm.images] = (seam(key, m, perm), permuted_tuple(key, perm))
+            sign, target = move
             value = c * (num * sign)
             old = out.get(target)
             out[target] = value if old is None else old + value

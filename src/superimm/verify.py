@@ -185,8 +185,7 @@ def _lr_by_kostka(mu, nu, r: int) -> dict:
     monomial = {}
     for rho in partitions(r):
         value = sum(kostka(mu, beta) * kostka(nu, tuple(p - b for p, b in zip(rho, beta)))
-                    for beta in weak_compositions(a, len(rho))
-                    if all(b <= p for b, p in zip(beta, rho)))
+                    for beta in product(*(range(p + 1) for p in rho)) if sum(beta) == a)
         if value:
             monomial[rho] = value
     coeffs = {}
@@ -773,6 +772,10 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
         raise VerifyError(f"sweep needs trials >= 1, got {trials}")
     if max_r < 1:
         raise VerifyError(f"sweep needs max_r >= 1, got {max_r}")
+    if max_r > MAX_DEGREE:  # the immanants of degree r sum over S_r
+        raise VerifyError(f"sweep needs max_r <= {MAX_DEGREE}, got {max_r}")
+    if name in ("littlewood1", "all") and m + n > MAX_DEGREE:  # littlewood1 runs at r = m + n
+        raise VerifyError(f"littlewood1 needs m + n <= {MAX_DEGREE}, got {m + n}")
     degrees = range(1, max_r + 1)
     shapes = [lam for r in degrees for lam in partitions(r)]
     per_degree = {"vanishing": check_vanishing, "kostant": check_kostant,

@@ -7,7 +7,9 @@
   transposition relation between the idempotents of neighbouring tableaux;
 - conjugation in the group algebra;
 - the star product with the flip applied slot by slot, where the library
-  uses one entry formula.
+  uses one entry formula;
+- the rearrangement K = I o perm of the immanant's literal permutation sum,
+  where the library acts by perm . I with the sign taken at I.
 """
 
 from fractions import Fraction
@@ -38,6 +40,11 @@ def arrangements(multiset) -> tuple[tuple[int, ...], ...]:
         rest.remove(i)
         out.extend((i,) + tail for tail in arrangements(rest))
     return tuple(out)
+
+
+def composed_tuple(indices, perm: Permutation) -> tuple[int, ...]:
+    """The tuple K with K_a = I_{perm(a)}."""
+    return tuple(indices[perm.images[a] - 1] for a in range(len(indices)))
 
 
 def dense_image(tab, multiset, m: int) -> list:

@@ -53,7 +53,6 @@ from superimm.tableaux import (
 from superimm.tensorspace import (
     action_sign,
     apply_idempotent,
-    composed_tuple,
     composition_to_multiset,
     immanant_prefactor,
     repetition_factor,
@@ -678,6 +677,15 @@ def test_idempotent_chain_supertrace_equals_immanant_sum():
                     assert idempotent_chain_supertrace(tab, x) == want
 
 
+def test_immanants_refuse_a_shape_whose_parts_are_not_ints():
+    """(1.9,) was read as (1,) and "11" as (1, 1)."""
+    x = generator_matrix(1, 1)
+    for call in (lambda: normalized_immanant_sum((1.9,), x),
+                 lambda: super_immanant("11", x, (1, 2))):
+        with pytest.raises(TableauxError, match="^partition parts must be non-negative integers"):
+            call()
+
+
 def test_idempotent_chain_supertrace_refuses_what_is_not_a_tableau():
     x = generator_matrix(1, 1)
     tab = row_reading_tableau((2, 1))
@@ -689,13 +697,14 @@ def test_idempotent_chain_supertrace_refuses_what_is_not_a_tableau():
 
 def test_idempotent_routes_never_regroup_permutations(monkeypatch):
     """Both idempotent routes read the trace off the idempotent's image: they
-    share neither the rearrangement K = I o perm nor the signed class table
-    with the character route they are checked against, and read no
-    character and no Kostka number."""
+    share neither the walk over S_r, its rearrangements K = perm . I nor the
+    signed class table with the character route they are checked against,
+    and read no character and no Kostka number."""
     def refuse(*args):
         raise AssertionError("the idempotent route regrouped permutations")
 
-    monkeypatch.setattr(immanants, "composed_tuple", refuse)
+    monkeypatch.setattr(immanants, "permuted_tuple", refuse)
+    monkeypatch.setattr(immanants, "_typed_permutations", refuse)
     monkeypatch.setattr(immanants, "_signed_class_table", refuse)
     monkeypatch.setattr(immanants, "character", refuse)
     monkeypatch.setattr(tableaux, "character", refuse)
@@ -784,7 +793,7 @@ def _permutation_sum(char, x, rows, cols):
     chi = immanants._as_class_function(char, len(rows))
     value = x.algebra.zero()
     for perm in symmetric_group(len(rows)):
-        k = composed_tuple(rows, perm)
+        k = oracles.composed_tuple(rows, perm)
         weight = chi[perm.cycle_type()] * action_sign(k, x.m, perm)
         if weight:
             value = value + chain_coefficient(x, k, cols) * weight
@@ -806,8 +815,10 @@ def _loaded_matrix():
 
 
 def test_super_immanant_table_route_matches_the_permutation_sum():
-    for x in [*(generator_matrix(m, n) for m, n in [(1, 1), (2, 1), (1, 2)]), _loaded_matrix()]:
-        for r in range(1, 5):
+    blocks = [*((generator_matrix(m, n), 4) for m, n in [(1, 1), (2, 1), (1, 2)]),
+              (_loaded_matrix(), 4), (generator_matrix(2, 2), 3)]
+    for x, max_r in blocks:
+        for r in range(1, max_r + 1):
             dict_char = {ct: Fraction(k - 2, 3) for k, ct in enumerate(partitions(r))}
             for rows in sorted_multisets(x.m, x.n, r):
                 cols = tuple(reversed(rows))  # non-principal unless rows is a palindrome

@@ -181,6 +181,15 @@ def test_symmetric_group_refuses_a_degree_above_eight():
         symmetric_group(MAX_DEGREE + 1)
 
 
+def test_transposition_refuses_points_outside_the_degree_or_equal():
+    """(5, 1, 3) raised IndexError and (2, 2, 3) returned the identity."""
+    assert Permutation.transposition(3, 1, 3).images == (3, 2, 1)
+    for a, b, r in [(5, 1, 3), (2, 2, 3), (0, 1, 3), (1, 4, 3), (-1, 2, 3), (1, 1, 1)]:
+        with pytest.raises(SymGroupError) as info:
+            Permutation.transposition(a, b, r)
+        assert "\n" not in str(info.value)
+
+
 def test_bad_group_algebra_input_raises_one_typed_error():
     """A key that is not a permutation of the element's degree, and factors of
     mixed degrees, fail with a one-line SymGroupError, never a wrong result."""

@@ -20,6 +20,7 @@ from superimm.tableaux import (
     inverse_kostka,
     is_semistandard_super,
     kostka,
+    normalize_partition,
     partitions,
     relabel_by_weight,
     row_reading_tableau,
@@ -157,6 +158,23 @@ def test_bad_weights_are_refused_in_one_line(call, message):
     with pytest.raises(TableauxError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("parts", [(2.7, 1), "21", (True, True), (2, 1.0), (2, None), (2, -1)],
+                         ids=["float", "string", "bool", "whole-float", "none", "negative"])
+def test_malformed_partitions_are_refused_in_one_line(parts):
+    """int() on each part read (2.7, 1) and "21" as (2, 1), and (True, True) as (1, 1)."""
+    with pytest.raises(TableauxError) as info:
+        normalize_partition(parts)
+    assert str(info.value) == f"partition parts must be non-negative integers, got {tuple(parts)}"
+
+
+def test_normalize_partition_drops_zeros_and_refuses_an_increase():
+    assert normalize_partition([3, 1, 0, 0]) == (3, 1)
+    assert normalize_partition(()) == ()
+    with pytest.raises(TableauxError) as info:
+        normalize_partition((1, 0, 2))
+    assert str(info.value) == "(1, 2) is not weakly decreasing"
 
 
 def test_relabel_by_weight():

@@ -6,13 +6,14 @@ from math import factorial
 import pytest
 
 import superimm.tensorspace as tensorspace
-from oracles import arrangements, star_product_slotwise
+from oracles import arrangements, composed_tuple, star_product_slotwise
 from superimm.immanants import SuperMatrix
 from superimm.superring import Algebra
 from superimm.symgroup import (
     GroupAlgebraElement,
     Permutation,
     SymGroupError,
+    jm_factors,
     primitive_idempotent,
     symmetric_group,
 )
@@ -22,7 +23,6 @@ from superimm.tensorspace import (
     apply_group_algebra_to_state,
     apply_idempotent,
     bilinear_form,
-    composed_tuple,
     composition_to_multiset,
     comodule_sign,
     immanant_prefactor,
@@ -281,6 +281,32 @@ def test_action_table_is_keyed_by_the_sign_seam(monkeypatch):
     assert apply_group_algebra_to_state(e, state, 1) == first
     monkeypatch.setattr(tensorspace, "action_sign", lambda *args: 1)
     assert apply_group_algebra_to_state(e, state, 1) != first
+
+
+def test_action_signs_are_taken_once_per_basis_tensor_and_permutation(monkeypatch):
+    """Each basis tensor keeps its moves: the sign seam in force is asked once
+    per (basis tensor, permutation), and a second application of the same
+    factor makes no sign call.  A new seam is asked again."""
+    state = {(2, 1, 2): 1, (1, 2, 2): Fraction(1, 2), (2, 2, 2): -3}
+    factors = [factor for tab in _tableaux(3) for factor, _ in jm_factors(tab)]
+    wanted = {(key, perm.images) for factor in factors for perm in factor.numerators for key in state}
+    first = None
+    for _ in range(2):  # two seams in turn
+        calls = []
+
+        def spy(key, m, perm):
+            calls.append((key, perm.images))
+            return action_sign(key, m, perm)
+
+        monkeypatch.setattr(tensorspace, "action_sign", spy)
+        images = [apply_group_algebra_to_state(factor, state, 1) for factor in factors]
+        assert sorted(calls) == sorted(wanted)
+        calls.clear()
+        assert [apply_group_algebra_to_state(factor, state, 1) for factor in factors] == images
+        assert not calls
+        assert first is None or images == first
+        first = images
+    assert first == [_fraction_action(factor, state, 1) for factor in factors]
 
 
 def test_slice_action_refuses_a_basis_tensor_of_another_degree():

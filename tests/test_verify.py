@@ -542,6 +542,24 @@ def test_a_size_below_one_is_refused_before_any_work(monkeypatch):
             check_chain_oracle(1, 1, size)
 
 
+def test_a_degree_above_max_degree_is_refused_before_any_check(monkeypatch):
+    """`vanishing` at max_r = 9 ran every degree up to 8 before failing, and
+    `littlewood1` at m + n = 9 enumerated S_9 without end."""
+    ran = []
+    for attr in dir(verify):
+        if attr.startswith("check_"):
+            monkeypatch.setattr(verify, attr, lambda *args, _name=attr: ran.append(_name))
+    cases = [(name, 1, 1, MAX_DEGREE + 1) for name in ("all", *CHECK_FAMILIES)]
+    cases += [("littlewood1", 5, 4, 1), ("all", 5, 4, 1)]
+    for name, m, n, max_r in cases:
+        with pytest.raises(VerifyError) as info:
+            sweep(name, m, n, max_r)
+        assert "\n" not in str(info.value)
+    assert ran == []
+    sweep("littlewood1", 4, 4, 1)  # the spies are in place
+    assert set(ran) == {"check_littlewood_1"}
+
+
 def _spy(monkeypatch, module, name, calls):
     """Count the calls of module.name in calls[name]."""
     original = getattr(module, name)
@@ -813,7 +831,7 @@ def test_grouping_by_rearrangement_is_watched(monkeypatch):
     rather than the signed counts of all of them, breaks Kostant's identity:
     its other side, the weight-space supertrace, does not read the table."""
     import superimm.immanants as immanants
-    from superimm.tensorspace import composed_tuple
+    from oracles import composed_tuple
 
     _assert_pass(check_kostant(1, 1, 3))
 

@@ -461,7 +461,8 @@ def star_power(x: SuperMatrix, k: int) -> SuperMatrix:
 def power_trace(x: SuperMatrix, k: int) -> SuperPoly:
     """Supertrace of the k-th star power, memoized on x under ("p", (k,)) (see
     `_chain_memo`); for k >= 2 the parity-weighted diagonal of Y * Z alone,
-    with Z = X^{*(k//2)} and Y = Z or Z * X (the star product is associative)."""
+    with Z = X^{*(k//2)} and Y = X^{*(k - k//2)} (the star product is associative).
+    Each X^{*j}, j >= 2, is memoized on x under ("star", j), built as X^{*(j-1)} * X."""
     _check_exponent(k)
     memo, key = _chain_memo(x), ("p", (k,))
     if key in memo:
@@ -469,8 +470,12 @@ def power_trace(x: SuperMatrix, k: int) -> SuperPoly:
     if k < 2:
         memo[key] = supertrace(star_power(x, k))
     else:
-        z = star_power(x, k // 2)
-        y = star_product(z, x) if k % 2 else z
+        powers = [x]
+        for j in range(2, k - k // 2 + 1):
+            if ("star", j) not in memo:
+                memo["star", j] = star_product(powers[-1], x)
+            powers.append(memo["star", j])
+        y, z = powers[-1], powers[k // 2 - 1]
         memo[key] = linear_combination(x.algebra, ((parity_weight(i, x.m), _star_entry(y, z, i, i))
                                                    for i in range(1, x.size + 1)))
     return memo[key]

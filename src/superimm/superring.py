@@ -116,11 +116,10 @@ class Algebra:
         return self is other or list(self._gens.values()) == list(other._gens.values())
 
     def _factors(self, key: int) -> tuple:
-        """(sign, even, odd, head, last) for the monomial `key`: its even part
+        """(sign, even, odd, factors) for the monomial `key`: its even part
         as name-sorted (generator, exponent) pairs, its odd part as sorted
         names, the sign that reorders the odd part from bit order into name
-        order, and its factors, the even pairs then (name, 1) for each odd
-        name, split into all but the last and a tuple of the last (empty for 1)."""
+        order, and its factors, the even pairs then (name, 1) for each odd name."""
         shown = self._shown.get(key)
         if shown is None:
             even = tuple(sorted((name, key >> shift & _FIELD) for name, shift in self._shift.items()
@@ -129,7 +128,7 @@ class Algebra:
             swaps = sum(a > b for a, b in combinations(in_bit_order, 2))
             odd = tuple(sorted(in_bit_order))
             factors = (*even, *((name, 1) for name in odd))
-            shown = self._shown[key] = (-1 if swaps % 2 else 1, even, odd, factors[:-1], factors[-1:])
+            shown = self._shown[key] = (-1 if swaps % 2 else 1, even, odd, factors)
         return shown
 
     def _key(self, even, odd) -> tuple:
@@ -448,8 +447,9 @@ class SuperPoly:
 
         Odd factors are substituted in name order, with the stored
         coefficient taken to that order's sign.  `memo`, a (powers, prefixes)
-        pair of dicts, keeps the images of generator powers and factor
-        prefixes across calls with the same images, target and sign rule.
+        pair of dicts, keeps the images of generator powers and of factor
+        prefixes, whole monomials included, across calls with the same images,
+        target and sign rule, so a monomial is multiplied once per memo.
         """
         # loops, not recursion: a closure reaching itself would leave a cycle per call
         powers, prefixes = ({}, {(): target.one()}) if memo is None else memo
@@ -480,16 +480,21 @@ class SuperPoly:
         images_of_terms = []
         factors_of = self.algebra._factors
         for key, c in self._terms.items():
-            sign, _, _, head, last = factors_of(key)
-            head = prefix(head)
-            if not head.is_zero:
-                images_of_terms.append((sign * c, head, power(*last) if last else head))
-        den = lcm(*(head._den * last._den for _, head, last in images_of_terms))
+            sign, _, _, factors = factors_of(key)
+            image = prefix(factors)
+            if image._terms:
+                images_of_terms.append((sign * c, image))
+        den = lcm(*(image._den for _, image in images_of_terms))
         terms: dict = {}
-        for c, head, last in images_of_terms:
-            scale = c * (den // (head._den * last._den))
-            _accumulate(terms, head._terms, last._terms, scale, target._odd)
-        return _reduced_product(target, terms, self._den * den)
+        for c, image in images_of_terms:
+            scale = c * (den // image._den)
+            for key, v in image._terms.items():
+                s = terms.get(key, 0) + v * scale
+                if s:
+                    terms[key] = s
+                else:
+                    del terms[key]
+        return _reduced(target, terms, self._den * den)
 
     # -- inverses ----------------------------------------------------------------
 

@@ -364,10 +364,20 @@ def _invariant_series(x: SuperMatrix, order: int) -> tuple[TruncatedSeries, Trun
     return TruncatedSeries(x.algebra, lam_neg, order), TruncatedSeries(x.algebra, sig, order)
 
 
+_ORDER_FLOORS = {"macmahon": 0, "newton": 1}  # the lowest series order each family checks
+
+
+def _check_series_order(identity: str, order: int) -> None:
+    """Refuse an order outside the family's floor..MAX_DEGREE: the immanant
+    sums of degree k sum over S_k."""
+    low = _ORDER_FLOORS[identity]
+    if not low <= order <= MAX_DEGREE:
+        raise VerifyError(f"{identity} needs {MAX_DEGREE} >= order >= {low}, got {order}")
+
+
 def check_macmahon(m: int, n: int, order: int) -> CheckReport:
     """The elementary series at -t times the complete series is one."""
-    if not 0 <= order <= MAX_DEGREE:  # the immanant sums of degree k sum over S_k
-        raise VerifyError(f"macmahon needs {MAX_DEGREE} >= order >= 0, got {order}")
+    _check_series_order("macmahon", order)
     params = {"identity": "macmahon", "m": m, "n": n, "order": order}
     x = generator_matrix(m, n)
 
@@ -381,8 +391,7 @@ def check_macmahon(m: int, n: int, order: int) -> CheckReport:
 def check_newton(m: int, n: int, order: int) -> CheckReport:
     """Logarithmic-derivative identities tying both invariant series to the
     power-sum traces of star powers."""
-    if not 1 <= order <= MAX_DEGREE:
-        raise VerifyError(f"newton needs {MAX_DEGREE} >= order >= 1, got {order}")
+    _check_series_order("newton", order)
     params = {"identity": "newton", "m": m, "n": n, "order": order}
     x = generator_matrix(m, n)
 
@@ -776,6 +785,9 @@ def sweep(name: str, m: int, n: int, max_r: int, order: int = 3, seed: int = 202
         raise VerifyError(f"sweep needs max_r <= {MAX_DEGREE}, got {max_r}")
     if name in ("littlewood1", "all") and m + n > MAX_DEGREE:  # littlewood1 runs at r = m + n
         raise VerifyError(f"littlewood1 needs m + n <= {MAX_DEGREE}, got {m + n}")
+    for identity in _ORDER_FLOORS:
+        if name in (identity, "all"):
+            _check_series_order(identity, order)
     degrees = range(1, max_r + 1)
     shapes = [lam for r in degrees for lam in partitions(r)]
     per_degree = {"vanishing": check_vanishing, "kostant": check_kostant,

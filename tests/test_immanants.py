@@ -910,19 +910,19 @@ def test_trace_memo_is_keyed_by_the_sign_seams(monkeypatch, module, seam):
 def test_trace_memo_is_shared_across_shapes_not_across_matrices(monkeypatch):
     """The one-row shape needs every power trace of its degree; the other
     shapes and `power_trace` itself read them from the memo, while an equal
-    matrix built apart fills its own.  Each trace computed takes one star
-    power."""
+    matrix built apart fills its own.  The traces up to degree 3 take one star
+    product, X * X, kept in the memo beside them."""
     computed = []
-    original = immanants.star_power
-    monkeypatch.setattr(immanants, "star_power", lambda y, k: computed.append(k) or original(y, k))
+    original = immanants.star_product
+    monkeypatch.setattr(immanants, "star_product", lambda y, z: computed.append(z) or original(y, z))
     x = SuperMatrix(1, 1, generator_matrix(1, 1).entries)
     first = normalized_immanant_sum((3,), x)
-    assert len(computed) == 3
+    assert computed == [x]
     for shape in [(2, 1), (1, 1, 1), (2,), (1, 1), (1,)]:
         normalized_immanant_sum(shape, x)
-    assert [power_trace(x, k) for k in (1, 2, 3)] and len(computed) == 3
+    assert [power_trace(x, k) for k in (1, 2, 3)] and len(computed) == 1
     twin = SuperMatrix(1, 1, x.entries)
-    assert normalized_immanant_sum((3,), twin) == first and len(computed) == 6
+    assert normalized_immanant_sum((3,), twin) == first and len(computed) == 2
 
 
 @pytest.mark.parametrize("m, n, max_r", [(1, 1, 4), (2, 1, 5), (1, 2, 4), (2, 2, 4), (3, 1, 4)])

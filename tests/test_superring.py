@@ -963,8 +963,9 @@ def test_point_memo_frees_the_last_point_at_the_next(mixed):
 
 def test_point_memo_builds_each_power_and_prefix_once(monkeypatch):
     """The six normalized immanant sums with |lambda| <= 3 at a seeded (2|2)
-    point (144 terms) take 56 products through the point's memo, 142 with a
-    fresh memo per polynomial."""
+    point have 144 terms over 72 distinct monomials; the point's memo
+    multiplies each distinct monomial once, in 116 products, where a fresh
+    memo per polynomial takes 286."""
     from superimm.immanants import generator_matrix, normalized_immanant_sum
     from superimm.superring import SuperPoly
     from superimm.tableaux import partitions
@@ -972,6 +973,8 @@ def test_point_memo_builds_each_power_and_prefix_once(monkeypatch):
 
     x = generator_matrix(2, 2)
     sums = [normalized_immanant_sum(lam, x) for r in range(1, 4) for lam in partitions(r)]
+    assert sum(map(len, (s._terms for s in sums))) == 144
+    assert len(set().union(*(s._terms for s in sums))) == 72
     point = random_grassmann_point(2, 2, 20240614)
     original, calls = SuperPoly.__mul__, []
 
@@ -981,10 +984,38 @@ def test_point_memo_builds_each_power_and_prefix_once(monkeypatch):
 
     monkeypatch.setattr(SuperPoly, "__mul__", spy)
     alone = [s.substitute(point.assignment, point.target) for s in sums]
-    assert len(calls) == 142
+    assert len(calls) == 286
     calls.clear()
     assert [point.evaluate(s) for s in sums] == alone
-    assert len(calls) == 56
+    assert len(calls) == 116
+
+
+def test_a_monomial_shared_by_two_polynomials_is_multiplied_once_per_point(mixed, monkeypatch):
+    """p and q share x^2 t1 t2: once p is evaluated at a point, q's images
+    come from the point's memo with no product, where a fresh memo builds
+    x^2 t1 t2 again factor by factor."""
+    from superimm.superring import SuperPoly
+
+    alg, x, y, t1, t2, t3 = mixed
+    lam = grassmann_algebra(4)
+    th1, th2, th3, th4 = (lam.gen(f"th{i}") for i in range(1, 5))
+    point = GrassmannPoint(alg, {"x": lam.scalar(3) + th1 * th2, "y": lam.scalar(Fraction(1, 2)),
+                                 "t1": th3, "t2": th1 + th4})
+    shared = x ** 2 * t1 * t2
+    p, q = shared + y, Fraction(2, 3) * shared - 7
+    original, calls = SuperPoly.__mul__, []
+
+    def spy(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(SuperPoly, "__mul__", spy)
+    point.evaluate(p)
+    calls.clear()
+    at_point = point.evaluate(q)
+    assert calls == []
+    assert at_point == q.substitute(point.assignment, point.target)
+    assert len(calls) == 4  # x * x, then 1 * x^2, * t1 and * t2
 
 
 # -- the alphabet memo and the hash it is keyed by -----------------------------
@@ -1065,8 +1096,9 @@ def test_alphabet_memo_frees_the_last_alphabets_at_the_next():
 
 def test_alphabet_memo_builds_each_power_and_prefix_once(monkeypatch):
     """The six Schur polynomials with |lambda| <= 3 at the eigenvalues of a
-    seeded (2|2) point take 17 products through the shared memo, 45 with a
-    fresh memo per polynomial."""
+    seeded (2|2) point have 60 terms over 34 distinct monomials; the shared
+    memo multiplies each distinct monomial once, in 42 products, where a fresh
+    memo per polynomial takes 105."""
     from superimm.immanants import diagonalize, generator_matrix
     from superimm.superring import SuperPoly
     from superimm.supersym import _alphabet_memo, evaluate_two_alphabets, schur_super
@@ -1078,6 +1110,8 @@ def test_alphabet_memo_builds_each_power_and_prefix_once(monkeypatch):
     lam = grassmann_algebra(4)
     images = {"u1": first[0], "u2": first[1], "v1": second[0], "v2": second[1]}
     schurs = [schur_super(shape, 2, 2) for r in range(1, 4) for shape in partitions(r)]
+    assert sum(map(len, (s._terms for s in schurs))) == 60
+    assert len(set().union(*(s._terms for s in schurs))) == 34
     _alphabet_memo.cache_clear()
     original, calls = SuperPoly.__mul__, []
 
@@ -1087,10 +1121,10 @@ def test_alphabet_memo_builds_each_power_and_prefix_once(monkeypatch):
 
     monkeypatch.setattr(SuperPoly, "__mul__", spy)
     alone = [s.substitute(images, lam) for s in schurs]
-    assert len(calls) == 45
+    assert len(calls) == 105
     calls.clear()
     assert [evaluate_two_alphabets(s, first, second, lam) for s in schurs] == alone
-    assert len(calls) == 17
+    assert len(calls) == 42
 
 
 def _built_from_generators(alg, raw):

@@ -560,6 +560,29 @@ def test_a_degree_above_max_degree_is_refused_before_any_check(monkeypatch):
     assert set(ran) == {"check_littlewood_1"}
 
 
+def test_a_series_order_outside_the_bounds_is_refused_before_any_check(monkeypatch):
+    """`all` at order 9 ran eleven checks before `check_macmahon` refused the
+    order, and at order 0 twelve before `check_newton` did."""
+    ran = []
+    for attr in dir(verify):
+        if attr.startswith("check_"):
+            monkeypatch.setattr(verify, attr, lambda *args, _name=attr: ran.append(_name))
+    cases = [("macmahon", -1, "macmahon needs 8 >= order >= 0, got -1"),
+             ("macmahon", MAX_DEGREE + 1, "macmahon needs 8 >= order >= 0, got 9"),
+             ("newton", 0, "newton needs 8 >= order >= 1, got 0"),
+             ("newton", MAX_DEGREE + 1, "newton needs 8 >= order >= 1, got 9"),
+             ("all", 0, "newton needs 8 >= order >= 1, got 0"),
+             ("all", MAX_DEGREE + 1, "macmahon needs 8 >= order >= 0, got 9")]
+    for name, order, message in cases:
+        with pytest.raises(VerifyError) as info:
+            sweep(name, 1, 1, 1, order=order)
+        assert str(info.value) == message
+    assert ran == []
+    sweep("macmahon", 1, 1, 1, order=0)  # the spies are in place
+    sweep("berezinian", 1, 1, 1, order=MAX_DEGREE + 1)  # its series are not sums over S_k
+    assert ran == ["check_macmahon", "check_berezinian_series"]
+
+
 def _spy(monkeypatch, module, name, calls):
     """Count the calls of module.name in calls[name]."""
     original = getattr(module, name)
@@ -640,15 +663,15 @@ def _generator_copies(monkeypatch, shared: bool) -> None:
 
 def test_hessenberg_sweep_makes_each_power_trace_once(monkeypatch):
     """A Hessenberg sweep at (2|2), r <= 5, computes the traces gamma_1..gamma_5
-    once each (one star power each), and reports exactly what checks on
-    matrices of their own report."""
+    once each from two star products, X^{*2} and X^{*3}, and reports exactly
+    what checks on matrices of their own report."""
     import superimm.immanants as immanants
 
     calls = {}
-    _spy(monkeypatch, immanants, "star_power", calls)
+    _spy(monkeypatch, immanants, "star_product", calls)
     _generator_copies(monkeypatch, shared=True)
     reports = sweep("hessenberg", 2, 2, 5)
-    assert calls == {"star_power": 5}
+    assert calls == {"star_product": 2}
     _generator_copies(monkeypatch, shared=False)
     alone = [check_hessenberg(lam, 2, 2) for r in range(1, 6) for lam in partitions(r)]
     assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == \

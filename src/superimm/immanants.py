@@ -265,7 +265,14 @@ def _as_class_function(char, r: int) -> dict:
     shape = normalize_partition(char)
     if sum(shape) != r:
         raise SuperMatrixError("character shape size must match the index length")
-    return {ct: character(shape, ct) for ct in partitions(r)}
+    return _character_table(shape, character)
+
+
+@lru_cache(maxsize=None)
+def _character_table(shape, char) -> dict:
+    """{cycle type: char(shape, cycle type)}, shared: `char`, the `character`
+    in force, is in the key.  Read it, never change it."""
+    return {ct: char(shape, ct) for ct in partitions(sum(shape))}
 
 
 @lru_cache(maxsize=None)
@@ -357,9 +364,10 @@ def normalized_immanant_sum(shape, x: SuperMatrix) -> SuperPoly:
     built along mu, so a prefix shared by several mu is multiplied once per x."""
     shape = normalize_partition(shape)
     memo = _chain_memo(x)
+    table = _character_table(shape, character)
     pairs = []
     for mu, weight in _class_weights(sum(shape)):
-        chi = character(shape, mu)
+        chi = table[mu]
         if chi == 0:
             continue
         product = power_trace(x, mu[0]) if mu else x.algebra.one()

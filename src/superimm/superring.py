@@ -295,7 +295,7 @@ class SuperPoly:
     odd parts, with the sign of name order.  Instances are treated as immutable.
     """
 
-    __slots__ = ("algebra", "_terms", "_den")
+    __slots__ = ("algebra", "_terms", "_den", "_hash")
 
     def __init__(self, algebra: Algebra, terms: dict, den: int = 1):
         self.algebra = algebra
@@ -435,9 +435,13 @@ class SuperPoly:
                 and self._terms == other._terms)
 
     def __hash__(self):  # a constant hashes like the rational it equals
-        if self._terms.keys() <= {_ONE}:
-            return hash(self.constant_term())
-        return hash((self._den, frozenset(self._terms.items())))  # compatible algebras share key layouts
+        try:
+            return self._hash
+        except AttributeError:  # set on the first hash: instances never change
+            terms = self._terms  # compatible algebras share key layouts
+            self._hash = hash(self.constant_term() if terms.keys() <= {_ONE}
+                              else (self._den, frozenset(terms.items())))
+            return self._hash
 
     # -- substitution ----------------------------------------------------------
 

@@ -8,7 +8,7 @@ inverse, and irreducible symmetric-group characters via the border-strip
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, inf
 
 
 class TableauxError(ValueError):
@@ -21,6 +21,14 @@ class TableauxError(ValueError):
 
 
 def normalize_partition(parts) -> tuple[int, ...]:
+    if parts.__class__ is tuple:  # already normal: positive ints, weakly decreasing
+        prev = inf
+        for p in parts:
+            if p.__class__ is not int or not 0 < p <= prev:
+                break
+            prev = p
+        else:
+            return parts
     parts = tuple(p for p in parts if p.__class__ is not int or p)
     if any(p.__class__ is not int or p < 0 for p in parts):  # bool included
         raise TableauxError(f"partition parts must be non-negative integers, got {parts}")
@@ -137,10 +145,17 @@ class StandardTableau:
         return "/".join("".join(f"[{k}]" for k in row) for row in self.rows)
 
 
-@lru_cache(maxsize=None)
+# The caches below are keyed by checked arguments: True == 1 and 2.0 == 2 hash
+# alike, so a warm entry would answer for an input that is refused cold.
+
+
 def standard_tableaux(shape) -> tuple[StandardTableau, ...]:
     """All standard tableaux of the shape: its fillings by r distinct even letters."""
-    shape = normalize_partition(shape)
+    return _standard_tableaux(normalize_partition(shape))
+
+
+@lru_cache(maxsize=None)
+def _standard_tableaux(shape: tuple[int, ...]) -> tuple[StandardTableau, ...]:
     r = sum(shape)
     return tuple(map(StandardTableau, semistandard_super_tableaux(shape, r, 0, (1,) * r)))
 
@@ -252,9 +267,13 @@ def relabel_by_weight(tab: StandardTableau, weight) -> tuple[tuple[int, ...], ..
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def kostka(lam, mu) -> int:
     """Number of classical semistandard tableaux of shape lam and weight mu."""
+    return _kostka(normalize_partition(lam), _check_weight(mu))
+
+
+@lru_cache(maxsize=None)
+def _kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return len(semistandard_super_tableaux(lam, len(mu), 0, mu))
 
 
@@ -289,15 +308,20 @@ def inverse_kostka(lam, mu) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def character(lam, cycle_type) -> int:
     """Irreducible S_r character value at a conjugacy class."""
-    lam = normalize_partition(lam)
-    cycle_type = normalize_partition(cycle_type)
+    return _character(normalize_partition(lam), normalize_partition(cycle_type))
+
+
+@lru_cache(maxsize=None)
+def _character(lam: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
     if sum(lam) != sum(cycle_type):
         raise TableauxError("character requires |lam| = |cycle type|")
     beta = tuple(lam[i] + (len(lam) - 1 - i) for i in range(len(lam)))
     return _mn(frozenset(beta), cycle_type)
+
+
+character.cache_info = _character.cache_info  # the hit ratio, for perfbench
 
 
 def _mn(beta: frozenset, remaining: tuple[int, ...]) -> int:
@@ -340,7 +364,5 @@ def induced_trivial_character(mu):
     """Class function of the character induced from the trivial character of S_mu."""
     mu = normalize_partition(mu)
     r = sum(mu)
-    return {
-        rho: sum(kostka(lam, mu) * character(lam, rho) for lam in partitions(r))
-        for rho in partitions(r)
-    }
+    kostkas = [(lam, k) for lam in partitions(r) if (k := kostka(lam, mu))]
+    return {rho: sum(k * character(lam, rho) for lam, k in kostkas) for rho in partitions(r)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial, prod
 
@@ -28,6 +29,11 @@ def index_parity(i: int, m: int) -> int:
 
 
 def tuple_parities(indices, m: int) -> tuple[int, ...]:
+    return _parities(tuple(indices), m)
+
+
+@lru_cache(maxsize=None)
+def _parities(indices: tuple, m: int) -> tuple[int, ...]:
     return tuple(0 if i <= m else 1 for i in indices)
 
 
@@ -85,6 +91,11 @@ def immanant_prefactor(row_indices, col_indices, m: int) -> int:
 
 def repetition_factor(indices) -> int:
     """Product of the factorials of the index multiplicities; divides r!."""
+    return _repetition_factor(tuple(indices))
+
+
+@lru_cache(maxsize=None)
+def _repetition_factor(indices: tuple) -> int:
     out = 1
     for a in Counter(indices).values():
         out *= factorial(a)

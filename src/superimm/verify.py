@@ -163,17 +163,17 @@ def _lr_by_characters(mu, nu, r: int) -> dict:
     beta |- |nu| of chi^mu(alpha) chi^nu(beta) chi^lam(alpha u beta) / (z_alpha z_beta),
     with 1/z_alpha = class_size(alpha) / |mu|!."""
     a, b = sum(mu), sum(nu)
-    classes = [
-        (tuple(sorted(alpha + beta, reverse=True)),
-         Fraction(character(mu, alpha) * character(nu, beta) * class_size(alpha) * class_size(beta),
-                  factorial(a) * factorial(b)))
-        for alpha in partitions(a) for beta in partitions(b)
-    ]
+    weights: dict = {}  # rho = alpha u beta -> the sum of its weights times |mu|! |nu|!
+    for alpha in partitions(a):
+        left = character(mu, alpha) * class_size(alpha)
+        for beta in partitions(b):
+            rho = tuple(sorted(alpha + beta, reverse=True))
+            weights[rho] = weights.get(rho, 0) + left * character(nu, beta) * class_size(beta)
     out = {}
     for lam in partitions(r):
-        coeff = sum((w * character(lam, rho) for rho, w in classes), Fraction(0))
+        coeff = sum(w * character(lam, rho) for rho, w in weights.items() if w)
         if coeff:
-            out[lam] = coeff
+            out[lam] = Fraction(coeff, factorial(a) * factorial(b))
     return out
 
 

@@ -9,7 +9,9 @@
 - the star product with the flip applied slot by slot, where the library
   uses one entry formula;
 - the rearrangement K = I o perm of the immanant's literal permutation sum,
-  where the library acts by perm . I with the sign taken at I.
+  where the library acts by perm . I with the sign taken at I;
+- the partition check that always copies and rescans its input, where the
+  library returns an already-normal tuple after one pass.
 """
 
 from fractions import Fraction
@@ -206,3 +208,15 @@ def star_product_slotwise(y: SuperMatrix, z: SuperMatrix) -> SuperMatrix:
                 sign = act_conversion_sign((l1, l2), (a, b), m) * parity_weight(a, m)
                 rows[l2 - 1][b - 1] = rows[l2 - 1][b - 1] + (c if sign > 0 else -c)
     return SuperMatrix(m, y.n, rows, validate=False)
+
+
+def normalize_partition_rescanned(parts) -> tuple[int, ...]:
+    """The partition with its zeros dropped, every input copied and scanned
+    three times: TableauxError for a part that is not a non-negative int (a
+    bool is not) or for an increase."""
+    parts = tuple(p for p in parts if p.__class__ is not int or p)
+    if any(p.__class__ is not int or p < 0 for p in parts):  # bool included
+        raise TableauxError(f"partition parts must be non-negative integers, got {parts}")
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise TableauxError(f"{parts} is not weakly decreasing")
+    return parts

@@ -144,6 +144,20 @@ def test_class_function_is_evaluated_once_per_cycle_type(monkeypatch):
     assert sorted(calls) == sorted([*partitions(3), *partitions(2)])
 
 
+def test_super_immanant_reads_the_character_in_force_after_warm_up(monkeypatch):
+    """The per-shape character table is keyed by the `character` in force, so
+    a character replaced after a warm call is read, and the original is
+    answered from its own table again once restored."""
+    x = generator_matrix(1, 1)
+    warm = super_immanant((2, 1), x, (1, 1, 2))
+    trivial = super_immanant((3,), x, (1, 1, 2))
+    assert warm != trivial
+    monkeypatch.setattr(immanants, "character", lambda lam, ct: 1)
+    assert super_immanant((2, 1), x, (1, 1, 2)) == trivial
+    monkeypatch.undo()
+    assert super_immanant((2, 1), x, (1, 1, 2)) == warm
+
+
 def test_class_function_missing_a_cycle_type_is_rejected():
     with pytest.raises(SuperMatrixError, match=r"cycle types \[\(1, 1\)\]"):
         super_immanant({(2,): 1}, generator_matrix(1, 1), (1, 2))

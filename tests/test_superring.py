@@ -1154,6 +1154,21 @@ def test_equal_polys_hash_equal_across_routes_and_compatible_algebras(raw, odd_o
         assert p == q and hash(p) == hash(q)
 
 
+@given(raw_polys(max_size=4), rationals)
+@settings(max_examples=100, deadline=None)
+def test_a_hashed_poly_hashes_equal_to_an_equal_fresh_one(raw, s):
+    """The hash is kept after the first call: it stays the hash of the value,
+    equal to that of an equal poly built afresh, a constant's included."""
+    alg = _kernel_algebra()
+    p = poly_from_terms(alg, _as_terms(raw))
+    first = hash(p)
+    for q in (_built_from_generators(alg, raw), linear_combination(alg, [(1, p)]), p * 1):
+        assert q == p and hash(q) == hash(p) == first
+    constant = alg.scalar(s)
+    assert hash(constant) == hash(constant) == hash(alg.scalar(s)) == hash(s)
+    assert {p: "found"}[_built_from_generators(alg, raw)] == "found"
+
+
 def test_hashing_a_non_constant_builds_no_fraction(monkeypatch):
     from superimm.superring import SuperPoly
 

@@ -3,8 +3,10 @@ from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import axial_distance
+from oracles import axial_distance, normalize_partition_rescanned
+from superimm import tableaux
 from superimm.tableaux import (
     StandardTableau,
     TableauxError,
@@ -175,6 +177,61 @@ def test_normalize_partition_drops_zeros_and_refuses_an_increase():
     with pytest.raises(TableauxError) as info:
         normalize_partition((1, 0, 2))
     assert str(info.value) == "(1, 2) is not weakly decreasing"
+
+
+_PARTS = st.one_of(st.integers(-2, 6), st.booleans(), st.sampled_from([2.0, 2.7, -1.0, 0.0, "2", None]))
+
+
+def _outcome(call, *args):
+    try:
+        return "returns", call(*args)
+    except Exception as exc:  # the exception's type and message, to compare
+        return type(exc), str(exc)
+
+
+@given(st.one_of(st.lists(_PARTS, max_size=6), st.lists(_PARTS, max_size=6).map(tuple),
+                 st.text(max_size=3)))
+@example((3, 3, 1))
+@example((3, 0, 1))
+@example((True, 1))
+@example((2.0, 1))
+@example((0, 0))
+@example("21")
+@settings(max_examples=300, deadline=None)
+def test_normalize_partition_matches_the_rescanning_check(parts):
+    """The one-pass check returns or raises exactly what the check that
+    copies and rescans every input does, for tuples, lists and strings."""
+    got = _outcome(normalize_partition, parts)
+    assert got == _outcome(normalize_partition_rescanned, parts)
+    if got[0] == "returns":
+        assert type(got[1]) is tuple and normalize_partition(got[1]) is got[1]
+
+
+@pytest.mark.parametrize("call, good, bad", [
+    (character, ((1, 1), (1, 1)), ((True, 1), (1, 1))),
+    (character, ((2, 1), (1, 1, 1)), ((2, 1), (1, 1, True))),
+    (kostka, ((2, 1), (1, 1, 1)), ((2.0, 1), (1, 1, 1))),
+    (kostka, ((2, 1), (1, 1, 1)), ((2, 1), (1, 1, True))),
+    (standard_tableaux, ((2, 1),), ((2.0, 1),)),
+], ids=["character-shape", "character-class", "kostka-shape", "kostka-weight", "standard-tableaux"])
+def test_cached_tableau_functions_refuse_cold_and_warm(call, good, bad):
+    """The caches are keyed by checked arguments: an input equal to a cached
+    one (True == 1, 2.0 == 2) is refused before any cache could answer it."""
+    for cache in (tableaux._character, tableaux._kostka, tableaux._standard_tableaux):
+        cache.cache_clear()
+    with pytest.raises(TableauxError):
+        call(*bad)
+    call(*good)
+    with pytest.raises(TableauxError):
+        call(*bad)
+
+
+def test_cached_tableau_functions_take_lists_as_tuples():
+    assert character([2, 1], [1, 1, 1]) == character((2, 1), (1, 1, 1)) == 2
+    assert kostka([2, 1], [1, 1, 1]) == kostka((2, 1), (1, 1, 1)) == 2
+    assert kostka([2, 1], [1, 0, 2]) == kostka((2, 1), (1, 0, 2)) == 1
+    assert standard_tableaux([2, 1]) == standard_tableaux((2, 1))
+    assert character.cache_info().currsize > 0
 
 
 def test_relabel_by_weight():

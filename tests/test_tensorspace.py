@@ -166,6 +166,21 @@ def test_index_helpers():
     assert composition_to_multiset((2, 0, 1)) == (1, 1, 3)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_index_tuples_as_lists_or_tuples_give_the_same_parities_and_signs(m):
+    """The parity and multiplicity memos are keyed by tuple(indices), so a
+    list reads the same entry as its tuple."""
+    for rows, cols in [((1, 3, 2), (3, 3, 1)), ((2, 2, 3, 1), (1, 3, 3, 2)), ((), ())]:
+        assert tuple_parities(list(rows), m) == tuple_parities(rows, m)
+        assert repetition_factor(list(rows)) == repetition_factor(rows)
+        assert comodule_sign(list(rows), list(cols), m) == comodule_sign(rows, cols, m)
+        assert immanant_prefactor(list(rows), cols, m) == immanant_prefactor(rows, list(cols), m)
+        for perm in symmetric_group(len(rows)):
+            assert action_sign(list(rows), m, perm) == action_sign(rows, m, perm)
+    assert tuple_parities([1, 2, 3], 1) == (0, 1, 1)
+    assert repetition_factor([2, 1, 2, 2]) == 6
+
+
 def test_arrangements_are_the_sorted_filter_of_all_tuples():
     assert arrangements(()) == ((),)
     for size in (1, 2, 3):
